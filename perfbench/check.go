@@ -21,7 +21,8 @@ const (
 	// pattern (2^20 patterns = 16384 words); the suite designs have 14-18.
 	exhaustiveMaxPIs = 20
 	// randomWords is the number of seeded random pattern words used above
-	// that (mult16 has 32 PIs): 262144 patterns.
+	// that: 262144 patterns. The workloads' designs never need it; the
+	// tests run it on a 32-input multiplier.
 	randomWords   = 4096
 	simBlockWords = 64
 )

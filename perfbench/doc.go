@@ -4,7 +4,7 @@
 // public APIs of flows, shard, dataset and gbdt, with every result
 // checked. Run it from the repository root:
 //
-//	bash perfbench/run.sh --workload gt-suite --seed 1 --seconds 25 --trace 0
+//	bash perfbench/run.sh --workload gt-suite --seed 1 --seconds 28 --trace 0
 //
 // The last line of standard output is one JSON object with the keys
 // correct, attempted, failed and metrics; the line before it is the run
@@ -14,21 +14,21 @@
 // # A run
 //
 // A run sets the workload up several times and reports the median set-up
-// time, then runs one warm-up repetition (process-wide caches fill, the
-// heap grows; its time is kept in the record, not in the metrics), then
-// timed repetitions until --seconds is spent, at least three, and reports
-// their medians. Repetition r sweeps sub-seed r mod 3 of the run's seed
-// (sweep seeds seed, seed+1000, seed+2000), so the medians cover three
-// inputs rather than one: AutoTune's batch ceiling comes from a 4-step
-// pilot, and in about one seed in ten some entry's pilot sees no
-// acceptance, picks 16 instead of 2, and retains 100-200 MiB more
-// incremental state. Every
-// sweep uses flows.DefaultSweep — its 21-point grid and its self-tuning
-// cost knobs, none pinned, as `aigopt -suite` runs it — at 4 iterations
-// per grid point (DefaultSweep's 120 take ~70 s per gt-suite sweep on 2
-// cores). GOMAXPROCS is the machine's CPU count. With --trace 1 the run
-// adds one traced repetition of sub-seed 0 and reports the per-layer
-// metrics instead of the end-to-end ones.
+// time, then runs two warm-up repetitions (process-wide caches fill, the
+// heap grows; their times are kept in the record, not in the metrics),
+// then timed repetitions for --seconds, at least three, and reports
+// their medians. Repetition r sweeps sub-seed r of the run's seed (sweep
+// seed seed+1000r), so every repetition is a new input and the medians
+// cover as many inputs as the run has repetitions: time and memory
+// depend on the input (AutoTune's batch ceiling comes from a 4-step
+// pilot; when some entry's pilot sees no acceptance it picks 16 instead
+// of 2 and retains 100-200 MiB more incremental state). Every sweep uses
+// flows.DefaultSweep — its 21-point grid and its self-tuning cost knobs,
+// none pinned, as `aigopt -suite` runs it — at 4 iterations per grid
+// point (DefaultSweep's 120 take ~70 s per gt-suite sweep on 2 cores).
+// GOMAXPROCS is the machine's CPU count. With --trace 1 the run adds one
+// traced repetition of the last repetition's sub-seed and reports the
+// per-layer metrics instead of the end-to-end ones.
 //
 // # Workloads
 //
@@ -46,11 +46,6 @@
 //     the paper's headline ratio. Signoff runs only in set-up labeling
 //     and in the winners' re-evaluation, so a signoff-only gain must
 //     leave this workload's wall_s unchanged.
-//   - large-gt: bench.Multiplier(16), 2,784 ANDs, guided by ground truth.
-//     Evaluations are large and memory-heavy and the incremental path
-//     rarely applies. It is the only workload where intra-evaluation
-//     parallelism, or any size-gated choice, can show a gain that
-//     gt-suite must not show.
 //   - hub-mixed: an in-process shard.Hub on a loopback listener with two
 //     in-process workers (shard.RegisterWorker with flows.NewShardRunner,
 //     as `sweepd -hub` runs them). Two clients submit at once through
@@ -62,6 +57,16 @@
 //     coordination a visible share. wall_s runs from the first submit to
 //     the last result.
 //
+// A fourth workload, large-gt (bench.Multiplier(16), 2,784 ANDs, ground
+// truth: large memory-heavy evaluations, the only place intra-evaluation
+// parallelism or a size-gated choice could show), was dropped as
+// unsteady. Across two sets of ten seeds on a shared 2-vCPU KVM guest
+// its middle-half spread was 0.21 and 0.32 of the median for wall_s and
+// 0.20 and 0.32 for cpu_s, over the 0.25 bound; at ~6 s a repetition it
+// fits only three timed repetitions in a run, and once every workload
+// warms up before timing, four of them no longer fit two sets of ten
+// runs each in an hour.
+//
 // # End-to-end metrics (all lower is better)
 //
 //   - setup_s (s): median wall time of one set-up.
@@ -72,7 +77,8 @@
 //     each repetition, so each peak is the repetition's own.
 //   - qor_delay_ps (ps), qor_area_um2 (um2): mean ground-truth delay and
 //     area (SweepPoint.TrueDelayPS, TrueAreaUM2) over all grid points of
-//     the three sub-seeds. Deterministic for a seed.
+//     the first five sub-seeds, which every run sweeps. Deterministic for
+//     a seed.
 //
 // # Per-layer metrics, and the end-to-end metric each should move
 //
@@ -84,22 +90,22 @@
 //
 //   - transform: transform.move_s (s, sum of Result.MoveTime). Moves
 //     wall_s and cpu_s on ml-suite most (moves are nearly all of its loop
-//     time), then gt-suite and large-gt.
+//     time), then gt-suite and hub-mixed's proxy submission.
 //   - anneal: anneal.evals, anneal.spec_evals (count), anneal.spec_ratio
 //     (speculative share), anneal.autotune_s (s, one explicit
 //     anneal.AutoTune per entry in the traced run; its decisions are in
-//     the trace file). Moves cpu_s on gt-suite and wall_s on large-gt.
+//     the trace file). Moves cpu_s on gt-suite.
 //   - eval: eval.cache_hits, eval.cache_misses, eval.full_evals,
 //     eval.delta_evals (count; approximate when grid points share a stack
 //     concurrently), eval.hit_ratio, eval.delta_share. Moves wall_s on
-//     gt-suite; large-gt is the low-delta-share side.
+//     gt-suite.
 //   - signoff (a wrapper around the ground-truth oracle, forwarding
 //     eval.Oracle, eval.DeltaEvaluator and eval.CheapEvaluator):
 //     signoff.full_calls, signoff.full_s, signoff.full_p50_ms,
 //     signoff.full_p90_ms, signoff.delta_calls, signoff.delta_s,
 //     signoff.delta_p50_ms, signoff.delta_declined, signoff.batch_calls,
-//     signoff.batch_size_mean. Moves wall_s and peak_rss_mb on large-gt
-//     and gt-suite, and setup_s on ml-suite; no change in ml-suite
+//     signoff.batch_size_mean. Moves wall_s and peak_rss_mb on gt-suite
+//     and hub-mixed, and setup_s on ml-suite; no change in ml-suite
 //     wall_s. The wrapper hides *flows.GroundTruth from NewSweepStack's
 //     Parallelism hand-off, so the traced run signs off sequentially; it
 //     must still reproduce the untraced digests (it is checked like every
@@ -110,7 +116,7 @@
 //     dataset.label_s, dataset.samples, gbdt.train_s, gbdt.trees move
 //     ml-suite setup_s only.
 //   - flows: flows.points, flows.core_util (cpu_s / (wall_s x
-//     GOMAXPROCS)). Moves wall_s on large-gt. flows.hub_counter_diffs
+//     GOMAXPROCS)). Moves wall_s on gt-suite. flows.hub_counter_diffs
 //     counts hub-mixed points that match the local run in everything but
 //     eval counts (see Checks).
 //   - shard: shard.bytes_sent, shard.bytes_received, shard.base_bytes,
@@ -124,8 +130,9 @@
 //   - runtime: runtime.alloc_mb (MiB), runtime.mallocs,
 //     runtime.gc_cycles (count) per repetition. Moves cpu_s and
 //     peak_rss_mb everywhere.
-//   - trace: trace.overhead_s (traced wall minus the untraced median of
-//     the same sub-seed), trace.spans.
+//   - trace: trace.overhead_s (traced wall minus the wall of an
+//     untraced repeat of the same sub-seed made just after it; a
+//     repeated input is faster than a new one), trace.spans.
 //
 // Spans record name, start, end and parent (workload, then entry or
 // submission, then call); self time is a span minus the union of its
@@ -136,21 +143,21 @@
 // A grid point fails when its suite call errs, when its best graph is not
 // equivalent to its input design (this package's own simulator:
 // exhaustive up to 20 inputs, 262,144 seeded random patterns above), when
-// its flows.AppendCanonical digest differs from the first repetition of
-// its sub-seed, or, for the default seed's own sweep, from the digest
-// recorded in golden.go. hub-mixed's ground-truth submission is checked
-// against gt-suite's recorded digests, and both hub submissions of
-// sub-seed 0 are rerun locally after the timed repetitions: a point
-// whose trajectory differs fails. Points equal
-// to the local run in everything but Evals and SpeculativeEvals are only
-// counted (flows.hub_counter_diffs): SweepSuiteSharded tunes the batch
-// bounds once against the first entry while SweepSuite tunes each entry,
-// and those two counters depend on the bounds. The ML set-ups must train
-// identical models.
+// its flows.AppendCanonical digest differs from the first sweep of its
+// sub-seed (the traced repetition repeats one), or, for the default
+// seed's own sweep, from the digest recorded in golden.go. hub-mixed's
+// ground-truth submission is checked against gt-suite's recorded
+// digests, and both hub submissions of sub-seed 0 are rerun locally
+// after the timed repetitions: a point whose trajectory differs fails.
+// Points equal to the local run in everything but Evals and
+// SpeculativeEvals are only counted (flows.hub_counter_diffs):
+// SweepSuiteSharded tunes the batch bounds once against the first entry
+// while SweepSuite tunes each entry, and those two counters depend on
+// the bounds. The ML set-ups must train identical models.
 //
 // # Noise
 //
-// Three findings shaped the design, and the record keeps every sample
+// Five findings shaped the design, and the record keeps every sample
 // so they stay visible:
 //
 //   - AutoTune sets knobs from single timings. Back-to-back AutoTune
@@ -161,9 +168,23 @@
 //   - The host drifts. Identical work has taken 50% more CPU time twenty
 //     minutes later on a shared 2-core box, and steal time inflates wall
 //     times (a 30 ms set-up reads 30-70 ms); memory-heavy sweeps feel
-//     neighbours most. Set-ups repeat 15 times (3 for ml-suite) and
+//     neighbours most. Set-ups repeat 15 times (5 for ml-suite, whose
+//     first set-up in a process is 1.5-2 times slower than the rest) and
 //     report the median.
 //   - No cost knob is pinned. The benchmark runs the self-tuning default
 //     users get, so deleting a knob does not require editing the
 //     benchmark; making AutoTune repeatable is a program change.
+//   - A process warms for several sweeps. With one warm-up repetition
+//     and three sub-seeds cycled, hub-mixed repetitions fell from 7.3 to
+//     5.1 s within a run (synthesis-program cache hits, fewer GC cycles
+//     as the heap grew), so a run's median depended on how many
+//     repetitions fitted. Runs therefore warm up twice and sweep a new
+//     input every repetition; timed repetitions are level to within the
+//     host's noise.
+//   - The host's per-core speed moves 20-40% over minutes with little
+//     steal: the same hub-mixed work took 7.7 to 11.0 CPU-s at
+//     GOMAXPROCS 1 within seven minutes. GOMAXPROCS 1 did not steady it
+//     (over four seeds, wall_s spread 0.28 of the median against 0.12 at
+//     GOMAXPROCS 2), so the benchmark keeps GOMAXPROCS at the CPU count
+//     and relies on medians over as many repetitions as a run allows.
 package main

@@ -24,10 +24,18 @@ import (
 	"aigtimer/internal/flows"
 )
 
-// minReps is the fewest timed repetitions a run makes, however long
-// they take; the run keeps repeating while the next one is expected to
-// end within --seconds.
-const minReps = 3
+const (
+	// warmReps is the number of untimed repetitions before the timed
+	// ones. The first sweeps of a process are 10-30% slower than later
+	// ones: the transform layer's process-wide synthesis-program caches
+	// fill with the cones the sweeps meet, the heap grows to its working
+	// size, and a resident fleet runs its first sessions.
+	warmReps = 2
+	// minReps is the fewest timed repetitions a run makes, however long
+	// they take; the run keeps repeating while the next one is expected
+	// to end within --seconds.
+	minReps = 3
+)
 
 // outDir receives the run record and, for traced runs, the spans.
 const outDir = ".bench_out"
@@ -39,9 +47,9 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("perfbench", flag.ContinueOnError)
 	fl.SetOutput(stderr)
-	name := fl.String("workload", "", "workload: gt-suite | ml-suite | large-gt | hub-mixed")
+	name := fl.String("workload", "", "workload: gt-suite | ml-suite | hub-mixed")
 	seed := fl.Int64("seed", defaultSeed, "input seed: repetitions sweep seeds derived from it (see sweepSeed)")
-	seconds := fl.Float64("seconds", 10, "measuring time of the untraced repetitions")
+	seconds := fl.Float64("seconds", 10, "measuring time of the timed repetitions, after set-up and warm-up")
 	trace := fl.Int("trace", 0, "1 adds a traced repetition and reports per-layer metrics instead of end-to-end ones")
 	if err := fl.Parse(args); err != nil {
 		return 2
@@ -126,11 +134,12 @@ type record struct {
 	Machine   machine      `json:"machine"`
 	SetupS    []float64    `json:"setup_s"`
 	SetupCPUS []float64    `json:"setup_cpu_s"`
-	Warmup    *repRecord   `json:"warmup"`
+	Warmup    []repRecord  `json:"warmup"`
 	Reps      []repRecord  `json:"reps"`
+	Repeat    *repRecord   `json:"repeat,omitempty"` // untraced twin of Traced
 	Traced    *repRecord   `json:"traced,omitempty"`
 	Tune      []tuneRecord `json:"autotune,omitempty"`
-	Digests   []string     `json:"digests"` // "key digest" per point of each sub-seed's first repetition
+	Digests   []string     `json:"digests"` // "key digest" per point of each sub-seed's first sweep
 	Failures  []string     `json:"failures,omitempty"`
 	// HubCounterDiffs lists hub-mixed points equal to the local run in
 	// everything but Evals/SpeculativeEvals (see hubMatchesLocal).
@@ -209,44 +218,64 @@ func measure(w *workload, seed int64, budget time.Duration, traced bool) (*resul
 	}
 	defer inst.close()
 
-	// The first repetition warms the process (fill-once caches, heap
-	// growth, a resident fleet's first session): it is checked and kept
-	// in the record, but only the repetitions after it are timed.
-	// Repetition r sweeps sub-seed r mod subSeeds.
-	begin := time.Now()
-	first, warm, err := timedRep(inst, sweepSeed(seed, 0))
-	if err != nil {
-		return nil, nil, err
-	}
-	rec.Warmup = &warm
-	chk.rep(inst.groups(), first, 0)
-	for r := 1; !hasError(first) && (len(rec.Reps) < minReps ||
-		time.Since(begin)+time.Duration(rec.Reps[len(rec.Reps)-1].WallS*float64(time.Second)) <= budget); r++ {
-		k := r % subSeeds
-		res, rr, err := timedRep(inst, sweepSeed(seed, k))
+	// Repetition r sweeps sub-seed r: each is a new input, as a user's
+	// next sweep is, and a run's medians cover as many inputs as it has
+	// repetitions. The warm-up repetitions are checked and kept in the
+	// record; the timed ones follow until --seconds is spent.
+	ok := true
+	for r := 0; ok && r < warmReps; r++ {
+		res, rr, err := timedRep(inst, sweepSeed(seed, r))
 		if err != nil {
 			return nil, nil, err
 		}
-		rr.SubSeed = k
-		rec.Reps = append(rec.Reps, rr)
-		chk.rep(inst.groups(), res, k)
+		rr.SubSeed = r
+		rec.Warmup = append(rec.Warmup, rr)
+		chk.rep(inst.groups(), res, r)
+		ok = !hasError(res)
 	}
-	if h, ok := inst.(*hubInstance); ok && !hasError(first) {
+	begin := time.Now()
+	for r := warmReps; ok && (len(rec.Reps) < minReps ||
+		time.Since(begin)+time.Duration(rec.Reps[len(rec.Reps)-1].WallS*float64(time.Second)) <= budget); r++ {
+		res, rr, err := timedRep(inst, sweepSeed(seed, r))
+		if err != nil {
+			return nil, nil, err
+		}
+		rr.SubSeed = r
+		rec.Reps = append(rec.Reps, rr)
+		chk.rep(inst.groups(), res, r)
+		ok = !hasError(res)
+	}
+	if h, isHub := inst.(*hubInstance); isHub && ok {
 		chk.hubMatchesLocal(h)
 	}
 
+	// The traced repetition sweeps the last repetition's sub-seed again
+	// and must reproduce its digests. A repeated input runs faster than a
+	// new one (its synthesis programs are all cached), so the tracing
+	// overhead is measured against an untraced repeat made just after it,
+	// so warming left in the process overstates the overhead rather than
+	// hiding it.
 	var spans []span
 	if traced {
+		k := len(rec.Warmup) + len(rec.Reps) - 1
 		rec.tracer = newTracer()
 		root := rec.tracer.open("workload:"+w.name, -1)
-		r, rr, err := timedRepTraced(inst, sweepSeed(seed, 0), rec.tracer, root)
+		r, rr, err := timedRepTraced(inst, sweepSeed(seed, k), rec.tracer, root)
 		if err != nil {
 			return nil, nil, err
 		}
 		rec.tracer.close(root)
+		rr.SubSeed = k
 		rec.Traced, rec.Tune = &rr, r.tune
-		chk.rep(inst.groups(), r, 0)
+		chk.rep(inst.groups(), r, k)
 		spans = rec.tracer.snapshot()
+		res, again, err := timedRep(inst, sweepSeed(seed, k))
+		if err != nil {
+			return nil, nil, err
+		}
+		again.SubSeed = k
+		rec.Repeat = &again
+		chk.rep(inst.groups(), res, k)
 	}
 	rec.Digests = chk.digestList()
 	rec.Failures = chk.failures
@@ -347,10 +376,11 @@ func work(r *repResult) repRecord {
 
 // checker accumulates points attempted and failed. A point fails when
 // its suite call errs, its best graph is not equivalent to its input
-// design, or its digest differs from the first repetition of the same
-// sub-seed, from the golden digest (the default seed's own sweep,
-// sub-seed 0), or from a local run (hub submissions). It also sums the ground-truth QoR of every point
-// the first time its sub-seed runs.
+// design, or its digest differs from the first sweep of the same
+// sub-seed (the traced repetition repeats one), from the golden digest
+// (the default seed's own sweep, sub-seed 0), or from a local run (hub
+// submissions). It also sums the ground-truth QoR of every point of the
+// sub-seeds below qorSubSeeds, which every run sweeps.
 type checker struct {
 	seed              int64
 	refs              map[*aig.AIG]*reference
@@ -376,9 +406,14 @@ func pointKey(prefix string, k int, entry string, i int) string {
 	return fmt.Sprintf("%s/%d/%s/%d", prefix, k, entry, i)
 }
 
-// rep checks one repetition at sub-seed k. The first repetition of a
-// sub-seed records its digests and is checked for equivalence; later
-// ones must reproduce its digests (and are then byte-identical to it).
+// qorSubSeeds is the number of sub-seeds the QoR metrics average over:
+// the warm-up and the fewest timed repetitions, so that the QoR of a
+// seed does not depend on how many repetitions fit in a run.
+const qorSubSeeds = warmReps + minReps
+
+// rep checks one repetition at sub-seed k. The first sweep of a
+// sub-seed records its digests and is checked for equivalence; a repeat
+// must reproduce its digests (and is then byte-identical to it).
 func (c *checker) rep(gs []group, r *repResult, k int) {
 	for gi, g := range gs {
 		n := len(g.entries) * len(sweepConfig(c.seed).Grid())
@@ -401,9 +436,11 @@ func (c *checker) rep(gs []group, r *repResult, k int) {
 				}
 				c.digests[key] = d
 				c.trajectories[key] = trajectoryDigest(p)
-				c.qorDelay += p.TrueDelayPS
-				c.qorArea += p.TrueAreaUM2
-				c.qorPoints++
+				if k < qorSubSeeds {
+					c.qorDelay += p.TrueDelayPS
+					c.qorArea += p.TrueAreaUM2
+					c.qorPoints++
+				}
 				if p.Result == nil {
 					c.fail("%s: no result", key)
 					continue

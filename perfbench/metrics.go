@@ -119,8 +119,9 @@ func withUnits(values map[string]float64, table []struct{ name, unit string }) m
 }
 
 // endToEndMetrics are the medians of the timed repetitions and of the
-// set-ups, and the mean ground-truth QoR over every grid point of every
-// sub-seed the run swept (each deterministic, as the checker verifies).
+// set-ups, and the mean ground-truth QoR over every grid point of the
+// first qorSubSeeds sub-seeds (each deterministic, as the checker
+// verifies).
 func endToEndMetrics(rec *record, chk *checker) map[string]metric {
 	return withUnits(map[string]float64{
 		"setup_s":      median(rec.SetupS),
@@ -171,7 +172,7 @@ func layerMetrics(rec *record, sts []setupStats, spans []span) map[string]metric
 	v["dataset.samples"] = float64(sts[0].samples)
 	v["gbdt.trees"] = float64(sts[0].trees)
 
-	if len(rec.Reps[0].Shard) > 0 {
+	if len(rec.Reps) > 0 && len(rec.Reps[0].Shard) > 0 {
 		shardMed := func(f func(s shardRecord) float64) float64 {
 			return med(func(r repRecord) float64 {
 				var t float64
@@ -217,28 +218,12 @@ func layerMetrics(rec *record, sts []setupStats, spans []span) map[string]metric
 	v["shard.worker_busy_s"] = runs.total
 	v["shard.queue_wait_s"] = queueWait(spans)
 	v["anneal.autotune_s"] = tune.total
-	v["trace.overhead_s"] = rec.Traced.WallS - untracedWall(rec, rec.Traced.SubSeed)
+	v["trace.overhead_s"] = rec.Traced.WallS - rec.Repeat.WallS
 	v["trace.full_evals"] = float64(rec.Traced.FullEvals)
 	v["trace.delta_evals"] = float64(rec.Traced.DeltaEvals)
 	v["trace.spans"] = float64(len(spans))
 	v["flows.hub_counter_diffs"] = float64(len(rec.HubCounterDiffs))
 	return withUnits(v, perLayer)
-}
-
-// untracedWall is the median wall time of the timed repetitions that
-// swept sub-seed k (the warm-up's if none did), the traced repetition's
-// untraced counterpart.
-func untracedWall(rec *record, k int) float64 {
-	var xs []float64
-	for _, r := range rec.Reps {
-		if r.SubSeed == k {
-			xs = append(xs, r.WallS)
-		}
-	}
-	if len(xs) == 0 {
-		return rec.Warmup.WallS
-	}
-	return median(xs)
 }
 
 // queueWait sums, over hub submissions, the time from the submit call

@@ -20,9 +20,6 @@ import (
 const (
 	// defaultSeed is the seed the golden digests were recorded at.
 	defaultSeed = 1
-	// subSeeds is the number of sweep seeds a run cycles through, one per
-	// repetition (see sweepSeed).
-	subSeeds = 3
 	// iterations per grid point. flows.DefaultSweep runs 120, which takes
 	// ~70 s per gt-suite sweep on 2 cores; 4 keeps several sweeps inside
 	// one run while every layer still carries load.
@@ -32,8 +29,6 @@ const (
 	// labeling cost is mostly the transform walk, and 32 keeps one set-up
 	// near 2.5 s on 2 cores.
 	mlVariants = 32
-	// largeMultiplier is the operand width of the large-gt design.
-	largeMultiplier = 16
 	// fleetWorkers is the number of in-process hub workers.
 	fleetWorkers = 2
 )
@@ -45,11 +40,12 @@ var (
 	testDesigns  = []string{"EX02", "EX11", "EX16", "EX54"}
 )
 
-// sweepSeed is the sweep seed of a run's k-th sub-seed. Repetition r of
-// a run sweeps sub-seed r mod subSeeds, so a run's medians cover several
-// inputs: AutoTune's batch bounds come from a short pilot whose outcome
-// depends on the seed, and one unlucky pilot (a ceiling of 16 instead of
-// 2) costs a suite 100-200 MiB of retained incremental states.
+// sweepSeed is the sweep seed of a run's k-th sub-seed; repetition r of
+// a run sweeps sub-seed r. Time and memory depend on the input: AutoTune's
+// batch bounds come from a short pilot whose outcome depends on the seed,
+// and one unlucky pilot (a ceiling of 16 instead of 2) costs a suite
+// 100-200 MiB of retained incremental states. A run's medians therefore
+// cover one input per repetition, not one input repeated.
 func sweepSeed(seed int64, k int) int64 { return seed + int64(k)*1000 }
 
 // sweepConfig is flows.DefaultSweep — its grid and its self-tuning cost
@@ -121,8 +117,7 @@ type workload struct {
 
 var workloads = []workload{
 	{name: "gt-suite", setups: 15, setup: setupGTSuite},
-	{name: "ml-suite", setups: 3, setup: setupMLSuite},
-	{name: "large-gt", setups: 15, setup: setupLargeGT},
+	{name: "ml-suite", setups: 5, setup: setupMLSuite},
 	{name: "hub-mixed", setups: 15, setup: setupHubMixed},
 }
 
@@ -221,12 +216,6 @@ func setupGTSuite() (instance, setupStats, error) {
 		gs = append(gs, g)
 	}
 	s, err := groundTruthSuite("gt-suite", gs, testDesigns)
-	return s, setupStats{}, err
-}
-
-func setupLargeGT() (instance, setupStats, error) {
-	name := fmt.Sprintf("mult%d", largeMultiplier)
-	s, err := groundTruthSuite("large-gt", []*aig.AIG{bench.Multiplier(largeMultiplier)}, []string{name})
 	return s, setupStats{}, err
 }
 
