@@ -52,7 +52,6 @@ func main() {
 		batchMin   = flag.Int("batch-min", 0, "adaptive batch floor (with -batch-max; 0 = 1)")
 		batchMax   = flag.Int("batch-max", 0, "adaptive batch ceiling: when > 0 the speculative budget tracks the recent acceptance rate within [-batch-min, -batch-max] (trajectory unchanged)")
 		workers    = flag.Int("workers", 0, "concurrent evaluations (0 = GOMAXPROCS)")
-		evalPar    = flag.Int("eval-parallelism", 0, "goroutine lanes inside each ground-truth evaluation (dual-effort mapping, level-parallel cuts, per-corner STA); 0 = autotuned, 1 = sequential; results are bit-identical at every setting")
 		chains     = flag.Int("chains", 1, "parallel annealing chains, merged best-of")
 		noCache    = flag.Bool("no-cache", false, "disable the structural-fingerprint evaluation cache")
 		cacheMax   = flag.Int("cache-max", 0, "LRU bound on cached evaluations (0 = unbounded)")
@@ -87,7 +86,7 @@ func main() {
 	}
 
 	lib := cell.Builtin()
-	ev, err := makeEvaluator(*flowName, lib, *modelPath, *areaPath, *workers, *evalPar)
+	ev, err := makeEvaluator(*flowName, lib, *modelPath, *areaPath, *workers)
 	if err != nil {
 		fatal(err)
 	}
@@ -103,7 +102,6 @@ func main() {
 		BatchMin:             *batchMin,
 		BatchMax:             *batchMax,
 		Workers:              *workers,
-		Parallelism:          *evalPar,
 		Chains:               *chains,
 		CacheMaxEntries:      *cacheMax,
 		IncrementalThreshold: *incThresh,
@@ -162,12 +160,6 @@ func main() {
 			fatal(err)
 		}
 		p = tuned
-		// The intra-eval lane count lives on the evaluator, not on
-		// anneal.Run's params, so a tuned value is applied here (sweeps
-		// apply it inside the shared stack instead).
-		if gt, ok := ev.(*flows.GroundTruth); ok {
-			gt.Parallelism = anneal.EffectiveParallelism(p.Parallelism)
-		}
 		if rep.PilotIterations > 0 {
 			fmt.Println(rep)
 		}
@@ -375,14 +367,13 @@ func loadInput(design, in string) (*aig.AIG, string, error) {
 	}
 }
 
-func makeEvaluator(flow string, lib *cell.Library, modelPath, areaPath string, workers, parallelism int) (anneal.Evaluator, error) {
+func makeEvaluator(flow string, lib *cell.Library, modelPath, areaPath string, workers int) (anneal.Evaluator, error) {
 	switch flow {
 	case "baseline":
 		return flows.Proxy{}, nil
 	case "ground-truth":
 		gt := flows.NewGroundTruth(lib)
 		gt.Workers = workers
-		gt.Parallelism = parallelism
 		return gt, nil
 	case "ml":
 		if modelPath == "" {

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	experiments [flags] <fig1|table1|fig2|sec2b|table3|gnncmp|fig5|table4|ablate|bench-anneal|bench-signoff|bench-shard|all>
+//	experiments [flags] <fig1|table1|fig2|sec2b|table3|gnncmp|fig5|table4|ablate|bench-anneal|bench-shard|all>
 //
 // Outputs are printed as aligned text tables plus CSV blocks that can be
 // redirected for plotting.
@@ -53,7 +53,7 @@ func main() {
 	flag.Parse()
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: experiments [flags] <fig1|table1|fig2|sec2b|table3|gnncmp|fig5|table4|ablate|bench-anneal|bench-signoff|bench-shard|all>")
+		fmt.Fprintln(os.Stderr, "usage: experiments [flags] <fig1|table1|fig2|sec2b|table3|gnncmp|fig5|table4|ablate|bench-anneal|bench-shard|all>")
 		os.Exit(2)
 	}
 	cmd := flag.Arg(0)
@@ -89,8 +89,6 @@ func main() {
 		run("ablate", runAblate)
 	case "bench-anneal":
 		run("bench-anneal", runBenchAnneal)
-	case "bench-signoff":
-		run("bench-signoff", runBenchSignoff)
 	case "bench-shard":
 		run("bench-shard", runBenchShard)
 	case "all":

@@ -153,8 +153,8 @@ type crashableRunner struct {
 
 func (r *crashableRunner) Configure(cfg shard.RunConfig) error {
 	if r.verbose {
-		log.Printf("session config: %d entries, batch=%d workers=%d eval-parallelism=%d",
-			len(cfg.Entries), cfg.Base.BatchSize, cfg.Base.Workers, cfg.Base.Parallelism)
+		log.Printf("session config: %d entries, batch=%d workers=%d",
+			len(cfg.Entries), cfg.Base.BatchSize, cfg.Base.Workers)
 	}
 	return r.Runner.Configure(cfg)
 }

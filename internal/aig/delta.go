@@ -8,8 +8,9 @@ import (
 // Delta records how a derived AIG ("next") structurally relates to the
 // AIG it was produced from ("prev"): which nodes are shared and which
 // belong to the cone a transformation actually touched. It is the
-// currency of the incremental evaluation path — techmap.Remap and
-// sta.Update consume it to recompute only the dirty region.
+// currency of the incremental evaluation path — techmap.Remap consumes
+// it to recompute only the dirty region, and hands sta.SignoffUpdate
+// the net correspondence that does the same for timing.
 //
 // A Delta always describes a *rebased* next graph (see Rebase): the AND
 // nodes of next are partitioned into a matched prefix and a dirty

@@ -46,9 +46,9 @@
 // by base index, so the translation is monotone) followed by a
 // TFO-closed dirty suffix — and records the (base, Delta) provenance
 // incremental evaluators key on. Delta exactness is a contract, not a
-// heuristic: consumers (techmap.Remap, sta.Update) produce results
-// bit-identical to a full rebuild, and Delta.Validate checks a record
-// before it is trusted.
+// heuristic: consumers (techmap.Remap, and sta.SignoffUpdate through the
+// net correspondence Remap returns) produce results bit-identical to a
+// full rebuild, and Delta.Validate checks a record before it is trusted.
 //
 // EncodeDelta/DecodeDelta serialize a graph against a base graph both
 // sides hold, back-referencing shared structure through the same strash

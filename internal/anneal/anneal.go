@@ -107,28 +107,13 @@ type Params struct {
 	// evaluation layer's default). Like Incremental, it applies when
 	// Run builds the stack itself.
 	IncrementalThreshold float64
-	// Parallelism is the intra-evaluation lane count: how many cores a
-	// single ground-truth evaluation may use internally (concurrent
-	// mapping efforts, STA corners, and per-level cut enumeration and
-	// matching; see signoff.NewPoolParallel). 0 or 1 = sequential
-	// evaluations. Like every performance knob here it never changes
-	// the trajectory, only the cost; it multiplies with Workers, so
-	// keep Workers x Parallelism within GOMAXPROCS (AutoTune does).
-	// Run itself does not consume it — evaluators own their pools —
-	// but it rides in Params so flows and the shard wire can pin it
-	// coordinator-side like the batch bounds.
+	// Parallelism has no effect: a signoff evaluation always runs
+	// sequentially, and cores go to whole evaluations instead (Workers,
+	// speculative batches, Chains).
+	//
+	// Deprecated: nothing in this module reads or sets Parallelism, and
+	// it will be removed.
 	Parallelism int
-}
-
-// EffectiveParallelism resolves a Params.Parallelism value to the lane
-// count actually used (values <= 0 mean sequential, i.e. 1). The
-// coordinator pins the resolved value on the sweep wire so every
-// worker inherits the same configuration record.
-func EffectiveParallelism(v int) int {
-	if v < 1 {
-		return 1
-	}
-	return v
 }
 
 // DefaultParams is a reasonable medium-effort configuration.
@@ -326,9 +311,6 @@ func Run(g0 *aig.AIG, ev Evaluator, p Params) (*Result, error) {
 	}
 	if p.BatchSize < 0 || p.Workers < 0 || p.Chains < 0 {
 		return nil, fmt.Errorf("anneal: BatchSize, Workers, and Chains must be nonnegative")
-	}
-	if p.Parallelism < 0 {
-		return nil, fmt.Errorf("anneal: Parallelism must be nonnegative")
 	}
 	if p.BatchMin < 0 || p.BatchMax < 0 {
 		return nil, fmt.Errorf("anneal: BatchMin and BatchMax must be nonnegative")

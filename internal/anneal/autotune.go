@@ -31,11 +31,10 @@ type TuneReport struct {
 	FullEval        time.Duration // measured full-pipeline latency
 	DeltaEval       time.Duration // mean delta-path latency (0: no delta path)
 
-	ChosenBatchMin, ChosenBatchMax                             int
-	ChosenWorkers                                              int
-	ChosenParallelism                                          int
-	ChosenThreshold                                            float64
-	TunedBatch, TunedWorkers, TunedParallelism, TunedThreshold bool
+	ChosenBatchMin, ChosenBatchMax           int
+	ChosenWorkers                            int
+	ChosenThreshold                          float64
+	TunedBatch, TunedWorkers, TunedThreshold bool
 }
 
 // String renders the report in one line for flow logs.
@@ -47,64 +46,30 @@ func (r TuneReport) String() string {
 		return " (pinned)"
 	}
 	return fmt.Sprintf(
-		"autotune: accept %.0f%%, full %v, delta %v -> batch [%d,%d]%s, workers %d%s, eval-parallelism %d%s, threshold %.2f%s",
+		"autotune: accept %.0f%%, full %v, delta %v -> batch [%d,%d]%s, workers %d%s, threshold %.2f%s",
 		100*r.AcceptRate, r.FullEval.Round(time.Microsecond), r.DeltaEval.Round(time.Microsecond),
 		r.ChosenBatchMin, r.ChosenBatchMax, mark(r.TunedBatch),
 		r.ChosenWorkers, mark(r.TunedWorkers),
-		r.ChosenParallelism, mark(r.TunedParallelism),
 		r.ChosenThreshold, mark(r.TunedThreshold))
 }
 
 // parallelEvalCutoff is the full-evaluation latency below which
-// cross-goroutine dispatch (eval-level workers or intra-eval lanes)
-// costs more than it hides.
+// cross-goroutine dispatch costs more than eval-level workers hide.
 const parallelEvalCutoff = 200 * time.Microsecond
 
-// splitCoreBudget divides the machine's core budget between eval-level
-// workers and intra-eval parallelism from a measured full-evaluation
-// latency. The invariant is that workers x parallelism never exceeds
-// maxProcs: workers multiply whole evaluations, parallelism multiplies
-// goroutines inside each one, and their product is what actually
-// contends for cores. Workers win the budget first — across-eval
-// parallelism has no sequential phases, so it scales better than
-// intra-eval lanes — but they are capped at batchMax, the largest
-// speculative batch the annealer will ever hand out; cores beyond that
-// cap would sit idle at eval level and go to intra-eval lanes instead.
-// A pinned knob (nonzero pinnedWorkers/pinnedParallelism) is honored
-// and the other knob shrinks to keep the product within budget.
-func splitCoreBudget(fullEval time.Duration, batchMax, pinnedWorkers, pinnedParallelism, maxProcs int) (workers, parallelism int) {
-	if maxProcs < 1 {
-		maxProcs = 1
+// splitCoreBudget picks the eval-level worker count from a measured
+// full-evaluation latency: 1 when an evaluation is so cheap that
+// dispatch overhead would dominate, otherwise every core (maxProcs)
+// capped at batchMax, the largest speculative batch the annealer will
+// ever hand out — workers beyond it would sit idle.
+func splitCoreBudget(fullEval time.Duration, batchMax, maxProcs int) int {
+	if fullEval < parallelEvalCutoff || maxProcs < 1 {
+		return 1
 	}
-	workers, parallelism = pinnedWorkers, pinnedParallelism
-	cheap := fullEval < parallelEvalCutoff
-	if workers == 0 {
-		switch {
-		case cheap:
-			workers = 1
-		default:
-			workers = maxProcs
-			if batchMax > 0 && batchMax < workers {
-				workers = batchMax
-			}
-			if parallelism > 0 {
-				if c := maxProcs / parallelism; c < workers {
-					workers = c
-				}
-			}
-			if workers < 1 {
-				workers = 1
-			}
-		}
+	if batchMax > 0 && batchMax < maxProcs {
+		return batchMax
 	}
-	if parallelism == 0 {
-		if cheap {
-			parallelism = 1
-		} else if parallelism = maxProcs / workers; parallelism < 1 {
-			parallelism = 1
-		}
-	}
-	return workers, parallelism
+	return maxProcs
 }
 
 // AutoTune returns p with its zero-valued cost knobs — BatchMin/BatchMax,
@@ -116,11 +81,9 @@ func splitCoreBudget(fullEval time.Duration, batchMax, pinnedWorkers, pinnedPara
 //   - BatchMax tracks the expected rejection-run length 1/acceptance
 //     (speculation past the next acceptance is wasted work), clamped to
 //     [2, 16]; BatchMin stays 1 so hot phases shrink all the way back.
-//   - Workers and Parallelism split the core budget (splitCoreBudget):
-//     both stay 1 when a full evaluation is so cheap that dispatch
-//     overhead would dominate; otherwise workers take cores up to the
-//     batch ceiling and intra-eval lanes absorb the rest, with
-//     Workers x Parallelism never exceeding GOMAXPROCS.
+//   - Workers stays 1 when a full evaluation is so cheap that dispatch
+//     overhead would dominate; otherwise it takes GOMAXPROCS, capped at
+//     the batch ceiling (splitCoreBudget).
 //   - IncrementalThreshold grows with the measured full/delta latency
 //     ratio r as 1-1/r, clamped to [0.25, 0.95]: the cheaper the delta
 //     path, the dirtier a cone can be and still be worth re-evaluating
@@ -134,16 +97,14 @@ func splitCoreBudget(fullEval time.Duration, batchMax, pinnedWorkers, pinnedPara
 func AutoTune(g0 *aig.AIG, ev Evaluator, p Params) (Params, TuneReport, error) {
 	rep := TuneReport{
 		ChosenBatchMin: p.BatchMin, ChosenBatchMax: p.BatchMax,
-		ChosenWorkers: p.Workers, ChosenParallelism: p.Parallelism,
-		ChosenThreshold: p.IncrementalThreshold,
+		ChosenWorkers: p.Workers, ChosenThreshold: p.IncrementalThreshold,
 	}
 	// Batch bounds count as pinned when either is set: a caller choosing
 	// BatchMax alone has chosen adaptive sizing deliberately.
 	tuneBatch := p.BatchMin == 0 && p.BatchMax == 0
 	tuneWorkers := p.Workers == 0
-	tunePar := p.Parallelism == 0
 	tuneThreshold := p.IncrementalThreshold == 0
-	if !tuneBatch && !tuneWorkers && !tunePar && !tuneThreshold {
+	if !tuneBatch && !tuneWorkers && !tuneThreshold {
 		return p, rep, nil // everything pinned; skip the pilot
 	}
 
@@ -202,25 +163,17 @@ func AutoTune(g0 *aig.AIG, ev Evaluator, p Params) (Params, TuneReport, error) {
 		rep.ChosenBatchMin, rep.ChosenBatchMax = 1, bmax
 		rep.TunedBatch = true
 	}
-	if tuneWorkers || tunePar {
-		// Split the core budget between eval-level workers and intra-eval
-		// lanes; the worker cap is the final batch ceiling (tuned above or
+	if tuneWorkers {
+		// The worker cap is the final batch ceiling (tuned above or
 		// pinned by the caller), past which extra workers would sit idle.
 		capMax := p.BatchMax
 		if capMax <= 0 {
 			capMax = EffectiveBatchSize(p.BatchSize)
 		}
-		w, par := splitCoreBudget(rep.FullEval, capMax, p.Workers, p.Parallelism, runtime.GOMAXPROCS(0))
-		if tuneWorkers {
-			p.Workers = w
-			rep.ChosenWorkers = w
-			rep.TunedWorkers = true
-		}
-		if tunePar {
-			p.Parallelism = par
-			rep.ChosenParallelism = par
-			rep.TunedParallelism = true
-		}
+		w := splitCoreBudget(rep.FullEval, capMax, runtime.GOMAXPROCS(0))
+		p.Workers = w
+		rep.ChosenWorkers = w
+		rep.TunedWorkers = true
 	}
 	if tuneThreshold && rep.DeltaEval > 0 {
 		ratio := float64(rep.FullEval) / float64(rep.DeltaEval)

@@ -5,83 +5,52 @@ import (
 	"time"
 )
 
-// TestSplitCoreBudget drives the worker/parallelism split with fake
-// measured latencies and asserts the oversubscription invariant —
-// workers x parallelism never exceeds the core budget — together with
-// the shape decisions: cheap evaluations keep both knobs at 1, workers
-// win the budget first but stop at the batch ceiling, and a pinned
-// knob is honored while the other shrinks to fit.
+// TestSplitCoreBudget drives the worker choice with fake measured
+// latencies: cheap evaluations keep one worker, costly ones take every
+// core but stop at the batch ceiling.
 func TestSplitCoreBudget(t *testing.T) {
 	cheap := 50 * time.Microsecond
 	costly := 2 * time.Millisecond
 	cases := []struct {
-		name         string
-		fullEval     time.Duration
-		batchMax     int
-		pinW, pinP   int
-		maxProcs     int
-		wantW, wantP int
+		name     string
+		fullEval time.Duration
+		batchMax int
+		maxProcs int
+		wantW    int
 	}{
-		{"cheap-all-free", cheap, 16, 0, 0, 8, 1, 1},
-		{"cheap-pinned-workers", cheap, 16, 4, 0, 8, 4, 1},
-		{"cheap-pinned-par", cheap, 16, 0, 4, 8, 1, 4},
-		{"costly-batch-bound", costly, 4, 0, 0, 16, 4, 4},
-		{"costly-core-bound", costly, 16, 0, 0, 8, 8, 1},
-		{"costly-uniprocessor", costly, 16, 0, 0, 1, 1, 1},
-		{"costly-pinned-par-caps-workers", costly, 16, 0, 4, 8, 2, 4},
-		{"costly-pinned-workers-free-par", costly, 16, 2, 0, 8, 2, 4},
-		{"costly-pin-both", costly, 16, 3, 5, 8, 3, 5},
-		{"costly-pinned-par-exceeds-procs", costly, 16, 0, 12, 8, 1, 12},
-		{"zero-maxprocs-clamped", costly, 16, 0, 0, 0, 1, 1},
+		{"cheap-all-free", cheap, 16, 8, 1},
+		{"cutoff-counts-as-costly", parallelEvalCutoff, 16, 8, 8},
+		{"costly-batch-bound", costly, 4, 16, 4},
+		{"costly-core-bound", costly, 16, 8, 8},
+		{"costly-no-batch-ceiling", costly, 0, 8, 8},
+		{"costly-uniprocessor", costly, 16, 1, 1},
+		{"zero-maxprocs-clamped", costly, 16, 0, 1},
 	}
 	for _, tc := range cases {
-		w, p := splitCoreBudget(tc.fullEval, tc.batchMax, tc.pinW, tc.pinP, tc.maxProcs)
-		if w != tc.wantW || p != tc.wantP {
-			t.Errorf("%s: got workers=%d parallelism=%d, want %d %d",
-				tc.name, w, p, tc.wantW, tc.wantP)
-		}
-		if w < 1 || p < 1 {
-			t.Errorf("%s: knobs must stay >= 1, got %d %d", tc.name, w, p)
-		}
-		// A pin can exceed the budget on its own; the derived knob must
-		// never compound the oversubscription.
-		procs := tc.maxProcs
-		if procs < 1 {
-			procs = 1
-		}
-		if tc.pinW == 0 && tc.pinP == 0 && w*p > procs {
-			t.Errorf("%s: derived %d x %d oversubscribes %d cores", tc.name, w, p, procs)
-		}
-		if tc.pinW == 0 && tc.pinP > 0 && w*tc.pinP > procs && w > 1 {
-			t.Errorf("%s: workers %d did not shrink under pinned parallelism %d on %d cores",
-				tc.name, w, tc.pinP, procs)
-		}
-		if tc.pinP == 0 && tc.pinW > 0 && tc.pinW*p > procs && p > 1 {
-			t.Errorf("%s: parallelism %d did not shrink under pinned workers %d on %d cores",
-				tc.name, p, tc.pinW, procs)
+		if w := splitCoreBudget(tc.fullEval, tc.batchMax, tc.maxProcs); w != tc.wantW {
+			t.Errorf("%s: got workers=%d, want %d", tc.name, w, tc.wantW)
 		}
 	}
 }
 
 // TestSplitCoreBudgetSweep exhausts a small grid and asserts the
-// product invariant holds at every point where both knobs are derived.
+// bounds hold at every point: at least one worker, never more than the
+// cores or the batch ceiling, and exactly one below the cutoff.
 func TestSplitCoreBudgetSweep(t *testing.T) {
 	for _, full := range []time.Duration{0, parallelEvalCutoff - 1, parallelEvalCutoff, time.Second} {
 		for batchMax := 0; batchMax <= 20; batchMax += 5 {
 			for procs := 1; procs <= 12; procs++ {
-				w, p := splitCoreBudget(full, batchMax, 0, 0, procs)
-				if w*p > procs {
-					t.Fatalf("full=%v batchMax=%d procs=%d: %d x %d oversubscribes",
-						full, batchMax, procs, w, p)
+				w := splitCoreBudget(full, batchMax, procs)
+				if w < 1 || w > procs || (batchMax > 0 && w > batchMax) {
+					t.Fatalf("full=%v batchMax=%d procs=%d: %d workers out of bounds",
+						full, batchMax, procs, w)
 				}
-				if full >= parallelEvalCutoff && w*p < procs && w < procs && p < procs {
-					// The split may round down (procs not divisible by
-					// workers) but must not leave cores idle when either
-					// knob could still grow to an exact divisor.
-					if procs%w == 0 {
-						t.Fatalf("full=%v batchMax=%d procs=%d: %d x %d leaves cores idle",
-							full, batchMax, procs, w, p)
-					}
+				if full < parallelEvalCutoff && w != 1 {
+					t.Fatalf("full=%v batchMax=%d procs=%d: %d workers below the cutoff",
+						full, batchMax, procs, w)
+				}
+				if full >= parallelEvalCutoff && batchMax == 0 && w != procs {
+					t.Fatalf("full=%v procs=%d: %d workers leave cores idle", full, procs, w)
 				}
 			}
 		}

@@ -315,13 +315,13 @@ func EnumerateDualArena(g *aig.AIG, pLow, pHigh Params, low, high [][]Cut, a *Ar
 		s.isPrefix = make([]bool, g.NumNodes())
 	}
 	isPrefix := s.isPrefix[:g.NumNodes()]
-	SeedDual(g, pLow, pHigh, low, high, isPrefix, a)
+	seedDual(g, pLow, pHigh, low, high, isPrefix, a)
 	for i := int(g.FirstAnd()); i < g.NumNodes(); i++ {
-		DualNode(g, pLow, pHigh, low, high, isPrefix, int32(i), a, s)
+		dualNode(g, pLow, pHigh, low, high, isPrefix, int32(i), a, s)
 	}
 }
 
-// SeedDual validates a dual-enumeration parameter pair and seeds the
+// seedDual validates a dual-enumeration parameter pair and seeds the
 // base case: the constant node's and the PIs' entries of both lists
 // (leaf storage from a) plus the corresponding isPrefix entries.
 // isPrefix[n] records that low[n] minus its trivial cut is a prefix of
@@ -329,11 +329,8 @@ func EnumerateDualArena(g *aig.AIG, pLow, pHigh Params, low, high [][]Cut, a *Ar
 // sorted candidates, the low one just stops earlier), and the ticket to
 // building a node's tagged fanin union without any leaf scanning; PIs
 // and the constant hold trivially (identical single-cut lists). low,
-// high, and isPrefix must all have length g.NumNodes(). SeedDual plus a
-// DualNode call per AND node in any fanin-cone-respecting order is
-// exactly EnumerateDualArena; callers that level-parallelize the node
-// loop use these pieces directly.
-func SeedDual(g *aig.AIG, pLow, pHigh Params, low, high [][]Cut, isPrefix []bool, a *Arena) {
+// high, and isPrefix must all have length g.NumNodes().
+func seedDual(g *aig.AIG, pLow, pHigh Params, low, high [][]Cut, isPrefix []bool, a *Arena) {
 	if pLow.K != pHigh.K {
 		panic("cut: EnumerateDual requires equal K")
 	}
@@ -350,13 +347,10 @@ func SeedDual(g *aig.AIG, pLow, pHigh Params, low, high [][]Cut, isPrefix []bool
 	}
 }
 
-// DualNode runs the dual-budget merge for one AND node n, reading only
+// dualNode runs the dual-budget merge for one AND node n, reading only
 // the fanins' entries of low/high/isPrefix and writing only node n's.
-// Kept cuts go to a, working buffers come from s. Calls for nodes with
-// disjoint fanin cones are independent as long as each caller owns its
-// own a and s, which is what lets a level of the graph be enumerated in
-// parallel with results identical to the sequential loop.
-func DualNode(g *aig.AIG, pLow, pHigh Params, low, high [][]Cut, isPrefix []bool, n int32, a *Arena, s *Scratch) {
+// Kept cuts go to a, working buffers come from s.
+func dualNode(g *aig.AIG, pLow, pHigh Params, low, high [][]Cut, isPrefix []bool, n int32, a *Arena, s *Scratch) {
 	f0, f1 := g.Fanins(n)
 	s.u0 = unionCuts(low[f0.Node()], high[f0.Node()], isPrefix[f0.Node()], s.u0[:0])
 	s.u1 = unionCuts(low[f1.Node()], high[f1.Node()], isPrefix[f1.Node()], s.u1[:0])

@@ -185,64 +185,6 @@ func TestIncrementalBatchWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestDifferentialParallelismInvariance adds the intra-evaluation
-// parallelism dimension to the harness: the incremental ground-truth
-// oracle with Parallelism lanes inside every evaluation must stay
-// bit-identical to the sequential full oracle along a random transform
-// walk, at every lane count. Under -race (CI) this also exercises the
-// concurrent dual-effort remap and corner-parallel STA through the
-// eval layer's anchor store.
-func TestDifferentialParallelismInvariance(t *testing.T) {
-	lib := cell.Builtin()
-	g0 := harnessAIG(41, 6, 100, 3)
-	for _, par := range []int{1, 2, 8} {
-		gt := flows.NewGroundTruth(lib)
-		gt.Parallelism = par
-		defer gt.Close()
-		incOracle := eval.NewIncremental(gt, eval.IncrementalParams{DirtyThreshold: 1})
-		differentialWalk(t, g0, incOracle, flows.NewGroundTruth(lib), walkSteps(t, 96), int64(200+par))
-	}
-}
-
-// TestIncrementalBatchParallelismInvariance scores identical batches
-// at worker x lane combinations: the two concurrency axes compose (a
-// batch of evaluations, each internally parallel) without changing a
-// single bit of any entry.
-func TestIncrementalBatchParallelismInvariance(t *testing.T) {
-	lib := cell.Builtin()
-	g0 := harnessAIG(22, 6, 90, 3)
-	recipes := transform.Recipes()
-
-	full := flows.NewGroundTruth(lib)
-	want := full.Evaluate(g0)
-	mkBatch := func() []*aig.AIG {
-		batch := make([]*aig.AIG, 12)
-		for i := range batch {
-			batch[i], _ = recipes[(i*13)%len(recipes)].ApplyTracked(g0, rand.New(rand.NewSource(int64(i))))
-		}
-		return batch
-	}
-	ref := full.EvaluateBatch(mkBatch())
-	for _, workers := range []int{1, 2} {
-		for _, par := range []int{2, 8} {
-			gt := flows.NewGroundTruth(lib)
-			gt.Workers = workers
-			gt.Parallelism = par
-			defer gt.Close()
-			incOracle := eval.NewIncremental(gt, eval.IncrementalParams{DirtyThreshold: 1, Workers: workers})
-			if m := incOracle.Evaluate(g0); m != want {
-				t.Fatalf("workers=%d par=%d: initial metrics diverge", workers, par)
-			}
-			got := incOracle.EvaluateBatch(mkBatch())
-			for i := range got {
-				if got[i] != ref[i] {
-					t.Fatalf("workers=%d par=%d entry %d: %+v != %+v", workers, par, i, got[i], ref[i])
-				}
-			}
-		}
-	}
-}
-
 // TestAnnealTrajectoryIdenticalIncremental is the acceptance check on
 // the annealer: for a fixed seed, the accepted trajectory with the
 // incremental oracle must be byte-identical to the full-rebuild

@@ -1,9 +1,11 @@
 package flows
 
 import (
+	"bytes"
 	"testing"
 
 	"aigtimer/internal/anneal"
+	"aigtimer/internal/bench"
 	"aigtimer/internal/cell"
 )
 
@@ -70,7 +72,6 @@ func TestAutoTunePinnedKnobs(t *testing.T) {
 	p.Iterations = 8
 	p.BatchMin, p.BatchMax = 2, 4
 	p.Workers = 3
-	p.Parallelism = 2
 	p.IncrementalThreshold = 0.5
 
 	tuned, rep, err := anneal.AutoTune(g, gt, p)
@@ -78,11 +79,10 @@ func TestAutoTunePinnedKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if tuned.BatchMin != p.BatchMin || tuned.BatchMax != p.BatchMax ||
-		tuned.Workers != p.Workers || tuned.Parallelism != p.Parallelism ||
-		tuned.IncrementalThreshold != p.IncrementalThreshold {
+		tuned.Workers != p.Workers || tuned.IncrementalThreshold != p.IncrementalThreshold {
 		t.Fatalf("pinned params rewritten: %+v vs %+v", tuned, p)
 	}
-	if rep.TunedBatch || rep.TunedWorkers || rep.TunedParallelism || rep.TunedThreshold {
+	if rep.TunedBatch || rep.TunedWorkers || rep.TunedThreshold {
 		t.Fatalf("pinned knobs reported as tuned: %+v", rep)
 	}
 	if rep.PilotIterations != 0 {
@@ -120,5 +120,65 @@ func TestSweepAutoTuneIdentity(t *testing.T) {
 			t.Fatalf("point %d ground truth differs: %+v vs %+v", i, on[i], off[i])
 		}
 		sameHistory(t, on[i].Result.History, off[i].Result.History)
+	}
+}
+
+// trajectoryCanonical is the point's canonical form with the
+// speculation counters (Evals, SpeculativeEvals) zeroed: the fields
+// local and sharded suites must agree on whatever batch bounds each
+// entry ran with.
+func trajectoryCanonical(p SweepPoint) []byte {
+	if p.Result != nil {
+		r := *p.Result
+		r.Evals, r.SpeculativeEvals = 0, 0
+		p.Result = &r
+	}
+	return p.AppendCanonical(nil)
+}
+
+// An autotuned multi-entry suite tunes per entry locally but once,
+// against the first entry, when sharded, so later entries may
+// differ in their speculation counters. Trajectories, best graphs, and
+// ground-truth metrics must still be identical between the two runs.
+func TestSweepSuiteShardedAutoTuneTrajectories(t *testing.T) {
+	lib := cell.Builtin()
+	cfg := DefaultSweep
+	cfg.Base.Seed = 1
+	cfg.Base.Iterations = 4
+	cfg.AreaWeights = []float64{0, 0.5}
+	cfg.DecayRates = []float64{0.95}
+	var entries []SuiteEntry
+	for _, name := range []string{"EX02", "EX54"} {
+		d, err := bench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, SuiteEntry{Name: name, G: d.Build(), Eval: Proxy{}})
+	}
+	// Batch bounds follow the pilot's acceptance rate, a deterministic
+	// function of (graph, evaluator, seed): these two entries tune to
+	// different ceilings, which is the case under test.
+	if b0, b1 := cfg.tunedBase(entries[0].G, entries[0].Eval), cfg.tunedBase(entries[1].G, entries[1].Eval); b0.BatchMax == b1.BatchMax {
+		t.Fatalf("entries tune alike (batch ceiling %d); pick inputs that differ", b0.BatchMax)
+	}
+	local, err := SweepSuite(entries, lib, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns, wait := loopbackWorkers(2)
+	sharded, _, err := SweepSuiteSharded(entries, lib, cfg, ShardOptions{Conns: conns})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait()
+	for e, ent := range entries {
+		if len(sharded[e].Points) != len(local[e].Points) {
+			t.Fatalf("entry %q: %d sharded points, %d local", ent.Name, len(sharded[e].Points), len(local[e].Points))
+		}
+		for i, lp := range local[e].Points {
+			if !bytes.Equal(trajectoryCanonical(lp), trajectoryCanonical(sharded[e].Points[i])) {
+				t.Fatalf("entry %q point %d: trajectory differs between local and sharded suite", ent.Name, i)
+			}
+		}
 	}
 }

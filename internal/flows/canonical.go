@@ -12,10 +12,16 @@ import (
 // AppendCanonical appends the point's canonical byte form: every
 // deterministic field of the sweep point, in a fixed order, with float
 // values as exact bit patterns and graphs in binary AIGER form. Two
-// sweeps of the same configuration — local or sharded, at any worker
-// count, batch size, or retry schedule — produce byte-identical
-// canonical forms; the distributed driver's tests are built on exactly
-// this predicate.
+// sweeps that run every entry with the same resolved cost knobs — local
+// or sharded, at any worker count or retry schedule — produce
+// byte-identical canonical forms; the sharded sweep's tests are built
+// on exactly this predicate. Evals and SpeculativeEvals count
+// speculative work and so follow the batch bounds: with
+// SweepConfig.AutoTune on, a multi-entry sharded or hub suite (tuned
+// once, against its first entry) and a local SweepSuite (tuned per
+// entry) can differ in those two fields of later entries, while every
+// other field — trajectory, best graph, ground-truth metrics — stays
+// identical.
 //
 // Wall-clock fields (MoveTime, EvalTime, InitialEvalTime) and
 // shared-stack counters (CacheHits/CacheMisses, DeltaEvals/FullEvals)

@@ -53,56 +53,18 @@ type GroundTruth struct {
 	// Workers bounds the concurrent mappings of EvaluateBatch; 0 uses
 	// GOMAXPROCS.
 	Workers int
-	// Parallelism is the intra-evaluation lane count: each signoff
-	// evaluation runs its dual-effort mapping, level-parallel cut
-	// enumeration, and per-corner STA across this many goroutines
-	// (signoff.NewPoolParallel), bit-identical to the sequential path
-	// at every setting. 0 or 1 evaluates sequentially. It multiplies
-	// with Workers under EvaluateBatch; anneal.AutoTune splits the core
-	// budget so the product stays within GOMAXPROCS.
-	Parallelism int
 
 	// pool recycles evaluation-state storage across the incremental
 	// path's full and delta evaluations (see signoff.Pool); built
-	// lazily — and rebuilt when Parallelism changes, since AutoTune may
-	// choose the lane count after the evaluator exists — so the zero
-	// value still works.
-	mu      sync.Mutex
-	pool    *signoff.Pool
-	poolPar int
+	// lazily so the zero value still works.
+	poolOnce sync.Once
+	pool     *signoff.Pool
 }
 
-// statePool returns the evaluator's state pool, creating it on first
-// use and replacing it when the configured parallelism has changed
-// since it was built (the retired pool keeps honoring Release calls
-// from outstanding states; it just stops recycling).
+// statePool returns the evaluator's state pool, creating it on first use.
 func (e *GroundTruth) statePool() *signoff.Pool {
-	par := anneal.EffectiveParallelism(e.Parallelism)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.pool == nil || e.poolPar != par {
-		if e.pool != nil {
-			e.pool.Close()
-		}
-		e.pool = signoff.NewPoolParallel(par)
-		e.poolPar = par
-	}
+	e.poolOnce.Do(func() { e.pool = signoff.NewPool() })
 	return e.pool
-}
-
-// Close releases the evaluator's pooled scratch storage, including any
-// intra-evaluation worker goroutines (Parallelism > 1). The evaluator
-// stays usable — the next evaluation rebuilds the pool — so Close is
-// an idle-time release for long-lived hosts (the sharded worker daemon
-// between hub sessions), not a terminal state.
-func (e *GroundTruth) Close() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.pool != nil {
-		e.pool.Close()
-		e.pool = nil
-		e.poolPar = 0
-	}
 }
 
 // NewGroundTruth returns a ground-truth evaluator over the library.
@@ -113,23 +75,13 @@ func NewGroundTruth(lib *cell.Library) *GroundTruth {
 // Name implements eval.Evaluator.
 func (*GroundTruth) Name() string { return "ground-truth" }
 
-// Evaluate implements eval.Evaluator. With Parallelism > 1 it routes
-// through the evaluator's parallel pool (same bit-exact result, lower
-// latency); otherwise it is the plain sequential pipeline.
+// Evaluate implements eval.Evaluator.
 func (e *GroundTruth) Evaluate(g *aig.AIG) anneal.Metrics {
-	if anneal.EffectiveParallelism(e.Parallelism) > 1 {
-		r, st, err := e.statePool().EvaluateState(g, e.Lib)
-		if err != nil {
-			// Unmatchable graphs cannot occur with the built-in library;
-			// make such a candidate maximally unattractive rather than
-			// failing the whole optimization.
-			return anneal.Metrics{DelayPS: 1e12, AreaUM2: 1e12}
-		}
-		st.Release()
-		return gtMetrics(r)
-	}
 	r, err := signoff.Evaluate(g, e.Lib)
 	if err != nil {
+		// Unmatchable graphs cannot occur with the built-in library; make
+		// such a candidate maximally unattractive rather than failing the
+		// whole optimization.
 		return anneal.Metrics{DelayPS: 1e12, AreaUM2: 1e12}
 	}
 	return gtMetrics(r)
@@ -137,14 +89,8 @@ func (e *GroundTruth) Evaluate(g *aig.AIG) anneal.Metrics {
 
 // EvaluateBatch implements eval.Oracle: candidates are mapped and timed
 // concurrently, with values identical to sequential Evaluate calls in
-// input order regardless of worker count. With Parallelism > 1 each
-// entry additionally fans out internally through the parallel pool.
+// input order regardless of worker count.
 func (e *GroundTruth) EvaluateBatch(gs []*aig.AIG) []anneal.Metrics {
-	if anneal.EffectiveParallelism(e.Parallelism) > 1 {
-		out := make([]anneal.Metrics, len(gs))
-		eval.ForEach(len(gs), e.Workers, func(i int) { out[i] = e.Evaluate(gs[i]) })
-		return out
-	}
 	rs, errs := signoff.EvaluateBatch(gs, e.Lib, e.Workers)
 	out := make([]anneal.Metrics, len(gs))
 	for i := range gs {
@@ -405,11 +351,6 @@ func NewSweepStack(ev anneal.Evaluator, base anneal.Params, concurrent int) anne
 	}
 	if concurrent < 1 {
 		concurrent = 1
-	}
-	// The intra-eval parallelism knob lives on the params so it rides
-	// the shard wire; the ground-truth evaluator is where it lands.
-	if gt, ok := ev.(*GroundTruth); ok && base.Parallelism > 0 {
-		gt.Parallelism = base.Parallelism
 	}
 	inner := eval.AsOracle(ev, 0)
 	if base.Incremental != anneal.IncrementalOff {

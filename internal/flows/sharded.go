@@ -25,7 +25,8 @@ type ShardOptions struct {
 	// coordinator at this address instead of running a one-shot session
 	// over Endpoints/Conns. The hub owns the worker fleet, the scheduling,
 	// and any persistent store (SweepConfig.Store is ignored — warm starts
-	// are the hub's); results remain byte-identical to a local sweep.
+	// are the hub's); results follow the same identity contract as a
+	// one-shot session (see SweepSuiteSharded).
 	Hub string
 	// HubConn is Hub with an established transport (tests, in-process
 	// hubs): the submission travels over this connection. Takes
@@ -167,7 +168,6 @@ func evaluatorFromSpec(spec shard.EvalSpec, lib *cell.Library) (anneal.Evaluator
 type shardRunner struct {
 	base     anneal.Params
 	stacks   []anneal.Evaluator
-	evs      []anneal.Evaluator // guiding evaluators inside the stacks, for EndSession release
 	gt       *GroundTruth
 	warmed   map[*aig.AIG]bool
 	cacheSeq []int // per-entry ExportSince high-water marks
@@ -215,7 +215,6 @@ func (r *shardRunner) Configure(cfg shard.RunConfig) error {
 	r.base = cfg.Base
 	r.warmed = make(map[*aig.AIG]bool)
 	r.stacks = make([]anneal.Evaluator, len(cfg.Entries))
-	r.evs = make([]anneal.Evaluator, len(cfg.Entries))
 	r.cacheSeq = make([]int, len(cfg.Entries))
 	r.specHashes = make([]uint64, len(cfg.Entries))
 	r.keys = make([]*eval.StoreKey, len(cfg.Entries))
@@ -225,15 +224,10 @@ func (r *shardRunner) Configure(cfg shard.RunConfig) error {
 		if err != nil {
 			return err
 		}
-		// NewSweepStack applies cfg.Base.Parallelism to ground-truth
-		// guiding evaluators, so the coordinator-pinned lane count takes
-		// effect here without any spec plumbing.
 		r.stacks[i] = NewSweepStack(ev, cfg.Base, 1)
-		r.evs[i] = ev
 		r.specHashes[i] = e.Eval.Hash()
 	}
 	r.gt = NewGroundTruth(lib)
-	r.gt.Parallelism = cfg.Base.Parallelism
 	return nil
 }
 
@@ -323,19 +317,7 @@ func (r *shardRunner) CacheStats() eval.CacheStats {
 // (when present) survives: retention is exactly the state that is
 // supposed to outlive a session.
 func (r *shardRunner) EndSession() {
-	// Closing the evaluators stops any intra-eval worker goroutines
-	// (Parallelism > 1) with the session, so a resident worker carries
-	// no idle lanes — or leaked crews — between hub submissions.
-	for _, ev := range r.evs {
-		if c, ok := ev.(interface{ Close() }); ok {
-			c.Close()
-		}
-	}
-	if r.gt != nil {
-		r.gt.Close()
-	}
 	r.stacks = nil
-	r.evs = nil
 	r.gt = nil
 	r.warmed = make(map[*aig.AIG]bool)
 	r.cacheSeq = nil

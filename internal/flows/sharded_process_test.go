@@ -3,6 +3,8 @@ package flows
 import (
 	"bufio"
 	"bytes"
+	"io"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -42,6 +44,13 @@ func (e *buildError) Error() string { return e.err.Error() + ": " + e.out }
 // startSweepd launches a sweepd process on an ephemeral port and
 // returns its address. The process is killed at test cleanup.
 func startSweepd(t *testing.T, extraArgs ...string) string {
+	addr, _ := startSweepdProc(t, extraArgs...)
+	return addr
+}
+
+// startSweepdProc is startSweepd that also returns a channel closed
+// once the process has exited (on its own or at test cleanup).
+func startSweepdProc(t *testing.T, extraArgs ...string) (string, <-chan struct{}) {
 	t.Helper()
 	bin, err := buildSweepd()
 	if err != nil {
@@ -57,11 +66,17 @@ func startSweepd(t *testing.T, extraArgs ...string) string {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	line, err := bufio.NewReader(stdout).ReadString('\n')
+	// Wait only after the last read from the pipe: it closes the pipe.
+	exited := make(chan struct{})
+	go func() {
+		cmd.Wait()
+		close(exited)
+	}()
 	t.Cleanup(func() {
 		cmd.Process.Kill()
-		cmd.Wait()
+		<-exited
 	})
-	line, err := bufio.NewReader(stdout).ReadString('\n')
 	if err != nil {
 		t.Fatalf("reading sweepd banner: %v", err)
 	}
@@ -69,7 +84,68 @@ func startSweepd(t *testing.T, extraArgs ...string) string {
 	if !strings.HasPrefix(line, banner) {
 		t.Fatalf("unexpected sweepd banner %q", line)
 	}
-	return strings.TrimSpace(strings.TrimPrefix(line, banner))
+	return strings.TrimSpace(strings.TrimPrefix(line, banner)), exited
+}
+
+// gatedRelay listens on an ephemeral port and forwards each accepted
+// connection to target once gate is closed. Until then the connection
+// is accepted but unread, so whatever the peer sends waits in socket
+// buffers and the worker behind the relay does no work.
+func gatedRelay(t *testing.T, target string, gate <-chan struct{}) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		close(done)
+		ln.Close()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer c.Close()
+				select {
+				case <-gate:
+				case <-done:
+					return
+				}
+				w, err := net.Dial("tcp", target)
+				if err != nil {
+					return
+				}
+				defer w.Close()
+				// Copy both ways until either side or the test ends,
+				// then close both so the other copy returns too.
+				copied := make(chan struct{}, 2)
+				go func() { io.Copy(w, c); copied <- struct{}{} }()
+				go func() { io.Copy(c, w); copied <- struct{}{} }()
+				n := 0
+				select {
+				case <-copied:
+					n = 1
+				case <-done:
+				}
+				c.Close()
+				w.Close()
+				for ; n < 2; n++ {
+					<-copied
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
 }
 
 // TestSweepShardedRealProcesses is the acceptance test of the
@@ -221,15 +297,16 @@ func TestSweepSuiteShardedRealProcesses(t *testing.T) {
 // TestSweepSuiteShardedProcessCrashRequeues kills a real worker process
 // mid-suite (-max-jobs crash with a job in flight) and asserts the
 // session requeues cleanly: the surviving worker finishes the suite and
-// every entry stays byte-identical to the local reference.
+// every entry stays byte-identical to the local reference. The survivor
+// sits behind a relay that opens only once the crashing process has
+// exited, so the crasher is certain to be handed its third job: the
+// eight fast proxy jobs cannot drain through the survivor first.
 func TestSweepSuiteShardedProcessCrashRequeues(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
-	addrs := []string{
-		startSweepd(t, "-max-jobs", "2"),
-		startSweepd(t),
-	}
+	crasher, crashed := startSweepdProc(t, "-max-jobs", "2")
+	addrs := []string{crasher, gatedRelay(t, startSweepd(t), crashed)}
 	gA, gB := testAIG(35), testAIG(36)
 	lib := cell.Builtin()
 	cfg := shardTestSweepConfig(43)

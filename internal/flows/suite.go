@@ -169,9 +169,14 @@ func flushSuiteStore(store *eval.Store, keys []*eval.StoreKey, stacks []anneal.E
 // worker processes through one shard-protocol session: each worker is
 // connected and configured once, each distinct base graph crosses the
 // wire once per worker, and all entries' grid points share the session's
-// work-stealing schedule. Per entry the returned points are
-// bit-identical to a standalone SweepSharded (and therefore to a local
-// Sweep) of the same configuration.
+// work-stealing schedule. Per entry the returned trajectories and
+// ground-truth metrics are identical to a standalone SweepSharded, a
+// local Sweep, or a SweepSuite of the same configuration. The full
+// canonical forms (AppendCanonical) are byte-identical too when
+// cfg.AutoTune is off, or when every entry tunes like the first: the
+// coordinator tunes the cost knobs once, against entries[0], where
+// SweepSuite tunes each entry, so a later entry may run with other
+// batch bounds and report other Evals and SpeculativeEvals counts.
 //
 // With opts.Preseed the coordinator pushes each entry's merged cache
 // records back out to workers mid-sweep, so structures one worker
@@ -183,7 +188,7 @@ func flushSuiteStore(store *eval.Store, keys []*eval.StoreKey, stacks []anneal.E
 // With opts.Hub (or opts.HubConn) the suite is instead submitted to a
 // resident sweephub coordinator, which queues it behind other clients'
 // submissions and executes it over its own elastic fleet; results and
-// their byte-identity guarantee are unchanged.
+// the identity contract above are unchanged.
 func SweepSuiteSharded(entries []SuiteEntry, lib *cell.Library, cfg SweepConfig, opts ShardOptions) ([]SuiteResult, *shard.Stats, error) {
 	grid := cfg.Grid()
 	if len(grid) == 0 {
@@ -219,11 +224,11 @@ func SweepSuiteSharded(entries []SuiteEntry, lib *cell.Library, cfg SweepConfig,
 	// session, so knobs are pinned here: the auto batch size like always,
 	// and — when the config asks for it — the autotuned cost knobs,
 	// measured once by the coordinator against the first entry and then
-	// identical on every worker. (Value-transparent either way; workers
-	// running slightly off-tune for later entries costs time, not bits.)
+	// identical on every worker. Later entries running off-tune costs
+	// time and may change their Evals/SpeculativeEvals counts, never
+	// their trajectories or ground-truth metrics.
 	base := cfg.tunedBase(entries[0].G, entries[0].Eval)
 	base.BatchSize = anneal.EffectiveBatchSize(base.BatchSize)
-	base.Parallelism = anneal.EffectiveParallelism(base.Parallelism)
 	rc := shard.RunConfig{Base: base, Entries: specs, Library: libBytes}
 	sj := suiteJobList(len(entries), grid)
 	jobs := make([]shard.JobSpec, len(sj))

@@ -20,7 +20,7 @@ type NetID int32
 // corresponds to, or -1 when n has no exact counterpart. Correspondence
 // is strict — the driving gates use the same cell and corresponding
 // input nets — so timing state cached at the previous net can seed the
-// new one (see sta.Update). Primary-input nets always map to
+// new one (see sta.SignoffUpdate). Primary-input nets always map to
 // themselves.
 type NetMap []NetID
 

@@ -158,8 +158,7 @@ func (h *Hub) submit(bases []*aig.AIG, cfg RunConfig, jobs []JobSpec, keepRaw bo
 	}
 	sub.queueDepth = len(h.active) + len(h.queue)
 	h.queue = append(h.queue, sub)
-	h.logf("hub: submission queued (%d jobs, %d entries, eval-parallelism %d, %d ahead)",
-		len(jobs), len(cfg.Entries), cfg.Base.Parallelism, sub.queueDepth)
+	h.logf("hub: submission queued (%d jobs, %d entries, %d ahead)", len(jobs), len(cfg.Entries), sub.queueDepth)
 	h.scheduleLocked()
 	h.mu.Unlock()
 	return sub, nil

@@ -15,20 +15,12 @@ import (
 	"aigtimer/internal/eval"
 )
 
-// protocolVersion gates coordinator/worker compatibility; a worker
-// refuses a session whose config message carries a different version.
-// Version 2 is the session protocol: a config names several (base,
-// evaluator) entries, every base ships once per worker, jobs reference
-// entries, and the coordinator may push merged cache records to workers
-// mid-sweep (msgCacheSeed). Version 3 is the hub protocol: peers open
-// with a hello naming their role, clients submit whole sessions
-// (msgSubmit) and receive streamed results, and a worker connection
-// outlives a session (msgEndSession drops per-session state without
-// closing the transport). Version 4 extends the submit-done stats with
-// the partition scheduler's accounting (Handoffs, QueueDepth). Version
-// 5 adds the intra-evaluation parallelism knob to the config message,
-// pinned coordinator-side so every worker runs the same lane count.
-const protocolVersion = 5
+// protocolVersion gates compatibility: a worker refuses a config
+// message, and a hub a hello, that carries a different version, so
+// peers built from different releases fail at connection time instead
+// of misreading each other's messages. Bump it on any change to a
+// message layout.
+const protocolVersion = 6
 
 // maxPayload bounds one message; anything larger indicates a framing
 // desync or a hostile peer, not a real sweep artifact.
@@ -328,7 +320,6 @@ func encodeConfig(cfg RunConfig) []byte {
 	b = appendVarint(b, int64(p.CacheMaxEntries))
 	b = appendVarint(b, int64(p.Incremental))
 	b = appendF64(b, p.IncrementalThreshold)
-	b = appendVarint(b, int64(p.Parallelism))
 	// Evaluator specs are deduplicated into a table — a suite sweeping
 	// many designs under one ML flow ships its (potentially large) model
 	// blobs once, not once per entry; entries reference specs by index
@@ -396,7 +387,6 @@ func decodeConfig(payload []byte) (RunConfig, error) {
 	cfg.Base.CacheMaxEntries = int(d.varint("cache max entries"))
 	cfg.Base.Incremental = anneal.IncrementalMode(d.varint("incremental mode"))
 	cfg.Base.IncrementalThreshold = d.f64("incremental threshold")
-	cfg.Base.Parallelism = int(d.varint("parallelism"))
 	numSpecs := d.uvarint("spec count")
 	if d.err != nil {
 		return RunConfig{}, d.err

@@ -8,17 +8,15 @@ import (
 	"aigtimer/internal/cell"
 )
 
-// TestParallelFullEvalZeroAllocs pins the zero-allocation contract of
-// the parallel pooled full evaluation: once the pool's per-lane
-// arenas, per-effort scratches, and per-corner buffers are warm, a
-// full EvaluateState + Release cycle allocates nothing — the same
-// guarantee the sequential pooled path has had since the arena work.
-func TestParallelFullEvalZeroAllocs(t *testing.T) {
+// TestPooledFullEvalZeroAllocs pins the zero-allocation contract of
+// the pooled full evaluation: once the pool's arena, mapping and STA
+// scratches, and result carcasses are warm, a full EvaluateState +
+// Release cycle allocates nothing.
+func TestPooledFullEvalZeroAllocs(t *testing.T) {
 	lib := cell.Builtin()
 	rng := rand.New(rand.NewSource(21))
 	g := randomAIG(rng, 8, 300, 5)
-	pool := NewPoolParallel(2)
-	defer pool.Close()
+	pool := NewPool()
 	// Warm: two passes so every carcass in the freelist cycle has
 	// reached its high-water mark.
 	for i := 0; i < 2; i++ {
@@ -36,19 +34,18 @@ func TestParallelFullEvalZeroAllocs(t *testing.T) {
 		st.Release()
 	})
 	if avg != 0 {
-		t.Fatalf("parallel full evaluation allocates %v per run, want 0", avg)
+		t.Fatalf("pooled full evaluation allocates %v per run, want 0", avg)
 	}
 }
 
-// TestParallelDeltaEvalZeroAllocs pins the same contract for the
-// parallel delta path: concurrent per-effort remaps plus seeded
-// corner-parallel STA, allocation-free once warm.
-func TestParallelDeltaEvalZeroAllocs(t *testing.T) {
+// TestPooledDeltaEvalZeroAllocs pins the same contract for the pooled
+// delta path: per-effort remaps plus seeded multi-corner STA,
+// allocation-free once warm.
+func TestPooledDeltaEvalZeroAllocs(t *testing.T) {
 	lib := cell.Builtin()
 	rng := rand.New(rand.NewSource(22))
 	g := randomAIG(rng, 8, 250, 4)
-	pool := NewPoolParallel(2)
-	defer pool.Close()
+	pool := NewPool()
 	_, anchor, err := pool.EvaluateState(g, lib)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +58,7 @@ func TestParallelDeltaEvalZeroAllocs(t *testing.T) {
 	}
 	cands := make([]cand, 32)
 	for i := range cands {
-		next, d := aig.Rebase(g, mutateParallel(g, rng))
+		next, d := aig.Rebase(g, mutate(g, rng))
 		cands[i] = cand{next, d}
 	}
 	// Warm every candidate once (sizes differ slightly; the scratch
@@ -84,6 +81,6 @@ func TestParallelDeltaEvalZeroAllocs(t *testing.T) {
 		st.Release()
 	})
 	if avg != 0 {
-		t.Fatalf("parallel delta evaluation allocates %v per run, want 0", avg)
+		t.Fatalf("pooled delta evaluation allocates %v per run, want 0", avg)
 	}
 }

@@ -30,19 +30,4 @@
 // the delta result is bit-identical to a from-scratch evaluation, so
 // callers may mix full and incremental evaluations freely without
 // perturbing any trajectory.
-//
-// # Intra-evaluation parallelism
-//
-// A Pool built with NewPoolParallel fans one evaluation across goroutine
-// lanes: the two mapping efforts run concurrently, cut enumeration and
-// implementation selection are parallelized level by level within each
-// effort (via the stepwise techmap.Mapping and cut.DualNode entry
-// points), and the per-corner STA passes (sta.SignoffRun, and
-// BeginSignoffUpdate for the delta path) fan out per effort × corner.
-// Results are merged in a fixed effort-then-corner order, so every lane
-// count — including 1 — produces bit-identical netlists, arrivals, and
-// errors; the knob trades wall clock only. Lanes reuse retained
-// scratch, preserving the pool's zero-allocation steady state, a
-// property the parallel differential suite and fuzz target in this
-// package enforce under the race detector.
 package signoff

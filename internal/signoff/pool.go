@@ -5,61 +5,18 @@ import (
 
 	"aigtimer/internal/aig"
 	"aigtimer/internal/cell"
-	"aigtimer/internal/crew"
 	"aigtimer/internal/cut"
-	"aigtimer/internal/netlist"
 	"aigtimer/internal/sta"
 	"aigtimer/internal/techmap"
 )
 
 // evalScratch bundles the per-call working buffers of one evaluation —
 // cut enumeration, mapping, and STA scratch — so one freelist cycle
-// covers the whole pipeline. A parallel scratch (pool parallelism > 1)
-// additionally owns a worker crew plus per-lane, per-effort, and
-// per-corner buffers; ownership within one evaluation is strict: lane
-// l writes only enum[l] and its candidate buffer, effort e only tm[e],
-// sta[e], and slot e of the per-effort arrays, corner task (e, ci)
-// only sta[e]'s corner-ci dirty buffer and staErrs[e][ci]. Everything
-// else the tasks touch is read-only for the phase's duration.
+// covers the whole pipeline. Both efforts use it in turn.
 type evalScratch struct {
 	cuts cut.Scratch
-	// tm and sta are per-effort; the sequential path uses slot 0 for
-	// both efforts (exactly the pre-parallelism behavior).
-	tm  [2]techmap.Scratch
-	sta [2]sta.Scratch
-
-	// crew is the worker set of a parallel scratch; nil means this
-	// scratch (and every evaluation run with it) is sequential.
-	crew *crew.Crew
-	// enum are the per-lane cut-enumeration scratches of the parallel
-	// full path; isPrefix is the dual enumeration's shared prefix flags
-	// (written per node by the owning lane).
-	enum     []cut.Scratch
-	isPrefix []bool
-	// levelOf/order/levelOff are the level-decomposition CSR: order
-	// lists the AND nodes grouped by logic level (index-ascending
-	// within a level), levelOff[b] is the start of level b+1's group.
-	levelOf  []int32
-	order    []int32
-	levelOff []int32
-	cursor   []int32
-	// selErrs collects selection errors per (lane, effort) at
-	// selErrs[lane*2+effort]; tailErrs and staErrs collect the join and
-	// per-corner errors per effort. All merged in sequential order.
-	selErrs  []selErr
-	tailErrs [2]error
-	staErrs  [2][]error
-	// Per-effort in-flight pipeline state of the parallel phases.
-	mps  [2]techmap.Mapping
-	nls  [2]*netlist.Netlist
-	mss  [2]*techmap.State
-	runs [2]sta.SignoffRun
-	// Retained runner bodies so crew dispatch stays allocation-free.
-	enumRun   enumRunner
-	selRun    selRunner
-	tailRun   tailRunner
-	deltaRun  deltaRunner
-	cornerRun cornerRunner
+	tm   techmap.Scratch
+	sta  sta.Scratch
 }
 
 // Pool recycles EvalState carcasses and evaluation scratch buffers. An
@@ -71,8 +28,6 @@ type evalScratch struct {
 // Results are value-identical to unpooled evaluations — recycling
 // changes where storage comes from, never what is computed (recycled
 // buffers are re-initialized exactly like fresh ones at every layer).
-// The same holds for parallelism (NewPoolParallel): it changes how
-// many cores one evaluation uses, never the result.
 //
 // An explicit mutex-guarded freelist rather than sync.Pool: states must
 // never be dropped by GC pressure mid-cycle (the allocation guards in
@@ -81,51 +36,15 @@ type evalScratch struct {
 //
 // The netlists inside a pooled state's results are recycled storage:
 // they are valid only until the state is Released. A Pool is safe for
-// concurrent use.
+// concurrent use and owns no goroutines.
 type Pool struct {
 	mu        sync.Mutex
-	par       int
-	closed    bool
 	states    []*EvalState
 	scratches []*evalScratch
 }
 
-// NewPool returns an empty pool whose evaluations run sequentially.
-func NewPool() *Pool { return NewPoolParallel(1) }
-
-// NewPoolParallel returns an empty pool whose evaluations each use up
-// to `parallelism` concurrent lanes internally (mapping efforts, STA
-// corners, and per-level cut enumeration/matching); values <= 1 mean
-// sequential. Results are bit-identical at every setting. A parallel
-// pool's scratches own worker goroutines — Close the pool when done
-// with it.
-func NewPoolParallel(parallelism int) *Pool {
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	return &Pool{par: parallelism}
-}
-
-// Parallelism reports the per-evaluation lane count (1 = sequential).
-func (p *Pool) Parallelism() int { return p.par }
-
-// Close stops the worker crews owned by the pool's scratches and marks
-// the pool closed: scratches returned later are torn down instead of
-// pooled. Evaluations already in flight finish normally; starting new
-// evaluations after Close is a caller bug (their workers would be
-// re-created and leak). Close is idempotent.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	p.closed = true
-	scs := p.scratches
-	p.scratches = nil
-	p.mu.Unlock()
-	for _, sc := range scs {
-		if sc.crew != nil {
-			sc.crew.Close()
-		}
-	}
-}
+// NewPool returns an empty pool.
+func NewPool() *Pool { return &Pool{} }
 
 // getState pops a carcass or makes a fresh one, owned by this pool.
 func (p *Pool) getState() *EvalState {
@@ -150,22 +69,11 @@ func (p *Pool) getScratch() *evalScratch {
 		return sc
 	}
 	p.mu.Unlock()
-	sc := &evalScratch{}
-	if p.par > 1 {
-		sc.crew = crew.New(p.par)
-	}
-	return sc
+	return &evalScratch{}
 }
 
 func (p *Pool) putScratch(sc *evalScratch) {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		if sc.crew != nil {
-			sc.crew.Close()
-		}
-		return
-	}
 	p.scratches = append(p.scratches, sc)
 	p.mu.Unlock()
 }

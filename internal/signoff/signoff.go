@@ -48,31 +48,15 @@ type EvalState struct {
 	maps [2]*techmap.State
 	srs  [2]*sta.SignoffResult
 
-	// arenas back the retained cut lists; cutbufs are the per-effort cut
-	// tables the full path enumerates into (the delta path recycles the
-	// tables held inside maps instead). Sequential evaluation uses
-	// arenas[0] only; a parallel full evaluation gives each enumeration
-	// lane its own arena and a parallel delta evaluation gives each
-	// effort its own, so concurrent producers never contend and each
-	// arena's high-water mark is deterministic (the lane->node partition
-	// is a pure function of the graph). All are reset/regrown at the
-	// start of each evaluation into this carcass.
-	arenas  []cut.Arena
+	// arena backs the retained cut lists of both efforts; cutbufs are
+	// the per-effort cut tables the full path enumerates into (the delta
+	// path recycles the tables held inside maps instead). Both are
+	// reset/regrown at the start of each evaluation into this carcass.
+	arena   cut.Arena
 	cutbufs [2][][]cut.Cut
 
 	pool     *Pool // owning pool; nil for unpooled states
 	released bool
-}
-
-// ensureArenas makes n arenas available and resets the first n. Safe
-// only at the start of an evaluation, when nothing points into them.
-func (st *EvalState) ensureArenas(n int) {
-	for len(st.arenas) < n {
-		st.arenas = append(st.arenas, cut.Arena{})
-	}
-	for i := 0; i < n; i++ {
-		st.arenas[i].Reset()
-	}
 }
 
 // AIG returns the graph this state evaluated.
@@ -122,23 +106,18 @@ func EvaluateState(g *aig.AIG, lib *cell.Library) (Result, *EvalState, error) {
 
 // evaluateInto is the full-evaluation body shared by the plain and
 // pooled entry points: it rebuilds st (a fresh or recycled carcass) as
-// the evaluation of g, drawing retained storage from st's own arenas
-// and carcasses and working buffers from sc. A scratch holding a
-// worker crew (pooled, parallelism > 1) routes through the parallel
-// orchestration, which produces bit-identical results.
+// the evaluation of g, drawing retained storage from st's own arena
+// and carcasses and working buffers from sc.
 func evaluateInto(g *aig.AIG, lib *cell.Library, st *EvalState, sc *evalScratch) (Result, error) {
-	if sc.crew != nil {
-		return evaluateFullParallel(g, lib, st, sc)
-	}
 	st.g = g
-	st.ensureArenas(1)
+	st.arena.Reset()
 	n := g.NumNodes()
 	st.cutbufs[0] = growCutLists(st.cutbufs[0], n)
 	st.cutbufs[1] = growCutLists(st.cutbufs[1], n)
-	cut.EnumerateDualArena(g, efforts[0].Cut, efforts[1].Cut, st.cutbufs[0], st.cutbufs[1], &st.arenas[0], &sc.cuts)
+	cut.EnumerateDualArena(g, efforts[0].Cut, efforts[1].Cut, st.cutbufs[0], st.cutbufs[1], &st.arena, &sc.cuts)
 	best := Result{}
 	for i, mp := range efforts {
-		nl, ms, err := techmap.MapStateWithCutsInto(g, lib, mp, st.cutbufs[i], st.maps[i], &sc.tm[0])
+		nl, ms, err := techmap.MapStateWithCutsInto(g, lib, mp, st.cutbufs[i], st.maps[i], &sc.tm)
 		if err != nil {
 			return Result{}, err
 		}
@@ -171,18 +150,15 @@ func (s *EvalState) EvaluateDelta(next *aig.AIG, d *aig.Delta) (Result, *EvalSta
 		sc = &evalScratch{}
 	}
 	ns.g = next
-	if sc.crew != nil {
-		return evaluateDeltaParallel(s, next, d, ns, sc)
-	}
-	ns.ensureArenas(1)
+	ns.arena.Reset()
 	best := Result{}
 	for i := range efforts {
-		nl, ms, nm, err := techmap.RemapInto(s.maps[i], next, d, &ns.arenas[0], ns.maps[i], &sc.tm[0])
+		nl, ms, nm, err := techmap.RemapInto(s.maps[i], next, d, &ns.arena, ns.maps[i], &sc.tm)
 		if err != nil {
 			ns.Release()
 			return Result{}, nil, err
 		}
-		sr, err := sta.SignoffUpdateInto(s.srs[i], nl, nm, sta.SignoffParams{}, ns.srs[i], &sc.sta[0])
+		sr, err := sta.SignoffUpdateInto(s.srs[i], nl, nm, sta.SignoffParams{}, ns.srs[i], &sc.sta)
 		if err != nil {
 			ns.Release()
 			return Result{}, nil, err

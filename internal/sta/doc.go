@@ -24,20 +24,11 @@
 // equal inputs time identically, the property the evaluation layer's
 // memoization and the distributed sweep's merges rely on.
 //
-// Update (and SignoffUpdate for the multi-corner variant) repropagates a
-// base analysis through a changed region only: seeded from the gates
-// whose nets changed, a worklist re-times arrivals and slews forward
-// until values converge back onto the base, sharing untouched loads with
-// it. The contract is exactness — updated results are bit-identical to
-// analyzing the new netlist from scratch — which is what entitles
-// signoff.EvaluateDelta to feed them into trajectories that must match
-// full evaluation.
-//
-// Corners are independent by construction, and BeginSignoff /
-// BeginSignoffUpdate expose that: they split a multi-corner run into a
-// shared setup plus per-corner Corner steps that callers may execute on
-// separate goroutines, each against caller-owned scratch. Finish stitches
-// the per-corner results together in corner order, so a parallel run is
-// bit-identical to the sequential Signoff / SignoffUpdate it decomposes —
-// the entry points signoff's parallel evaluation pool drives.
+// SignoffUpdate repropagates a base signoff analysis through a changed
+// region only: seeded from the gates whose nets changed, a worklist
+// re-times arrivals and slews forward until values converge back onto
+// the base, sharing untouched loads with it. The contract is exactness
+// — updated results are bit-identical to analyzing the new netlist from
+// scratch — which is what entitles signoff.EvaluateDelta to feed them
+// into trajectories that must match full evaluation.
 package sta

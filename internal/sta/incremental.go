@@ -2,20 +2,20 @@
 // gate-for-gate identical to the previously analyzed one (the
 // correspondence is a netlist.NetMap); arrival times and slews only
 // move inside the remapped region and through whatever fanout cone its
-// new loads and arrivals reach. Update and SignoffUpdate seed the new
-// analysis with the previous per-net values and repropagate only
-// through that changed frontier, stopping as soon as recomputed values
-// converge with the seeded ones.
+// new loads and arrivals reach. SignoffUpdate seeds the new analysis
+// with the previous per-net values and repropagates only through that
+// changed frontier, stopping as soon as recomputed values converge with
+// the seeded ones.
 //
-// Exactness. Both functions return results bit-identical to running
-// Analyze / Signoff from scratch on the new netlist. The argument is
+// Exactness. SignoffUpdate returns results bit-identical to running
+// Signoff from scratch on the new netlist. The argument is
 // the standard memoized-fixed-point one on a DAG: a gate is skipped
 // only when its driver is the same cell with corresponding inputs, its
 // output load equals the previous load, and no input net's value moved
 // away from its seeded copy — in which case recomputing it would
 // reproduce the copy verbatim (the per-gate evaluation step is shared
-// code with the full pass). The summary (max delay, critical PO,
-// required times) is rederived with the same code as the full pass.
+// code with the full pass). The summary (per-corner max delay and
+// critical PO, governing corner) is rederived with the same code.
 package sta
 
 import (
@@ -40,71 +40,6 @@ func seedable(prev *SignoffResult, nl *netlist.Netlist, prevOf netlist.NetMap, p
 	return true
 }
 
-// Update incrementally re-times nl, a netlist derived from the one
-// prev analyzed, under the plain linear delay model. prevOf maps each
-// net of nl to its counterpart in prev.Netlist (-1 where the driver
-// changed; see netlist.NetMap). The result is bit-identical to
-// Analyze(nl); only gates in the changed fanout frontier are
-// re-evaluated. A prev without load bookkeeping (from a version predating
-// incremental STA) degrades safely to a full Analyze.
-func Update(prev *Result, nl *netlist.Netlist, prevOf netlist.NetMap) *Result {
-	if prev == nil || prev.LoadsFF == nil || len(prevOf) != nl.NumNets() {
-		return Analyze(nl)
-	}
-	numNets := nl.NumNets()
-	r := &Result{
-		Netlist:    nl,
-		ArrivalPS:  make([]float64, numNets),
-		RequiredPS: make([]float64, numNets),
-		GateDelay:  make([]float64, len(nl.Gates)),
-		LoadsFF:    make([]float64, numNets),
-		AreaUM2:    nl.AreaUM2(),
-		CriticalPO: -1,
-	}
-	netLoads(nl, r.LoadsFF)
-	// Seed from the previous analysis and mark the frontier: gates whose
-	// driver changed (no correspondence) or whose output load moved.
-	dirty := make([]bool, len(nl.Gates))
-	prevPIs := prev.Netlist.NumPIs
-	for gi := range nl.Gates {
-		out := nl.Gates[gi].Output
-		pn := prevOf[out]
-		if pn < 0 {
-			dirty[gi] = true
-			continue
-		}
-		r.ArrivalPS[out] = prev.ArrivalPS[pn]
-		r.GateDelay[gi] = prev.GateDelay[int(pn)-prevPIs]
-		if r.LoadsFF[out] != prev.LoadsFF[pn] {
-			dirty[gi] = true
-		}
-	}
-	// Repropagate in topological (gate index) order; pushes only go
-	// forward because a gate's output net is above all its input nets.
-	for gi := range nl.Gates {
-		if !dirty[gi] {
-			continue
-		}
-		g := &nl.Gates[gi]
-		d := g.Cell.DelayPS(r.LoadsFF[g.Output])
-		arr := 0.0
-		for _, in := range g.Inputs {
-			if a := r.ArrivalPS[in]; a > arr {
-				arr = a
-			}
-		}
-		r.GateDelay[gi] = d
-		if na := arr + d; na != r.ArrivalPS[g.Output] {
-			r.ArrivalPS[g.Output] = na
-			for _, ri := range nl.Fanouts(g.Output) {
-				dirty[ri] = true
-			}
-		}
-	}
-	r.finishPasses()
-	return r
-}
-
 // SignoffUpdate incrementally re-times nl at every corner, seeding from
 // prev through the prevOf correspondence. The result is bit-identical
 // to Signoff(nl, p). Only gates in the changed fanout frontier pay NLDM
@@ -122,11 +57,6 @@ func SignoffUpdate(prev *SignoffResult, nl *netlist.Netlist, prevOf netlist.NetM
 // allocations here. The result is bit-identical to SignoffUpdate's; the
 // caller must guarantee nothing references recycle anymore.
 func SignoffUpdateInto(prev *SignoffResult, nl *netlist.Netlist, prevOf netlist.NetMap, p SignoffParams, recycle *SignoffResult, sc *Scratch) (*SignoffResult, error) {
-	r := BeginSignoffUpdate(prev, nl, prevOf, p, recycle, sc)
-	for ci := 0; ci < r.NumCorners(); ci++ {
-		if err := r.Corner(ci); err != nil {
-			return nil, err
-		}
-	}
-	return r.Finish(), nil
+	r := beginSignoffUpdate(prev, nl, prevOf, p, recycle, sc)
+	return r.run()
 }

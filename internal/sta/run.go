@@ -4,22 +4,12 @@ import (
 	"aigtimer/internal/netlist"
 )
 
-// SignoffRun is an in-flight signoff analysis split into independently
-// runnable corner passes, the stepwise face of SignoffInto and
-// SignoffUpdateInto: Begin does the corner-independent work (loads,
-// frontier seeding, defaulting), the caller invokes Corner once per
-// corner index, and Finish derives the governing-corner summary.
-// Driven sequentially in corner order it is bit-identical to the Into
-// entry points — they are implemented on top of it. Its reason to
-// exist is that corners are data-independent by construction (they
-// share only read-only state: the netlist, the loads, the seed flags,
-// the previous result), so a caller may run Corner calls concurrently
-// on distinct goroutines and still get the sequential answer; each
-// corner writes only its own CornerResult and its own dirty buffer.
-// The deterministic merge is Finish plus the caller's error ordering:
-// Finish folds corners in list order, so the aggregate never depends
-// on completion order.
-type SignoffRun struct {
+// signoffRun is an in-flight signoff analysis split into per-corner
+// passes, the shared body of SignoffInto and SignoffUpdateInto: begin
+// does the corner-independent work (loads, frontier seeding,
+// defaulting), corner runs once per corner index in corner order, and
+// finish derives the governing-corner summary.
+type signoffRun struct {
 	res    *SignoffResult
 	nl     *netlist.Netlist
 	p      SignoffParams
@@ -29,29 +19,25 @@ type SignoffRun struct {
 	full   bool
 }
 
-// BeginSignoff starts a stepwise full signoff of nl, recycling a dead
-// result's storage (nil allocates fresh; see SignoffInto). It also
-// warms the netlist's lazily built fanout index so concurrent Corner
-// calls touch only immutable state.
-func BeginSignoff(nl *netlist.Netlist, p SignoffParams, recycle *SignoffResult) SignoffRun {
+// beginSignoff starts a full signoff of nl, recycling a dead result's
+// storage (nil allocates fresh; see SignoffInto).
+func beginSignoff(nl *netlist.Netlist, p SignoffParams, recycle *SignoffResult) signoffRun {
 	p = p.withDefaults()
 	res := recycleSignoff(recycle, nl.NumNets(), len(p.Corners))
 	res.Netlist, res.AreaUM2, res.InputSlewPS = nl, nl.AreaUM2(), p.InputSlewPS
 	netLoads(nl, res.LoadsFF)
-	return SignoffRun{res: res, nl: nl, p: p, full: true}
+	return signoffRun{res: res, nl: nl, p: p, full: true}
 }
 
-// BeginSignoffUpdate starts a stepwise incremental signoff of nl seeded
-// from prev through the prevOf correspondence (see SignoffUpdateInto
-// for the seeding contract and recycle/sc recycling; sc may be nil to
-// allocate fresh). A prev that cannot seed this analysis degrades to
-// BeginSignoff — the run is then a full one, still corner-steppable.
-// prevOf and prev must stay unmodified until the last Corner call
-// returns.
-func BeginSignoffUpdate(prev *SignoffResult, nl *netlist.Netlist, prevOf netlist.NetMap, p SignoffParams, recycle *SignoffResult, sc *Scratch) SignoffRun {
+// beginSignoffUpdate starts an incremental signoff of nl seeded from
+// prev through the prevOf correspondence (see SignoffUpdateInto for the
+// seeding contract and recycle/sc recycling; sc may be nil to allocate
+// fresh). A prev that cannot seed this analysis degrades to
+// beginSignoff — the run is then a full one.
+func beginSignoffUpdate(prev *SignoffResult, nl *netlist.Netlist, prevOf netlist.NetMap, p SignoffParams, recycle *SignoffResult, sc *Scratch) signoffRun {
 	p = p.withDefaults()
 	if !seedable(prev, nl, prevOf, p) {
-		return BeginSignoff(nl, p, recycle)
+		return beginSignoff(nl, p, recycle)
 	}
 	if sc == nil {
 		sc = &Scratch{}
@@ -67,20 +53,25 @@ func BeginSignoffUpdate(prev *SignoffResult, nl *netlist.Netlist, prevOf netlist
 		pn := prevOf[out]
 		seed[gi] = pn < 0 || res.LoadsFF[out] != prev.LoadsFF[pn]
 	}
-	sc.growCornerDirty(len(p.Corners), len(nl.Gates))
-	return SignoffRun{res: res, nl: nl, p: p, prev: prev, prevOf: prevOf, sc: sc}
+	sc.dirty = growBools(sc.dirty, len(nl.Gates))
+	return signoffRun{res: res, nl: nl, p: p, prev: prev, prevOf: prevOf, sc: sc}
 }
 
-// NumCorners returns the number of corner passes the run analyzes.
-func (r *SignoffRun) NumCorners() int { return len(r.p.Corners) }
+// run analyzes every corner in order (full pass or seeded
+// repropagation, matching how the run began) and returns the completed
+// result, or the first corner's analysis failure.
+func (r *signoffRun) run() (*SignoffResult, error) {
+	for ci := range r.p.Corners {
+		if err := r.corner(ci); err != nil {
+			return nil, err
+		}
+	}
+	r.res.aggregate()
+	return r.res, nil
+}
 
-// Corner analyzes corner index ci (full pass or seeded repropagation,
-// matching how the run began). Distinct corner indices may run
-// concurrently; a given index must run exactly once. The returned
-// error is this corner's analysis failure — when collecting from
-// concurrent corners, the caller picks the lowest-index error to match
-// the sequential contract.
-func (r *SignoffRun) Corner(ci int) error {
+// corner analyzes corner index ci.
+func (r *signoffRun) corner(ci int) error {
 	cr := &r.res.Corners[ci]
 	corner := r.p.Corners[ci]
 	if r.full {
@@ -92,7 +83,7 @@ func (r *SignoffRun) Corner(ci int) error {
 	for i := 0; i < nl.NumPIs; i++ {
 		cr.SlewPS[i] = r.p.InputSlewPS
 	}
-	seed, dirty := r.sc.seed, r.sc.cornerDirty[ci]
+	seed, dirty := r.sc.seed, r.sc.dirty
 	for gi := range nl.Gates {
 		dirty[gi] = seed[gi]
 		out := nl.Gates[gi].Output
@@ -125,12 +116,4 @@ func (r *SignoffRun) Corner(ci int) error {
 		}
 	}
 	return nil
-}
-
-// Finish aggregates the per-corner results into the governing-corner
-// summary and returns the completed result. Call it only after every
-// Corner call has returned without error.
-func (r *SignoffRun) Finish() *SignoffResult {
-	r.res.aggregate()
-	return r.res
 }

@@ -1,25 +1,13 @@
 package sta
 
-// Scratch holds the incremental passes' per-call worklist buffers (the
-// corner-independent frontier seed and one dirty-flag buffer per
-// corner), reused across calls so a retained evaluation pipeline
+// Scratch holds the incremental passes' per-call worklist buffers — the
+// corner-independent frontier seed and the dirty flags each corner
+// reuses in turn — kept across calls so a retained evaluation pipeline
 // performs no steady-state allocations in STA. A Scratch serves one
-// update at a time; within that update, each corner owns its own dirty
-// buffer, which is what lets SignoffRun.Corner calls run concurrently.
+// update at a time.
 type Scratch struct {
-	seed        []bool
-	cornerDirty [][]bool
-}
-
-// growCornerDirty makes one numGates-sized dirty buffer per corner
-// available in sc.cornerDirty.
-func (sc *Scratch) growCornerDirty(numCorners, numGates int) {
-	for len(sc.cornerDirty) < numCorners {
-		sc.cornerDirty = append(sc.cornerDirty, nil)
-	}
-	for ci := 0; ci < numCorners; ci++ {
-		sc.cornerDirty[ci] = growBools(sc.cornerDirty[ci], numGates)
-	}
+	seed  []bool
+	dirty []bool
 }
 
 // growBools returns b resized to n elements, all false.

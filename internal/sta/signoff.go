@@ -71,13 +71,8 @@ func Signoff(nl *netlist.Netlist, p SignoffParams) (*SignoffResult, error) {
 // zeroed exactly like fresh allocations. The caller must guarantee
 // nothing references recycle anymore.
 func SignoffInto(nl *netlist.Netlist, p SignoffParams, recycle *SignoffResult) (*SignoffResult, error) {
-	r := BeginSignoff(nl, p, recycle)
-	for ci := 0; ci < r.NumCorners(); ci++ {
-		if err := r.Corner(ci); err != nil {
-			return nil, err
-		}
-	}
-	return r.Finish(), nil
+	r := beginSignoff(nl, p, recycle)
+	return r.run()
 }
 
 // withDefaults fills the zero-value fields; Signoff and SignoffUpdate

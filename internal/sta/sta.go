@@ -25,8 +25,7 @@ type Result struct {
 	GateDelay []float64
 	// LoadsFF is the capacitive load (fF) of every gate-output net,
 	// indexed by net; primary-input net entries are left 0 because the
-	// delay model never reads them. Update compares these against a
-	// previous analysis to decide which gates need re-evaluation.
+	// delay model never reads them.
 	LoadsFF []float64
 
 	// MaxDelayPS is the maximum arrival over all POs (the design delay).
@@ -65,15 +64,6 @@ func Analyze(nl *netlist.Netlist) *Result {
 		}
 		r.ArrivalPS[g.Output] = arr + d
 	}
-	r.finishPasses()
-	return r
-}
-
-// finishPasses derives the PO summary and required times from the
-// forward-pass arrivals; shared by Analyze and Update.
-func (r *Result) finishPasses() {
-	nl := r.Netlist
-	r.MaxDelayPS, r.CriticalPO = 0, -1
 	for i, po := range nl.POs {
 		if a := r.ArrivalPS[po]; r.CriticalPO < 0 || a > r.MaxDelayPS {
 			r.MaxDelayPS = a
@@ -96,6 +86,7 @@ func (r *Result) finishPasses() {
 			}
 		}
 	}
+	return r
 }
 
 // SlackPS returns the slack of a net. Nets with no path to a PO have

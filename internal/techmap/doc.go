@@ -36,14 +36,4 @@
 // approximation: Remap's netlist is bit-identical to mapping the derived
 // graph from scratch, proven by the differential harness and fuzz target
 // in this package and internal/eval.
-//
-// The stepwise API (Mapping, via BeginMapping / BeginMappingWithCuts)
-// decomposes Map into its phases — cut enumeration, per-node
-// implementation selection (SelectNode), and netlist emission — so an
-// orchestrator can run the selection of independent nodes within one
-// topological level on separate goroutines. Each step computes exactly
-// what the monolithic pass computes, node by node, so any interleaving
-// that respects level order reproduces Map bit for bit; this is the
-// entry point signoff's parallel evaluation pool uses for level-parallel
-// mapping.
 package techmap

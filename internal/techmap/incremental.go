@@ -111,17 +111,6 @@ func growInt32s(b []int32, n int) []int32 {
 // sc; either may be nil for fresh allocation. The returned mapper lives
 // inside sc and is valid until sc's next mapping call.
 func runMapper(g *aig.AIG, lib *cell.Library, p Params, cuts [][]cut.Cut, dead *State, sc *Scratch) (*mapper, error) {
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	m := prepMapper(g, lib, p, cuts, dead, sc)
-	return m, m.selectImpls(g.FirstAnd())
-}
-
-// prepMapper is runMapper minus the selection pass: normalize
-// parameters, enumerate cuts if the caller didn't, and size the
-// selection buffers inside sc. sc must be non-nil.
-func prepMapper(g *aig.AIG, lib *cell.Library, p Params, cuts [][]cut.Cut, dead *State, sc *Scratch) *mapper {
 	if p.Cut.K == 0 {
 		p.Cut = DefaultParams.Cut
 	}
@@ -130,6 +119,9 @@ func prepMapper(g *aig.AIG, lib *cell.Library, p Params, cuts [][]cut.Cut, dead 
 	}
 	if cuts == nil {
 		cuts = cut.Enumerate(g, p.Cut)
+	}
+	if sc == nil {
+		sc = &Scratch{}
 	}
 	m := sc.mapper()
 	m.g, m.lib, m.p, m.cuts, m.sc = g, lib, p, cuts, sc
@@ -140,58 +132,7 @@ func prepMapper(g *aig.AIG, lib *cell.Library, p Params, cuts [][]cut.Cut, dead 
 	m.impls = growImpls(implsBuf, g.NumNodes())
 	m.eff = m.impls
 	sc.direct = growImpls(sc.direct, g.NumNodes())
-	return m
-}
-
-// Mapping is an in-flight mapping whose per-node selection the caller
-// drives, the stepwise face of MapStateWithCutsInto: Begin sizes the
-// buffers, the caller invokes SelectNode for every AND node in a
-// fanin-cone-respecting order (index order and level order both
-// qualify), and Finish runs the global passes. Driven sequentially it
-// is bit-identical to MapStateWithCutsInto; its reason to exist is that
-// SelectNode calls for nodes of one level are independent when each
-// runs on its own lane, so a level-parallel caller (signoff) can select
-// a whole level concurrently without changing the result. A Mapping is
-// a view into its Scratch and is valid until the Scratch's next
-// mapping call.
-type Mapping struct {
-	sc   *Scratch
-	dead *State
-}
-
-// BeginMappingWithCuts starts a stepwise mapping of g over a
-// precomputed cut set (see MapStateWithCuts for the cuts contract and
-// MapStateWithCutsInto for dead/sc recycling; sc may be nil to allocate
-// fresh). lanes is the number of concurrent SelectNode lanes the caller
-// will use (minimum 1); each lane gets its own candidate buffer inside
-// sc so selection never allocates in the steady state.
-func BeginMappingWithCuts(g *aig.AIG, lib *cell.Library, p Params, cuts [][]cut.Cut, dead *State, sc *Scratch, lanes int) (Mapping, error) {
-	if len(cuts) != g.NumNodes() {
-		return Mapping{}, fmt.Errorf("techmap: cut set covers %d nodes, graph has %d", len(cuts), g.NumNodes())
-	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	prepMapper(g, lib, p, cuts, dead, sc)
-	sc.growLanes(lanes)
-	return Mapping{sc: sc, dead: dead}, nil
-}
-
-// SelectNode chooses the implementations of AND node n on the given
-// lane (0 <= lane < the Begin lanes). Calls on distinct lanes may run
-// concurrently for nodes of equal level — each call reads only impls
-// strictly below n and writes only n's slots. The error, if any, is
-// n's selection failure; the caller owns picking the sequential-order
-// first error when collecting from several lanes.
-func (mp Mapping) SelectNode(n int32, lane int) error {
-	return mp.sc.m.selectNode(n, mp.sc.candBuf(lane))
-}
-
-// Finish runs the global passes (area recovery, emission, state
-// packaging) after every AND node has been selected, completing the
-// MapStateWithCutsInto contract.
-func (mp Mapping) Finish() (*netlist.Netlist, *State, error) {
-	return finishMapping(&mp.sc.m, mp.dead)
+	return m, m.selectImpls(g.FirstAnd())
 }
 
 // MapState maps the AIG like Map and additionally returns the mapping

@@ -95,9 +95,6 @@ type Scratch struct {
 	memo   [2][]netlist.NetID
 	nm     netlist.NetMap
 	cands  []impl
-	// xcands are candidate buffers for lanes 1+ of a parallel selection
-	// (lane 0 uses cands); see BeginMappingWithCuts.
-	xcands [][]impl
 	cuts   cut.Scratch
 	// m is the pipeline's mapper for the in-flight call. It lives here
 	// rather than on the caller's stack because its address flows into
@@ -110,21 +107,6 @@ type Scratch struct {
 func (sc *Scratch) mapper() *mapper {
 	sc.m = mapper{}
 	return &sc.m
-}
-
-// candBuf returns the candidate buffer owned by the given lane.
-func (sc *Scratch) candBuf(lane int) *[]impl {
-	if lane == 0 {
-		return &sc.cands
-	}
-	return &sc.xcands[lane-1]
-}
-
-// growLanes makes candidate buffers for lanes 1..lanes-1 available.
-func (sc *Scratch) growLanes(lanes int) {
-	for len(sc.xcands) < lanes-1 {
-		sc.xcands = append(sc.xcands, nil)
-	}
 }
 
 // growImpls returns b resized to n, contents unspecified.
@@ -192,7 +174,7 @@ func (m *mapper) selectImpls(from int32) error {
 		from = m.g.FirstAnd()
 	}
 	for i := int(from); i < m.g.NumNodes(); i++ {
-		if err := m.selectNode(int32(i), &m.sc.cands); err != nil {
+		if err := m.selectNode(int32(i)); err != nil {
 			return err
 		}
 	}
@@ -202,10 +184,7 @@ func (m *mapper) selectImpls(from int32) error {
 // selectNode chooses the best implementation for both phases of the AND
 // node n, writing m.sc.direct[n] and m.impls[n] and reading only the
 // impls of nodes inside n's cuts' leaf sets (all strictly below n).
-// Candidates accumulate in *buf; distinct nodes computed with distinct
-// buffers are independent, which is what lets a level of the graph be
-// selected in parallel with results identical to the sequential loop.
-func (m *mapper) selectNode(n int32, buf *[]impl) error {
+func (m *mapper) selectNode(n int32) error {
 	for ph := pos; ph <= neg; ph++ {
 		best := impl{kind: kindNone, arrival: math.Inf(1)}
 		for ci, c := range m.cuts[n] {
@@ -216,7 +195,7 @@ func (m *mapper) selectNode(n int32, buf *[]impl) error {
 			if ph == neg {
 				tbl = ^tbl
 			}
-			for _, cand := range m.cutCandidates(c, ci, tbl, buf) {
+			for _, cand := range m.cutCandidates(c, ci, tbl) {
 				if better(cand, best) {
 					best = cand
 				}
@@ -249,17 +228,17 @@ func (m *mapper) selectNode(n int32, buf *[]impl) error {
 
 // cutCandidates yields all realizations of the table tbl over cut c —
 // tie cells for constants, wires for projections, and library matches —
-// in *buf (valid until the next call with the same buffer).
-func (m *mapper) cutCandidates(c cut.Cut, ci int, tbl uint16, buf *[]impl) []impl {
-	out := (*buf)[:0]
+// in the Scratch candidate buffer (valid until the next call).
+func (m *mapper) cutCandidates(c cut.Cut, ci int, tbl uint16) []impl {
+	out := m.sc.cands[:0]
 	switch tbl {
 	case 0:
 		out = append(out, impl{kind: kindTie, tieVal: false, area: m.lib.Tie(false).AreaUM2})
-		*buf = out
+		m.sc.cands = out
 		return out
 	case 0xFFFF:
 		out = append(out, impl{kind: kindTie, tieVal: true, area: m.lib.Tie(true).AreaUM2})
-		*buf = out
+		m.sc.cands = out
 		return out
 	}
 	for j := range c.Leaves {
@@ -279,7 +258,7 @@ func (m *mapper) cutCandidates(c cut.Cut, ci int, tbl uint16, buf *[]impl) []imp
 	for _, match := range m.lib.Matches(tbl, len(c.Leaves)) {
 		out = append(out, m.evalMatch(c, ci, match))
 	}
-	*buf = out
+	m.sc.cands = out
 	return out
 }
 
