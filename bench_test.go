@@ -14,6 +14,8 @@
 //	BenchmarkTable4/*                per-iteration evaluation cost of the
 //	                                 three flows (Table IV columns)
 //	BenchmarkFig5/sweep-point        one annealing run of the Fig. 5 sweep
+//	BenchmarkRecipeApply             one pass of the 103-recipe move
+//	                                 catalog over EX08
 //	BenchmarkAblation/*              design-choice ablations from DESIGN.md
 package aigtimer_test
 
@@ -293,6 +295,33 @@ func BenchmarkAnneal(b *testing.B) {
 		p.BatchSize = 8
 		run(b, flows.Proxy{}, p)
 	})
+}
+
+// recipeSink keeps BenchmarkRecipeApply's results live.
+var recipeSink *aig.AIG
+
+// BenchmarkRecipeApply measures the move layer alone: one op applies
+// each of the 103 catalog recipes to EX08 with ApplyTracked, every one
+// from the same fixed seed. A first pass fills the process-wide
+// synthesis-program caches before timing, as a long annealing run has.
+func BenchmarkRecipeApply(b *testing.B) {
+	d, err := bench.ByName("EX08")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := d.Build()
+	recipes := transform.Recipes()
+	pass := func() {
+		for _, r := range recipes {
+			recipeSink, _ = r.ApplyTracked(g, rand.New(rand.NewSource(1)))
+		}
+	}
+	pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
 }
 
 // coneForest builds an AIG of `trees` independent logic cones (one PO

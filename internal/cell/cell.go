@@ -73,10 +73,10 @@ type Library struct {
 	byName   map[string]*Cell
 	matches  map[uint16][]Match    // padded function -> realizations
 	byLeaves map[uint16][5][]Match // matches pre-filtered by leaf count
-	inv     *Cell              // smallest inverter
-	buf     *Cell              // smallest buffer
-	tie0    *Cell
-	tie1    *Cell
+	inv      *Cell                 // smallest inverter
+	buf      *Cell                 // smallest buffer
+	tie0     *Cell
+	tie1     *Cell
 }
 
 // CellByName returns the named cell, or nil.

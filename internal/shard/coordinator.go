@@ -249,6 +249,16 @@ const (
 	nextWithdrawn
 )
 
+// drained reports whether no work will ever remain: every job resolved,
+// or the session aborted.
+func (s *sched) drained() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.drainedLocked()
+}
+
+func (s *sched) drainedLocked() bool { return s.remaining == 0 || s.aborted }
+
 // next blocks until a job is available for worker id (nextJob), no
 // work will ever remain (nextDone), or the worker withdraws to honor a
 // shrunken partition target (nextWithdrawn).
@@ -256,7 +266,7 @@ func (s *sched) next(id int) (*task, nextOutcome) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if s.remaining == 0 || s.aborted {
+		if s.drainedLocked() {
 			return nil, nextDone
 		}
 		if s.target >= 0 && len(s.alive) > s.target && s.alive[id] {

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"aigtimer/internal/aig"
@@ -152,6 +153,15 @@ func writeMsg(w *bufio.Writer, typ byte, payload []byte) error {
 	return err
 }
 
+// readChunk is the most readMsg allocates ahead of the bytes that fill
+// it.
+const readChunk = 64 << 10
+
+// readMsg reads one frame. io.EOF before the frame's first byte is an
+// orderly close; a frame cut short after it is io.ErrUnexpectedEOF. The
+// payload buffer starts at readChunk at most and doubles only once the
+// bytes received fill it, so a length prefix alone cannot make readMsg
+// allocate: the hub reads a hello from any peer that connects.
 func readMsg(r *bufio.Reader) (byte, []byte, error) {
 	typ, err := r.ReadByte()
 	if err != nil {
@@ -159,16 +169,32 @@ func readMsg(r *bufio.Reader) (byte, []byte, error) {
 	}
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, unexpectedEOF(err)
 	}
 	if n > maxPayload {
 		return 0, nil, fmt.Errorf("shard: message of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+	payload := make([]byte, 0, min(n, readChunk))
+	for uint64(len(payload)) < n {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, int(min(n-uint64(len(payload)), uint64(len(payload)))))
+		}
+		end := int(min(n, uint64(cap(payload))))
+		got, err := io.ReadFull(r, payload[len(payload):end])
+		payload = payload[:len(payload)+got]
+		if err != nil {
+			return 0, nil, unexpectedEOF(err)
+		}
 	}
 	return typ, payload, nil
+}
+
+// unexpectedEOF reports io.EOF inside a frame as io.ErrUnexpectedEOF.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // ---- primitive encoders ----

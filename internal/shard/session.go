@@ -323,17 +323,17 @@ type session struct {
 	onRelease func(w *wireWorker, healthy bool)
 	logf      func(format string, args ...any)
 
-	mu        sync.Mutex
-	st        *Stats
-	mergedLog [][]eval.CacheRecord
-	results   []JobResult
+	mu         sync.Mutex
+	st         *Stats
+	mergedLog  [][]eval.CacheRecord
+	results    []JobResult
 	rawResults [][]byte
-	gotResult []bool
-	jobErrs   []error
-	attached  map[int]*sessionWorker
-	nextID    int
-	finished  bool
-	failure   error
+	gotResult  []bool
+	jobErrs    []error
+	attached   map[int]*sessionWorker
+	nextID     int
+	finished   bool
+	failure    error
 
 	done    chan struct{}
 	driveWG sync.WaitGroup
@@ -514,11 +514,14 @@ func (s *session) flushStore() {
 // every base, one flush) followed by the accumulated merged seeds per
 // entry — the full warm start a late joiner needs — and a drive
 // goroutine starts pulling jobs for it. Returns false when the session
-// already finished (the hub then returns the worker to its idle pool
-// untouched).
+// already finished or has no job left to resolve (the hub then returns
+// the worker to its idle pool untouched). The second case covers the
+// moment between the last job's completion and the session's finish:
+// admitting a worker then would only send it the preamble and release
+// it again, and the hub would re-admit it until the finish lands.
 func (s *session) attach(w *wireWorker) bool {
 	s.mu.Lock()
-	if s.finished {
+	if s.finished || s.sched.drained() {
 		s.mu.Unlock()
 		return false
 	}

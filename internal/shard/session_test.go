@@ -253,6 +253,28 @@ func TestSchedWithdrawalPrunesExclusions(t *testing.T) {
 	}
 }
 
+// TestSessionRefusesAttachOnceDrained pins the window between a
+// session's last job completing and its finish: a worker offered then
+// must be refused, or the hub re-admits it (resending every base) until
+// the finish lands.
+func TestSessionRefusesAttachOnceDrained(t *testing.T) {
+	s, err := newSession([]*aig.AIG{testAIG(46)}, testConfig(), testJobs(1), sessionOptions{elastic: true, logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.sched.complete() // the last job resolved; finish has not run yet
+	hubSide, workerSide := net.Pipe()
+	w := newWireWorker("w0", hubSide, 0)
+	defer w.shutdown()
+	defer workerSide.Close() // first, so a wrongly admitted worker's writes fail
+	if s.attach(w) {
+		t.Fatal("attach admitted a worker into a drained session")
+	}
+	if st := s.st; st.BaseSends != 0 {
+		t.Fatalf("base sends = %d, want 0", st.BaseSends)
+	}
+}
+
 // TestSessionEmptyPartitionWaits covers the empty-partition wait path
 // the same way the empty-fleet wait is covered: an elastic session
 // whose partition target drops to zero releases its worker (which

@@ -1,12 +1,16 @@
 package shard
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -532,5 +536,52 @@ func TestSeedRoundTrip(t *testing.T) {
 	entry, out, err = decodeSeed(encodeSeed(0, nil))
 	if err != nil || entry != 0 || len(out) != 0 {
 		t.Fatalf("empty seed round-trip: %v %d %+v", err, entry, out)
+	}
+}
+
+// TestReadMsgAllocatesAsBytesArrive sends a frame header claiming the
+// largest allowed payload and then closes: the read must fail as a
+// truncated frame without allocating anywhere near the claimed size.
+func TestReadMsgAllocatesAsBytesArrive(t *testing.T) {
+	var hdr bytes.Buffer
+	bw := bufio.NewWriter(&hdr)
+	bw.WriteByte(msgHello)
+	var lenBuf [binary.MaxVarintLen64]byte
+	bw.Write(lenBuf[:binary.PutUvarint(lenBuf[:], maxPayload)])
+	bw.Flush()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readMsg(bufio.NewReader(bytes.NewReader(hdr.Bytes())))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated frame: err %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("truncated frame allocated %d bytes", grew)
+	}
+}
+
+// TestReadMsgRoundTrip checks payloads that end short of, on and past
+// the read chunk boundaries, and a frame cut inside its length prefix.
+func TestReadMsgRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{0, 1, readChunk - 1, readChunk, readChunk + 1, 3*readChunk + 17} {
+		want := make([]byte, n)
+		rng.Read(want)
+		var buf bytes.Buffer
+		bw := bufio.NewWriter(&buf)
+		if err := writeMsg(bw, msgJob, want); err != nil {
+			t.Fatal(err)
+		}
+		bw.Flush()
+		typ, got, err := readMsg(bufio.NewReader(&buf))
+		if err != nil || typ != msgJob || !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte payload: type %d, err %v, equal %v", n, typ, err, bytes.Equal(got, want))
+		}
+	}
+	_, _, err := readMsg(bufio.NewReader(bytes.NewReader([]byte{msgJob, 0x80})))
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("frame cut in its length: err %v, want io.ErrUnexpectedEOF", err)
 	}
 }

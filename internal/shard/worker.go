@@ -105,12 +105,12 @@ func (ws *workerState) applied(gen int) {
 
 // workerCmd is one unit of work handed from the reader to the executor.
 type workerCmd struct {
-	typ     byte
-	cfg     RunConfig // msgConfig
-	cfgGen  int       // msgConfig
-	baseID  uint32    // msgBase
-	base    *aig.AIG  // msgBase
-	job     JobSpec   // msgJob
+	typ    byte
+	cfg    RunConfig // msgConfig
+	cfgGen int       // msgConfig
+	baseID uint32    // msgBase
+	base   *aig.AIG  // msgBase
+	job    JobSpec   // msgJob
 }
 
 // Serve speaks the worker side of the shard protocol over conn until

@@ -1,8 +1,9 @@
 package transform
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"aigtimer/internal/aig"
 )
@@ -34,10 +35,9 @@ func balanceImpl(g *aig.AIG, rng *rand.Rand, randomize bool) *aig.AIG {
 			return
 		}
 		done[n] = true
-		conj := collectConjuncts(g, n, fo)
-		// Map every conjunct first (recursively balancing sub-trees).
-		lits := make([]aig.Lit, len(conj))
-		for i, c := range conj {
+		// Map every conjunct in place (recursively balancing sub-trees).
+		lits := collectConjuncts(g, n, fo)
+		for i, c := range lits {
 			build(c.Node())
 			lits[i] = r.lit(c)
 		}
@@ -52,11 +52,11 @@ func balanceImpl(g *aig.AIG, rng *rand.Rand, randomize bool) *aig.AIG {
 		}
 		// Min-depth pairing: repeatedly combine the two shallowest.
 		for len(lits) > 1 {
-			sort.SliceStable(lits, func(i, j int) bool {
-				return r.nb.LevelOf(lits[i]) < r.nb.LevelOf(lits[j])
+			slices.SortStableFunc(lits, func(a, b aig.Lit) int {
+				return cmp.Compare(r.nb.LevelOf(a), r.nb.LevelOf(b))
 			})
-			merged := r.nb.And(lits[0], lits[1])
-			lits = append([]aig.Lit{merged}, lits[2:]...)
+			lits[1] = r.nb.And(lits[0], lits[1])
+			lits = lits[1:]
 		}
 		r.m[n] = lits[0]
 	}

@@ -11,10 +11,10 @@ import (
 // Eight leaves keeps the cone truth table at 4 words.
 const refactorMaxLeaves = 8
 
-// Refactor resynthesizes large reconvergence-driven cones (up to 10
-// leaves) through ISOP factoring, accepting strict node-count reductions.
-// It is the analogue of ABC's "refactor" and reduces structures that
-// 4-cut rewriting cannot see.
+// Refactor resynthesizes large reconvergence-driven cones (up to
+// refactorMaxLeaves leaves) through ISOP factoring, accepting strict
+// node-count reductions. It is the analogue of ABC's "refactor" and
+// reduces structures that 4-cut rewriting cannot see.
 func Refactor(g *aig.AIG, rng *rand.Rand) *aig.AIG {
 	return refactorImpl(g, rng, 1)
 }
@@ -33,6 +33,7 @@ func refactorImpl(g *aig.AIG, rng *rand.Rand, minGain int) *aig.AIG {
 	sav := newSavings(g)
 	mffcHint := mffcLowerBound(g, fo)
 	isRoot := refactorRoots(g, fo)
+	var ins []aig.Lit
 	g.TopoForEachAnd(func(n int32, f0, f1 aig.Lit) {
 		// Prefilter: resynthesis is only attempted at cone boundaries
 		// (shared nodes and PO drivers — interior fanout-free nodes are
@@ -54,18 +55,33 @@ func refactorImpl(g *aig.AIG, rng *rand.Rand, minGain int) *aig.AIG {
 			return
 		}
 		saved := sav.compute(n, leaves, fo)
+		// An AIG whose output depends on s inputs has at least s-1 ANDs,
+		// and prog.cost() is the AND count of such an AIG, so a cone
+		// failing this bound fails the exact test below: skip synthesis.
+		if saved-max(supportSize(tt)-1, 0) < minGain {
+			r.copyNode(n, f0, f1)
+			return
+		}
 		prog := coneProg(tt)
 		if saved-prog.cost() < minGain {
 			r.copyNode(n, f0, f1)
 			return
 		}
-		ins := make([]aig.Lit, len(leaves))
-		for i, leaf := range leaves {
-			ins[i] = r.m[leaf]
-		}
+		ins = r.mapLeaves(leaves, ins)
 		r.m[n] = prog.replay(r.nb, ins)
 	})
 	return r.finish()
+}
+
+// supportSize counts the variables tt depends on.
+func supportSize(tt truth.TT) int {
+	s := 0
+	for v := 0; v < tt.N; v++ {
+		if tt.DependsOn(v) {
+			s++
+		}
+	}
+	return s
 }
 
 // mffcLowerBound computes a fast per-node lower bound on the MFFC size:

@@ -20,7 +20,7 @@ import (
 // These are the profitable low-order cases; higher orders trade little
 // extra gain for much more search.
 
-// simWords is the signature width used for divisor screening.
+// resubSimWords is the signature width used for divisor screening.
 const resubSimWords = 4
 
 // Resub performs resubstitution with strict node-count gain.

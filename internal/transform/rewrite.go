@@ -30,12 +30,10 @@ func rewriteImpl(g *aig.AIG, rng *rand.Rand, minGain int) *aig.AIG {
 	fo := g.FanoutCounts()
 	sav := newSavings(g)
 	r := newRebuilder(g)
+	var best []cut.Cut // all candidates tied at the best gain
+	var ins []aig.Lit
 	g.TopoForEachAnd(func(n int32, f0, f1 aig.Lit) {
-		type cand struct {
-			c    cut.Cut
-			gain int
-		}
-		var best []cand // all candidates tied at the best gain
+		best = best[:0]
 		bestGain := minGain - 1
 		for _, c := range cuts[n] {
 			if c.IsTrivial(n) || len(c.Leaves) < 2 {
@@ -49,7 +47,7 @@ func rewriteImpl(g *aig.AIG, rng *rand.Rand, minGain int) *aig.AIG {
 				best = best[:0]
 			}
 			if gain == bestGain {
-				best = append(best, cand{c, gain})
+				best = append(best, c)
 			}
 		}
 		if bestGain < minGain || len(best) == 0 {
@@ -57,11 +55,8 @@ func rewriteImpl(g *aig.AIG, rng *rand.Rand, minGain int) *aig.AIG {
 			return
 		}
 		chosen := best[rng.Intn(len(best))]
-		ins := make([]aig.Lit, len(chosen.c.Leaves))
-		for i, leaf := range chosen.c.Leaves {
-			ins[i] = r.m[leaf]
-		}
-		r.m[n] = cutProg(chosen.c.Table, len(chosen.c.Leaves)).replay(r.nb, ins)
+		ins = r.mapLeaves(chosen.Leaves, ins)
+		r.m[n] = cutProg(chosen.Table, len(chosen.Leaves)).replay(r.nb, ins)
 	})
 	return r.finish()
 }
@@ -79,13 +74,15 @@ func Expand(g *aig.AIG, rng *rand.Rand) *aig.AIG {
 	defer putMoveScratch(ms)
 	cuts := ms.enumerate(g, cut.Params{K: 4, MaxCuts: 8})
 	r := newRebuilder(g)
+	var options []cut.Cut
+	var ins []aig.Lit
 	g.TopoForEachAnd(func(n int32, f0, f1 aig.Lit) {
 		if rng.Float64() >= prob {
 			r.copyNode(n, f0, f1)
 			return
 		}
 		// Pick a random non-trivial cut.
-		var options []cut.Cut
+		options = options[:0]
 		for _, c := range cuts[n] {
 			if !c.IsTrivial(n) && len(c.Leaves) >= 2 {
 				options = append(options, c)
@@ -96,18 +93,14 @@ func Expand(g *aig.AIG, rng *rand.Rand) *aig.AIG {
 			return
 		}
 		c := options[rng.Intn(len(options))]
-		ins := make([]aig.Lit, len(c.Leaves))
-		for i, leaf := range c.Leaves {
-			ins[i] = r.m[leaf]
-		}
-		tt := truth.FromUint16K(c.Table, len(c.Leaves))
-		r.m[n] = flatSOP(r.nb, ins, tt)
+		ins = r.mapLeaves(c.Leaves, ins)
+		r.m[n] = flatProg(c.Table, len(c.Leaves)).replay(r.nb, ins)
 	})
 	return r.finish()
 }
 
 // flatSOP emits an unfactored two-level implementation: one AND chain per
-// cube, OR-chained in order.
+// cube, OR-chained in order. Expand replays it through flatProg.
 func flatSOP(b *aig.Builder, inputs []aig.Lit, t truth.TT) aig.Lit {
 	if t.IsZero() {
 		return aig.ConstFalse

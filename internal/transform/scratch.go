@@ -24,7 +24,7 @@ type moveScratch struct {
 
 var moveScratchPool = sync.Pool{New: func() any { return new(moveScratch) }}
 
-func getMoveScratch() *moveScratch  { return moveScratchPool.Get().(*moveScratch) }
+func getMoveScratch() *moveScratch   { return moveScratchPool.Get().(*moveScratch) }
 func putMoveScratch(ms *moveScratch) { moveScratchPool.Put(ms) }
 
 // enumerate is cut.Enumerate backed by the scratch's arena. The returned

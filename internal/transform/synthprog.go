@@ -8,39 +8,43 @@ import (
 	"aigtimer/internal/truth"
 )
 
-// Synthesis-program caching. truth.SynthesizeTT's emission sequence is a
-// pure function of the truth table: the ISOP covers, the cost comparison
-// (measured in standalone builders), and the factoring tree depend on
-// nothing but the table, so the AND calls it issues — and therefore the
-// structure it creates in any builder — are identical on every call.
-// Rewrite and refactor re-derive that sequence from scratch for every
-// accepted node of every move, which is where the bulk of the move
-// path's allocation (ISOP cube covers, truth-table temporaries, scratch
-// cost builders) came from. A synthProg captures the sequence once as
-// the dedup'd AND list of a standalone synthesis and replays it through
-// the target builder's structural hashing, which produces bit-identical
-// results: replay performs exactly the create-or-find operations the
-// direct call sequence would, in the same order.
+// Synthesis-program caching. The AND calls truth.SynthesizeTT issues
+// are a pure function of the truth table: the ISOP covers, the cost
+// comparison (measured in standalone builders), and the factoring tree
+// depend on nothing but the table. The same holds for flatSOP's
+// two-level form. Re-deriving them for every accepted node of every
+// move would repeat the ISOP cube covers, truth-table temporaries and
+// scratch cost builders each time. A synthProg captures the sequence
+// once as the dedup'd AND list of a standalone synthesis and replays it
+// through the target builder's structural hashing, which produces
+// bit-identical results: replay performs exactly the create-or-find
+// operations the direct call sequence would, in the same order.
 
-// synthProg is one replayable synthesis: the AND nodes SynthesizeTT
-// creates for the function over fresh inputs, in creation order, with
-// fanins referring to the standalone graph (node 0 the constant, nodes
-// 1..k the inputs, k+1.. the ops), plus the output literal.
+// synthProg is one replayable synthesis: the AND nodes a synthesis
+// function creates for the function over fresh inputs, in creation
+// order, with fanins referring to the standalone graph (node 0 the
+// constant, nodes 1..k the inputs, k+1.. the ops), plus the output
+// literal.
 type synthProg struct {
 	k   int
 	ops [][2]aig.Lit
 	out aig.Lit
 }
 
-// buildSynthProg records the synthesis of tt by running it against a
+// synthFunc emits an implementation of t over inputs into b. Recorded
+// functions must issue the same AND calls for the same table on every
+// call, whatever the builder holds: truth.SynthesizeTT and flatSOP do.
+type synthFunc func(b *aig.Builder, inputs []aig.Lit, t truth.TT) aig.Lit
+
+// recordProg records synth's emission for tt by running it against a
 // standalone builder and reading back the dedup'd AND list.
-func buildSynthProg(tt truth.TT) *synthProg {
+func recordProg(tt truth.TT, synth synthFunc) *synthProg {
 	sb := aig.NewBuilder(tt.N)
 	ins := make([]aig.Lit, tt.N)
 	for i := range ins {
 		ins[i] = sb.PI(i)
 	}
-	out := truth.SynthesizeTT(sb, ins, tt)
+	out := synth(sb, ins, tt)
 	g := sb.Build()
 	p := &synthProg{k: tt.N, out: out}
 	if n := g.NumAnds(); n > 0 {
@@ -54,11 +58,11 @@ func buildSynthProg(tt truth.TT) *synthProg {
 }
 
 // cost returns the standalone AND count of the synthesis — what a
-// scratch-builder run of SynthesizeTT would report as NumAnds.
+// scratch-builder run of the recorded function would report as NumAnds.
 func (p *synthProg) cost() int { return len(p.ops) }
 
 // replay emits the program into b over the given inputs and returns the
-// output literal, bit-identical to truth.SynthesizeTT(b, ins, tt).
+// output literal, bit-identical to calling the recorded function on b.
 func (p *synthProg) replay(b *aig.Builder, ins []aig.Lit) aig.Lit {
 	var buf [192]aig.Lit
 	m := buf[:]
@@ -75,36 +79,77 @@ func (p *synthProg) replay(b *aig.Builder, ins []aig.Lit) aig.Lit {
 	return tr(p.out)
 }
 
-// synthProgTab caches programs for cut functions (k ≤ 4, 16-bit padded
-// tables), indexed flat by (k, table): rewriting probes it once per cut
-// per node per move. Racing fills build identical programs, so a plain
-// atomic pointer suffices.
-var synthProgTab [5 << 16]atomic.Pointer[synthProg]
+// progTab caches programs for cut functions (k ≤ 4, 16-bit padded
+// tables), indexed flat by (k, table): rewriting probes it for every cut
+// of every node of a move. Racing fills record identical programs, so a
+// plain atomic pointer suffices.
+type progTab [5 << 16]atomic.Pointer[synthProg]
 
-// cutProg returns the synthesis program of a ≤4-leaf cut function.
-func cutProg(table uint16, k int) *synthProg {
-	slot := &synthProgTab[k<<16|int(table)]
+// get returns the program synth records for a ≤4-leaf cut function.
+// One table must always be used with the same synth.
+func (t *progTab) get(table uint16, k int, synth synthFunc) *synthProg {
+	slot := &t[k<<16|int(table)]
 	p := slot.Load()
 	if p == nil {
-		p = buildSynthProg(truth.FromUint16K(table, k))
+		p = recordProg(truth.FromUint16K(table, k), synth)
 		slot.Store(p)
 	}
 	return p
 }
 
-// coneProgCache caches programs for reconvergence-driven cone functions
+// synthProgTab holds truth.SynthesizeTT's programs, the factored
+// resynthesis rewriting applies; flatProgTab holds flatSOP's, the
+// two-level form expansion applies.
+var synthProgTab, flatProgTab progTab
+
+// cutProg returns the factored synthesis program of a ≤4-leaf cut
+// function.
+func cutProg(table uint16, k int) *synthProg {
+	return synthProgTab.get(table, k, truth.SynthesizeTT)
+}
+
+// flatProg returns the flat two-level program of a ≤4-leaf cut function.
+func flatProg(table uint16, k int) *synthProg {
+	return flatProgTab.get(table, k, flatSOP)
+}
+
+// coneProgCap bounds coneProgs. The cache lives for the whole process,
+// so in a resident sweep worker it would otherwise grow for as long as
+// the worker runs. A program is a pure function of its key, so dropping
+// the cache costs only refills.
+const coneProgCap = 1 << 16
+
+// coneProgs caches programs for reconvergence-driven cone functions
 // (k ≤ 8, tables up to 4 words), keyed by the padded words and width.
-var coneProgCache sync.Map // [5]uint64 -> *synthProg
+// When it reaches coneProgCap entries it is emptied.
+var coneProgs struct {
+	sync.Mutex
+	m map[[5]uint64]*synthProg
+}
 
 // coneProg returns the synthesis program of a cone function.
 func coneProg(tt truth.TT) *synthProg {
 	var key [5]uint64
 	copy(key[:4], tt.W)
 	key[4] = uint64(tt.N)
-	if v, ok := coneProgCache.Load(key); ok {
-		return v.(*synthProg)
+	coneProgs.Lock()
+	p, ok := coneProgs.m[key]
+	coneProgs.Unlock()
+	if ok {
+		return p
 	}
-	p := buildSynthProg(tt)
-	coneProgCache.Store(key, p)
+	p = recordProg(tt, truth.SynthesizeTT)
+	storeConeProg(key, p)
 	return p
+}
+
+// storeConeProg adds p to coneProgs, emptying the cache first when it is
+// full.
+func storeConeProg(key [5]uint64, p *synthProg) {
+	coneProgs.Lock()
+	defer coneProgs.Unlock()
+	if coneProgs.m == nil || len(coneProgs.m) >= coneProgCap {
+		coneProgs.m = make(map[[5]uint64]*synthProg)
+	}
+	coneProgs.m[key] = p
 }

@@ -68,6 +68,16 @@ func (r *rebuilder) copyNode(n int32, f0, f1 aig.Lit) {
 	r.m[n] = r.nb.And(r.lit(f0), r.lit(f1))
 }
 
+// mapLeaves returns the new literals of the given old nodes, in order,
+// reusing buf's storage.
+func (r *rebuilder) mapLeaves(leaves []int32, buf []aig.Lit) []aig.Lit {
+	buf = buf[:0]
+	for _, l := range leaves {
+		buf = append(buf, r.m[l])
+	}
+	return buf
+}
+
 // finish maps the POs and returns the compacted result.
 func (r *rebuilder) finish() *aig.AIG {
 	for _, po := range r.g.POs() {

@@ -272,9 +272,31 @@ func (t TT) Cofactor(v int, val bool) TT {
 	return o
 }
 
-// DependsOn reports whether the function depends on variable v.
+// DependsOn reports whether the function depends on variable v, that is,
+// whether its two cofactors on v differ. The cofactors are compared in
+// place, so the check allocates nothing.
 func (t TT) DependsOn(v int) bool {
-	return !t.Cofactor(v, false).Equal(t.Cofactor(v, true))
+	if v >= 6 {
+		half := 1 << (v - 6)
+		for i := range t.W {
+			if i&half == 0 && t.W[i] != t.W[i+half] {
+				return true
+			}
+		}
+		return false
+	}
+	// Compare each minterm with v clear against its partner with v set.
+	mask := ^varMasks[v]
+	if t.N < 6 {
+		mask &= (uint64(1) << (1 << t.N)) - 1
+	}
+	sh := uint(1) << v
+	for _, w := range t.W {
+		if (w^w>>sh)&mask != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Support returns the indices of variables the function depends on.

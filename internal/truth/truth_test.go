@@ -62,6 +62,32 @@ func TestCofactorShannon(t *testing.T) {
 	}
 }
 
+// TestDependsOnMatchesCofactors checks the in-place dependency test
+// against its definition, on random tables and on tables made
+// independent of some variables by cofactoring.
+func TestDependsOnMatchesCofactors(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(10)
+		tt := randTT(rng, n)
+		for v := 0; v < n; v++ {
+			if rng.Intn(3) == 0 {
+				tt = tt.Cofactor(v, rng.Intn(2) == 0)
+			}
+		}
+		for v := 0; v < n; v++ {
+			want := !tt.Cofactor(v, false).Equal(tt.Cofactor(v, true))
+			if got := tt.DependsOn(v); got != want {
+				t.Fatalf("%v: DependsOn(%d) = %v, want %v", tt, v, got, want)
+			}
+		}
+	}
+	wide := Var(8, 7)
+	if a := testing.AllocsPerRun(10, func() { wide.DependsOn(7) }); a != 0 {
+		t.Errorf("DependsOn allocated %v times per call", a)
+	}
+}
+
 func TestSupport(t *testing.T) {
 	n := 5
 	f := Var(n, 1).And(Var(n, 3)) // depends on 1 and 3 only
