@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"aigtimer/internal/anneal"
@@ -194,12 +195,15 @@ func runBenchAnneal(cfg config) error {
 // trajectoryRecord is one compact line of the cross-PR perf trajectory
 // (perf/trajectory.jsonl): enough to plot iters/sec, the eval/move
 // split, and the cache/incremental rates over time without retaining
-// full reports.
+// full reports. NumCPU and CPUModel name the machine, since GOMAXPROCS
+// alone can be set below the real core count.
 type trajectoryRecord struct {
 	Date        string  `json:"date"`
 	Design      string  `json:"design"`
 	Iterations  int     `json:"iterations"`
 	GOMAXPROCS  int     `json:"gomaxprocs"`
+	NumCPU      int     `json:"num_cpu"`
+	CPUModel    string  `json:"cpu_model"`
 	Config      string  `json:"config"`
 	ItersPerSec float64 `json:"iters_per_sec"`
 	EvalSeconds float64 `json:"eval_seconds"`
@@ -219,6 +223,7 @@ func appendTrajectory(path string, report annealBenchReport) error {
 	}
 	defer f.Close()
 	date := time.Now().UTC().Format("2006-01-02")
+	model := cpuModel()
 	enc := json.NewEncoder(f)
 	for _, c := range report.Configs {
 		rec := trajectoryRecord{
@@ -226,7 +231,8 @@ func appendTrajectory(path string, report annealBenchReport) error {
 			Design:     report.Design,
 			Iterations: report.Iterations,
 			GOMAXPROCS: report.GOMAXPROCS,
-			Config:     c.Name, ItersPerSec: c.ItersPerSec,
+			NumCPU:     runtime.NumCPU(), CPUModel: model,
+			Config: c.Name, ItersPerSec: c.ItersPerSec,
 			EvalSeconds: c.EvalSeconds, MoveSeconds: c.MoveSeconds,
 			CacheHit: c.CacheHitRate, DeltaEvals: c.DeltaEvals, FullEvals: c.FullEvals,
 			Speedup:  report.Configs[0].WallSeconds / c.WallSeconds,
@@ -237,6 +243,22 @@ func appendTrajectory(path string, report annealBenchReport) error {
 		}
 	}
 	return nil
+}
+
+// cpuModel returns the first "model name" of /proc/cpuinfo, or "" where
+// that file is absent or names no model (non-Linux hosts, some ARM
+// kernels).
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
 }
 
 // sameTrajectory reports whether two runs consumed bit-identical

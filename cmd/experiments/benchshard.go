@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 
@@ -232,6 +233,8 @@ func runBenchShard(cfg config) error {
 type shardTrajectoryRecord struct {
 	Date             string  `json:"date"`
 	Design           string  `json:"design"`
+	NumCPU           int     `json:"num_cpu"`
+	CPUModel         string  `json:"cpu_model"`
 	Config           string  `json:"config"`
 	Workers          int     `json:"workers"`
 	BytesSent        int64   `json:"bytes_sent"`
@@ -254,10 +257,12 @@ func appendShardTrajectory(path string, report shardBenchReport) error {
 	}
 	defer f.Close()
 	date := time.Now().UTC().Format("2006-01-02")
+	model := cpuModel()
 	enc := json.NewEncoder(f)
 	for _, r := range report.Runs {
 		rec := shardTrajectoryRecord{
-			Date: date, Design: report.Design, Config: r.Name, Workers: r.Workers,
+			Date: date, Design: report.Design, NumCPU: runtime.NumCPU(), CPUModel: model,
+			Config: r.Name, Workers: r.Workers,
 			BytesSent: r.BytesSent, BytesReceived: r.BytesReceived, SeedBytes: r.SeedBytes,
 			CacheRecords: r.CacheRecords, CacheDuplicates: r.CacheDuplicates,
 			PrefilterHits: r.PrefilterHits, PrefilterHitRate: r.PrefilterHitRate,

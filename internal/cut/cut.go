@@ -13,32 +13,67 @@
 // kept per node (priority cuts). K is limited to 4 so that cut functions
 // fit in a uint16 truth table.
 //
-// Allocation model: enumeration distinguishes scratch (candidate pools,
-// merge buffers — valid only within one node's merge, reused via Scratch)
-// from retained storage (the kept cut lists and their leaf slices, written
-// into a caller-owned Arena). A caller that reuses its Arena and Scratch
+// Allocation model: a Cut is a fixed-width value (at most four leaves held
+// inline, plus their signature and the table), so merging, filtering and
+// copying cuts never allocate. Enumeration distinguishes scratch
+// (candidate pools and the dual-enumeration union lists, valid only
+// within one node's merge, reused via Scratch) from retained storage (the
+// kept per-node cut lists, carved from a caller-owned Arena, which holds
+// cut lists and nothing else). A caller that reuses its Arena and Scratch
 // across calls pays zero steady-state heap allocations for enumeration;
-// the legacy entry points allocate a fresh pair per call and behave as
-// before.
+// the allocating entry points make a fresh pair per call.
 package cut
 
 import (
+	"math/bits"
 	"slices"
 
 	"aigtimer/internal/aig"
 	"aigtimer/internal/truth"
 )
 
-// Cut is a k-feasible cut: sorted leaf node indices and the function of
-// the root over those leaves, padded to a 4-variable table.
+// Cut is a k-feasible cut: up to four sorted leaf node indices and the
+// function of the root over those leaves, padded to a 4-variable table.
+// It is a plain value. The leaves are read through Size, Leaf and Leaves
+// and set only by New and by enumeration, which keep them sorted and
+// keep the leaf signature in step with them.
 type Cut struct {
-	Leaves []int32
+	// sig is the leaf signature: the OR of 1<<(leaf&63) over the leaves.
+	// Its popcount is a lower bound on the leaf count of any union, and
+	// a set bit missing from another cut's signature disproves subset.
+	sig    uint64
+	leaves [4]int32 // sorted ascending; entries at n and above are zero
+	n      uint8
 	Table  uint16
 }
 
+// New returns the cut with the given leaves and table. leaves must be
+// sorted ascending and hold at most four entries.
+func New(leaves []int32, table uint16) Cut {
+	c := Cut{n: uint8(len(leaves)), Table: table}
+	if len(leaves) > len(c.leaves) {
+		panic("cut: more than four leaves")
+	}
+	copy(c.leaves[:], leaves)
+	for _, l := range leaves {
+		c.sig |= 1 << (uint32(l) & 63)
+	}
+	return c
+}
+
+// Size returns the number of leaves.
+func (c *Cut) Size() int { return int(c.n) }
+
+// Leaf returns the i-th smallest leaf; i must be below Size.
+func (c *Cut) Leaf(i int) int32 { return c.leaves[i] }
+
+// Leaves returns the sorted leaves as a slice of the cut's own storage,
+// valid as long as the cut is.
+func (c *Cut) Leaves() []int32 { return c.leaves[:c.n] }
+
 // IsTrivial reports whether the cut is the trivial cut {root}.
-func (c Cut) IsTrivial(root int32) bool {
-	return len(c.Leaves) == 1 && c.Leaves[0] == root
+func (c *Cut) IsTrivial(root int32) bool {
+	return c.n == 1 && c.leaves[0] == root
 }
 
 // Params configures enumeration.
@@ -50,149 +85,77 @@ type Params struct {
 // DefaultParams are suitable for both rewriting and mapping.
 var DefaultParams = Params{K: 4, MaxCuts: 8}
 
-// arenaBlock sizes the Arena's allocation blocks, in elements.
+// arenaBlock sizes the Arena's allocation blocks, in cuts.
 const arenaBlock = 4096
 
-// Arena is block-based retained storage for kept cut lists and their
-// leaf slices. Blocks are never freed by Reset, so a long-lived Arena
-// reaches a high-water mark and then serves every subsequent enumeration
-// allocation-free. Slices handed out remain valid until Reset; the owner
-// of the enumerated cuts (a techmap state, a rewrite pass) therefore owns
-// the Arena and may Reset it only when those cuts are dead.
+// Arena is block-based retained storage for kept cut lists. Blocks are
+// never freed by Reset, so a long-lived Arena reaches a high-water mark
+// and then serves every subsequent enumeration allocation-free. Slices
+// handed out remain valid until Reset; the owner of the enumerated cuts
+// (a techmap state, a rewrite pass) therefore owns the Arena and may
+// Reset it only when those cuts are dead.
 type Arena struct {
-	cutBlocks  [][]Cut
-	cutActive  int
-	leafBlocks [][]int32
-	leafActive int
+	blocks [][]Cut
+	active int
 }
 
 // Reset recycles all storage. Every slice previously returned becomes
 // invalid for reuse (contents are clobbered by subsequent allocations).
 func (a *Arena) Reset() {
-	for i := range a.cutBlocks {
-		a.cutBlocks[i] = a.cutBlocks[i][:0]
+	for i := range a.blocks {
+		a.blocks[i] = a.blocks[i][:0]
 	}
-	for i := range a.leafBlocks {
-		a.leafBlocks[i] = a.leafBlocks[i][:0]
-	}
-	a.cutActive = 0
-	a.leafActive = 0
+	a.active = 0
 }
 
-// allocCuts returns a zero-length, capacity-n cut slice carved from the
-// arena. The three-index slice expression caps it so appends can never
-// spill into a neighbour's storage.
-func (a *Arena) allocCuts(n int) []Cut {
-	for {
-		if a.cutActive >= len(a.cutBlocks) {
-			sz := arenaBlock
-			if n > sz {
-				sz = n
-			}
-			a.cutBlocks = append(a.cutBlocks, make([]Cut, 0, sz))
-		}
-		blk := a.cutBlocks[a.cutActive]
-		if cap(blk)-len(blk) >= n {
-			s := blk[len(blk) : len(blk) : len(blk)+n]
-			a.cutBlocks[a.cutActive] = blk[: len(blk)+n : cap(blk)]
-			return s
-		}
-		a.cutActive++
-	}
-}
-
-// allocLeaves returns a zero-length, capacity-n leaf slice from the arena.
-func (a *Arena) allocLeaves(n int) []int32 {
-	for {
-		if a.leafActive >= len(a.leafBlocks) {
-			sz := arenaBlock
-			if n > sz {
-				sz = n
-			}
-			a.leafBlocks = append(a.leafBlocks, make([]int32, 0, sz))
-		}
-		blk := a.leafBlocks[a.leafActive]
-		if cap(blk)-len(blk) >= n {
-			s := blk[len(blk) : len(blk) : len(blk)+n]
-			a.leafBlocks[a.leafActive] = blk[: len(blk)+n : cap(blk)]
-			return s
-		}
-		a.leafActive++
-	}
-}
-
-// AllocCuts returns a zero-length, capacity-n cut slice backed by the
+// AllocCuts returns a zero-length, capacity-n cut slice carved from the
 // arena, for callers that build retained cut lists by translation rather
 // than enumeration (incremental techmap translating a matched prefix).
-func (a *Arena) AllocCuts(n int) []Cut { return a.allocCuts(n) }
-
-// AllocLeaves returns a zero-length, capacity-n leaf slice from the
-// arena; see AllocCuts.
-func (a *Arena) AllocLeaves(n int) []int32 { return a.allocLeaves(n) }
-
-// copyCut deep-copies one cut into the arena.
-func (a *Arena) copyCut(c Cut) Cut {
-	l := a.allocLeaves(len(c.Leaves))
-	l = append(l, c.Leaves...)
-	return Cut{Leaves: l, Table: c.Table}
+// The three-index slice expression caps it so appends can never spill
+// into a neighbour's storage.
+func (a *Arena) AllocCuts(n int) []Cut {
+	for {
+		if a.active >= len(a.blocks) {
+			a.blocks = append(a.blocks, make([]Cut, 0, max(n, arenaBlock)))
+		}
+		blk := a.blocks[a.active]
+		if cap(blk)-len(blk) >= n {
+			s := blk[len(blk) : len(blk) : len(blk)+n]
+			a.blocks[a.active] = blk[: len(blk)+n : cap(blk)]
+			return s
+		}
+		a.active++
+	}
 }
 
 // copyKept copies filter output plus the trailing trivial cut of n into
 // one arena-backed list — the retained form of a node's cut list.
 func (a *Arena) copyKept(kept []Cut, n int32) []Cut {
-	out := a.allocCuts(len(kept) + 1)
-	for _, c := range kept {
-		out = append(out, a.copyCut(c))
-	}
-	out = append(out, a.trivialCut(n))
-	return out
+	out := a.AllocCuts(len(kept) + 1)
+	out = append(out, kept...)
+	return append(out, trivialCut(n))
 }
 
-// trivialCut builds the trivial cut {n} with its leaf slice in the arena.
-func (a *Arena) trivialCut(n int32) Cut {
-	l := a.allocLeaves(1)
-	l = append(l, n)
-	return Cut{Leaves: l, Table: trivialTable}
-}
-
-// Scratch holds enumeration working buffers — candidate pools, the
-// stride-4 candidate leaf store, and the dual-enumeration union lists —
-// reused across calls. A Scratch serves one enumeration at a time.
+// Scratch holds enumeration working buffers — candidate pools and the
+// dual-enumeration union lists — reused across calls. A Scratch serves
+// one enumeration at a time.
 type Scratch struct {
-	merged     []Cut
-	candLeaves []int32 // stride-4 slots; candidate i's leaves live in [4i,4i+4)
-	keep       []Cut
-	u0, u1     []taggedCut
-	poolLow    []Cut
-	poolHigh   []Cut
-	isPrefix   []bool
-}
-
-// ensureCand grows the candidate buffers to hold n candidates, preserving
-// nothing: call only before a node's merge loop (growing mid-loop would
-// move the leaf store out from under earlier candidates).
-func (s *Scratch) ensureCand(n int) {
-	if cap(s.candLeaves) < n*4 {
-		s.candLeaves = make([]int32, 0, n*4)
-	}
-	if cap(s.merged) < n {
-		s.merged = make([]Cut, 0, n)
-	}
-	s.merged = s.merged[:0]
-	s.candLeaves = s.candLeaves[:0]
-}
-
-// candSlot returns the next stride-4 leaf slot. Capacity was reserved by
-// ensureCand, so taking a slot never reallocates.
-func (s *Scratch) candSlot() []int32 {
-	n := len(s.candLeaves)
-	s.candLeaves = s.candLeaves[:n+4]
-	return s.candLeaves[n : n : n+4]
+	merged   []Cut
+	keep     []Cut
+	u0, u1   []taggedCut
+	poolLow  []Cut
+	poolHigh []Cut
+	isPrefix []bool
 }
 
 // trivialTable is the projection of a single leaf: variable 0 padded to
 // 4 vars.
 var trivialTable = truth.PadTo4(0xA, 2)
+
+// trivialCut returns the trivial cut {n}.
+func trivialCut(n int32) Cut {
+	return Cut{sig: 1 << (uint32(n) & 63), leaves: [4]int32{n}, n: 1, Table: trivialTable}
+}
 
 // Enumerate computes priority cuts for every node of g. The result is
 // indexed by node; PIs and the constant node get their trivial cut only.
@@ -213,29 +176,22 @@ func EnumerateArena(g *aig.AIG, p Params, cuts [][]Cut, a *Arena, s *Scratch) {
 
 // Seed fills the constant node's and the PIs' cut lists in cuts, the
 // base case of both full and suffix enumeration. cuts must have length
-// g.NumNodes(). Leaf storage comes from a.
+// g.NumNodes(). List storage comes from a.
 func Seed(g *aig.AIG, cuts [][]Cut, a *Arena) {
-	c0 := a.allocCuts(1)
-	cuts[0] = append(c0, Cut{Leaves: nil, Table: 0}) // constant false
+	cuts[0] = append(a.AllocCuts(1), Cut{}) // constant false
 	for i := 1; i <= g.NumPIs(); i++ {
-		ci := a.allocCuts(1)
-		cuts[i] = append(ci, a.trivialCut(int32(i)))
+		cuts[i] = append(a.AllocCuts(1), trivialCut(int32(i)))
 	}
 }
 
-// EnumerateSuffix runs the bottom-up cut merge for every AND node with
-// index >= first, reading (and trusting) the already-filled entries of
-// cuts below first. It is the incremental half of Enumerate: when a
-// graph shares a matched prefix with a previously enumerated one
-// (aig.Delta), the prefix cuts can be translated and only the dirty
-// suffix re-enumerated, with results identical to a full enumeration —
-// the merge for a node consults nothing but its fanins' cut lists.
-func EnumerateSuffix(g *aig.AIG, p Params, cuts [][]Cut, first int32) {
-	EnumerateSuffixArena(g, p, cuts, first, new(Arena), new(Scratch))
-}
-
-// EnumerateSuffixArena is EnumerateSuffix with caller-owned retained
-// storage and scratch; see EnumerateArena.
+// EnumerateSuffixArena runs the bottom-up cut merge for every AND node
+// with index >= first, reading (and trusting) the already-filled entries
+// of cuts below first; kept lists go to a and working buffers come from
+// s. It is the incremental half of EnumerateArena: when a graph shares a
+// matched prefix with a previously enumerated one (aig.Delta), the prefix
+// cuts can be translated and only the dirty suffix re-enumerated, with
+// results identical to a full enumeration — the merge for a node
+// consults nothing but its fanins' cut lists.
 func EnumerateSuffixArena(g *aig.AIG, p Params, cuts [][]Cut, first int32, a *Arena, s *Scratch) {
 	if p.K < 2 || p.K > 4 {
 		panic("cut: K must be in [2,4]")
@@ -251,20 +207,16 @@ func EnumerateSuffixArena(g *aig.AIG, p Params, cuts [][]Cut, first int32, a *Ar
 		f0, f1 := g.Fanins(n)
 		c0 := cuts[f0.Node()]
 		c1 := cuts[f1.Node()]
-		s.ensureCand(len(c0) * len(c1))
-		for _, ca := range c0 {
-			for _, cb := range c1 {
-				leaves, ok := mergeLeaves(ca.Leaves, cb.Leaves, p.K, s.candSlot())
-				if !ok {
-					continue
+		s.merged = s.merged[:0]
+		for x := range c0 {
+			for y := range c1 {
+				if c, ok := merge(&c0[x], &c1[y], p.K, f0.IsCompl(), f1.IsCompl()); ok {
+					s.merged = append(s.merged, c)
 				}
-				tt := mergeTables(ca, cb, leaves, f0.IsCompl(), f1.IsCompl())
-				s.merged = append(s.merged, Cut{Leaves: leaves, Table: tt})
 			}
 		}
-		kept := filter(s.merged, p.MaxCuts, s.keep[:0])
-		s.keep = kept
-		cuts[n] = a.copyKept(kept, n)
+		s.keep = filter(s.merged, p.MaxCuts, s.keep[:0])
+		cuts[n] = a.copyKept(s.keep, n)
 	}
 }
 
@@ -323,7 +275,7 @@ func EnumerateDualArena(g *aig.AIG, pLow, pHigh Params, low, high [][]Cut, a *Ar
 
 // seedDual validates a dual-enumeration parameter pair and seeds the
 // base case: the constant node's and the PIs' entries of both lists
-// (leaf storage from a) plus the corresponding isPrefix entries.
+// (list storage from a) plus the corresponding isPrefix entries.
 // isPrefix[n] records that low[n] minus its trivial cut is a prefix of
 // high[n] — true for almost every node (both filters walk the same
 // sorted candidates, the low one just stops earlier), and the ticket to
@@ -354,20 +306,20 @@ func dualNode(g *aig.AIG, pLow, pHigh Params, low, high [][]Cut, isPrefix []bool
 	f0, f1 := g.Fanins(n)
 	s.u0 = unionCuts(low[f0.Node()], high[f0.Node()], isPrefix[f0.Node()], s.u0[:0])
 	s.u1 = unionCuts(low[f1.Node()], high[f1.Node()], isPrefix[f1.Node()], s.u1[:0])
-	s.ensureCand(len(s.u0) * len(s.u1))
 	s.poolLow, s.poolHigh = s.poolLow[:0], s.poolHigh[:0]
-	for _, ta := range s.u0 {
-		for _, tb := range s.u1 {
+	for i := range s.u0 {
+		ta := &s.u0[i]
+		for j := range s.u1 {
+			tb := &s.u1[j]
 			toLow := ta.inLow && tb.inLow
 			toHigh := ta.inHigh && tb.inHigh
 			if !toLow && !toHigh {
 				continue
 			}
-			leaves, ok := mergeLeaves(ta.c.Leaves, tb.c.Leaves, pLow.K, s.candSlot())
+			c, ok := merge(&ta.c, &tb.c, pLow.K, f0.IsCompl(), f1.IsCompl())
 			if !ok {
 				continue
 			}
-			c := Cut{Leaves: leaves, Table: mergeTables(ta.c, tb.c, leaves, f0.IsCompl(), f1.IsCompl())}
 			if toLow {
 				s.poolLow = append(s.poolLow, c)
 			}
@@ -376,12 +328,10 @@ func dualNode(g *aig.AIG, pLow, pHigh Params, low, high [][]Cut, isPrefix []bool
 			}
 		}
 	}
-	kl := filter(s.poolLow, pLow.MaxCuts, s.keep[:0])
-	s.keep = kl
-	low[n] = a.copyKept(kl, n)
-	kh := filter(s.poolHigh, pHigh.MaxCuts, s.keep[:0])
-	s.keep = kh
-	high[n] = a.copyKept(kh, n)
+	s.keep = filter(s.poolLow, pLow.MaxCuts, s.keep[:0])
+	low[n] = a.copyKept(s.keep, n)
+	s.keep = filter(s.poolHigh, pHigh.MaxCuts, s.keep[:0])
+	high[n] = a.copyKept(s.keep, n)
 	isPrefix[n] = cutsArePrefix(low[n], high[n])
 }
 
@@ -394,7 +344,7 @@ func cutsArePrefix(lo, hi []Cut) bool {
 		return false
 	}
 	for i := 0; i < k; i++ {
-		if !equalLeaves(lo[i].Leaves, hi[i].Leaves) {
+		if !sameLeaves(&lo[i], &hi[i]) {
 			return false
 		}
 	}
@@ -418,81 +368,89 @@ func unionCuts(lo, hi []Cut, loIsPrefix bool, buf []taggedCut) []taggedCut {
 	for _, c := range hi {
 		buf = append(buf, taggedCut{c: c, inHigh: true})
 	}
-	for _, c := range lo {
+	for i := range lo {
+		c := &lo[i]
 		found := false
-		for i := range buf {
-			if equalLeaves(buf[i].c.Leaves, c.Leaves) {
-				buf[i].inLow = true
+		for j := range buf {
+			if sameLeaves(&buf[j].c, c) {
+				buf[j].inLow = true
 				found = true
 				break
 			}
 		}
 		if !found {
-			buf = append(buf, taggedCut{c: c, inLow: true})
+			buf = append(buf, taggedCut{c: *c, inLow: true})
 		}
 	}
 	return buf
 }
 
-// mergeLeaves unions two sorted leaf sets into out (a zero-length slice
-// with capacity ≥ k), failing when the union exceeds k.
-func mergeLeaves(a, b []int32, k int, out []int32) ([]int32, bool) {
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		var v int32
-		switch {
-		case i == len(a):
-			v = b[j]
-			j++
-		case j == len(b):
-			v = a[i]
-			i++
-		case a[i] < b[j]:
-			v = a[i]
-			i++
-		case a[i] > b[j]:
-			v = b[j]
-			j++
-		default:
-			v = a[i]
-			i++
-			j++
-		}
-		if len(out) == k {
-			return nil, false
-		}
-		out = append(out, v)
-	}
-	return out, true
+// sameLeaves reports whether two cuts have the same leaf set. Entries
+// past the leaf count are zero, so the arrays compare whole.
+func sameLeaves(a, b *Cut) bool {
+	return a.n == b.n && a.leaves == b.leaves
 }
 
-// mergeTables computes the AND-node function over the union leaves.
-func mergeTables(a, b Cut, leaves []int32, inv0, inv1 bool) uint16 {
-	ta := expand(a, leaves)
-	tb := expand(b, leaves)
+// merge returns the cut of an AND node whose fanins have cuts a and b
+// (complemented when inv0 and inv1): the union of their sorted leaves,
+// with the AND of both tables rewired onto it. It fails when the union
+// exceeds k leaves. Distinct signature bits are a lower bound on
+// distinct leaves, so a signature popcount above k rejects the pair
+// before any leaf is read; the leaf walk still checks, because leaves
+// equal mod 64 share one bit.
+func merge(a, b *Cut, k int, inv0, inv1 bool) (Cut, bool) {
+	sig := a.sig | b.sig
+	if bits.OnesCount64(sig) > k {
+		return Cut{}, false
+	}
+	u := Cut{sig: sig}
+	var pa, pb [4]uint8 // union position of each leaf of a and of b
+	na, nb := int(a.n), int(b.n)
+	i, j := 0, 0
+	for i < na || j < nb {
+		if int(u.n) == k {
+			return Cut{}, false
+		}
+		switch {
+		case j == nb || i < na && a.leaves[i] < b.leaves[j]:
+			u.leaves[u.n&3] = a.leaves[i] // u.n < k <= 4; the mask drops the bounds check
+			pa[i&3] = u.n
+			i++
+		case i == na || b.leaves[j] < a.leaves[i]:
+			u.leaves[u.n&3] = b.leaves[j]
+			pb[j&3] = u.n
+			j++
+		default:
+			u.leaves[u.n&3] = a.leaves[i]
+			pa[i&3], pb[j&3] = u.n, u.n
+			i++
+			j++
+		}
+		u.n++
+	}
+	ta, tb := expand(a.Table, na, &pa), expand(b.Table, nb, &pb)
 	if inv0 {
 		ta = ^ta
 	}
 	if inv1 {
 		tb = ^tb
 	}
-	return ta & tb
+	u.Table = ta & tb
+	return u, true
 }
 
-// expand rewires a cut's table from its own leaves to positions within
-// the union leaf set. Both leaf sets are sorted, so the rewiring is a
-// monotone variable expansion; lifting each variable into place with
+// expand rewires a table over n sorted leaves onto a sorted superset in
+// which leaf j sits at position pos[j]. The rewiring is a monotone
+// variable expansion; lifting each variable into place with
 // adjacent-position delta swaps (at most six for 4-variable tables) is
 // an order of magnitude cheaper than the general TransformPins minterm
 // loop, and this is the innermost operation of cut enumeration.
-func expand(c Cut, leaves []int32) uint16 {
-	t := c.Table
+func expand(t uint16, n int, pos *[4]uint8) uint16 {
 	// Place variables from the top so every swap on the way up crosses
 	// only padding positions (the padded table is invariant under them,
 	// but the swaps are exact regardless).
-	for j := len(c.Leaves) - 1; j >= 0; j-- {
-		p := indexOf(leaves, c.Leaves[j])
-		for q := j; q < p; q++ {
+	for j := n - 1; j >= 0; j-- {
+		for q := j; q < int(pos[j]); q++ {
 			t = swapAdjacent(t, q)
 		}
 	}
@@ -517,32 +475,38 @@ func swapAdjacent(t uint16, q int) uint16 {
 	return t&m.keep | t&m.up<<m.shift | t&m.down>>m.shift
 }
 
-func indexOf(s []int32, v int32) int {
-	for i, x := range s {
-		if x == v {
-			return i
+// compareCuts orders cuts by leaf count, then lexicographically by
+// leaves: a total order on distinct leaf sets.
+func compareCuts(a, b Cut) int {
+	if a.n != b.n {
+		return int(a.n) - int(b.n)
+	}
+	for i := 0; i < int(a.n); i++ {
+		if a.leaves[i] != b.leaves[i] {
+			if a.leaves[i] < b.leaves[i] {
+				return -1
+			}
+			return 1
 		}
 	}
-	panic("cut: leaf not in union")
+	return 0
 }
 
 // filter deduplicates, removes dominated cuts (a cut is dominated when a
 // strict subset of its leaves is also a cut), sorts by leaf count, and
 // keeps at most maxCuts, appending survivors to out. The sort order is
 // total on distinct leaf sets and cuts with equal leaves are identical
-// values, so the unstable sort cannot affect the selection.
+// values, so the unstable sort cannot affect the selection, and equal
+// cuts end up adjacent: a duplicate is caught by comparing it with its
+// sorted predecessor alone.
 func filter(cs []Cut, maxCuts int, out []Cut) []Cut {
-	slices.SortFunc(cs, func(a, b Cut) int {
-		if len(a.Leaves) != len(b.Leaves) {
-			return len(a.Leaves) - len(b.Leaves)
-		}
-		return slices.Compare(a.Leaves, b.Leaves)
-	})
-	for _, c := range cs {
-		if containsEqual(out, c) || dominated(out, c) {
+	slices.SortFunc(cs, compareCuts)
+	for i := range cs {
+		c := &cs[i]
+		if i > 0 && sameLeaves(&cs[i-1], c) || dominated(out, c) {
 			continue
 		}
-		out = append(out, c)
+		out = append(out, *c)
 		if len(out) == maxCuts {
 			break
 		}
@@ -550,44 +514,25 @@ func filter(cs []Cut, maxCuts int, out []Cut) []Cut {
 	return out
 }
 
-func containsEqual(cs []Cut, c Cut) bool {
-	for _, x := range cs {
-		if equalLeaves(x.Leaves, c.Leaves) {
+// dominated reports whether some kept cut's leaves are a strict subset
+// of c's. A kept cut with a signature bit outside c's cannot be one.
+func dominated(kept []Cut, c *Cut) bool {
+	for i := range kept {
+		x := &kept[i]
+		if x.n < c.n && x.sig&^c.sig == 0 && subset(x, c) {
 			return true
 		}
 	}
 	return false
 }
 
-func equalLeaves(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// dominated reports whether some kept cut's leaves are a subset of c's.
-func dominated(kept []Cut, c Cut) bool {
-	for _, x := range kept {
-		if len(x.Leaves) < len(c.Leaves) && subset(x.Leaves, c.Leaves) {
-			return true
-		}
-	}
-	return false
-}
-
-// subset reports whether sorted a ⊆ sorted b.
-func subset(a, b []int32) bool {
+// subset reports whether a's sorted leaves are a subset of b's.
+func subset(a, b *Cut) bool {
 	i := 0
-	for _, v := range b {
-		if i < len(a) && a[i] == v {
+	for _, v := range b.leaves[:b.n] {
+		if i < int(a.n) && a.leaves[i] == v {
 			i++
 		}
 	}
-	return i == len(a)
+	return i == int(a.n)
 }

@@ -1,11 +1,17 @@
 package cut
 
 import (
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"aigtimer/internal/aig"
+	"aigtimer/internal/bench"
 	"aigtimer/internal/truth"
 )
 
@@ -41,7 +47,7 @@ func TestEnumerateSmall(t *testing.T) {
 	var root *Cut
 	for i := range cuts[n3.Node()] {
 		c := &cuts[n3.Node()][i]
-		if len(c.Leaves) == 4 {
+		if c.Size() == 4 {
 			root = c
 			break
 		}
@@ -50,8 +56,8 @@ func TestEnumerateSmall(t *testing.T) {
 		t.Fatalf("no 4-leaf cut on root; cuts: %+v", cuts[n3.Node()])
 	}
 	for i, want := range []int32{1, 2, 3, 4} {
-		if root.Leaves[i] != want {
-			t.Fatalf("root cut leaves = %v", root.Leaves)
+		if root.Leaf(i) != want {
+			t.Fatalf("root cut leaves = %v", root.Leaves())
 		}
 	}
 	want := computeWant(func(m int) bool {
@@ -105,7 +111,7 @@ func TestCutFunctionsMatchSimulation(t *testing.T) {
 func cutConsistent(res *aig.SimResult, root int32, c Cut, nBits int) bool {
 	for m := 0; m < nBits; m++ {
 		idx := 0
-		for j, leaf := range c.Leaves {
+		for j, leaf := range c.Leaves() {
 			if res.Values[leaf][m/64]>>(m%64)&1 == 1 {
 				idx |= 1 << j
 			}
@@ -144,8 +150,8 @@ func TestCutSizesRespectK(t *testing.T) {
 				t.Fatalf("k=%d node %d has %d cuts", k, n, len(cuts[n]))
 			}
 			for _, c := range cuts[n] {
-				if len(c.Leaves) > k {
-					t.Fatalf("k=%d: cut with %d leaves", k, len(c.Leaves))
+				if c.Size() > k {
+					t.Fatalf("k=%d: cut with %d leaves", k, c.Size())
 				}
 			}
 		}
@@ -163,11 +169,11 @@ func TestNoDominatedCuts(t *testing.T) {
 				if i == j {
 					continue
 				}
-				if len(cs[i].Leaves) < len(cs[j].Leaves) && subset(cs[i].Leaves, cs[j].Leaves) {
+				if cs[i].Size() < cs[j].Size() && subset(&cs[i], &cs[j]) {
 					// The trivial cut appended last may be dominated only
 					// if {n} ⊂ other leaves, impossible since leaves
 					// precede n topologically... report any violation.
-					t.Fatalf("node %d: cut %v dominates kept cut %v", n, cs[i].Leaves, cs[j].Leaves)
+					t.Fatalf("node %d: cut %v dominates kept cut %v", n, cs[i].Leaves(), cs[j].Leaves())
 				}
 			}
 		}
@@ -175,22 +181,115 @@ func TestNoDominatedCuts(t *testing.T) {
 }
 
 func TestMergeLeaves(t *testing.T) {
-	slot := func() []int32 { return make([]int32, 0, 4) }
-	got, ok := mergeLeaves([]int32{1, 3}, []int32{2, 3}, 4, slot())
-	if !ok || len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("mergeLeaves = %v ok=%v", got, ok)
+	cutOf := func(leaves ...int32) *Cut {
+		c := New(leaves, truth.PadTo4(0xA, 2))
+		return &c
 	}
-	if _, ok := mergeLeaves([]int32{1, 2, 3}, []int32{4, 5}, 4, slot()); ok {
+	got, ok := merge(cutOf(1, 3), cutOf(2, 3), 4, false, false)
+	if !ok || got.Size() != 3 || got.Leaf(0) != 1 || got.Leaf(1) != 2 || got.Leaf(2) != 3 {
+		t.Fatalf("merge = %v ok=%v", got.Leaves(), ok)
+	}
+	if _, ok := merge(cutOf(1, 2, 3), cutOf(4, 5), 4, false, false); ok {
 		t.Fatalf("merge should fail on overflow")
 	}
-	got, ok = mergeLeaves(nil, []int32{7}, 4, slot())
-	if !ok || len(got) != 1 || got[0] != 7 {
-		t.Fatalf("merge with empty = %v", got)
+	got, ok = merge(&Cut{}, cutOf(7), 4, false, false)
+	if !ok || got.Size() != 1 || got.Leaf(0) != 7 {
+		t.Fatalf("merge with empty = %v", got.Leaves())
+	}
+}
+
+// TestFilterDropsDuplicates feeds filter a pool with repeated and
+// dominated cuts: each leaf set is kept once, in size-then-leaf order,
+// a superset of a kept cut is dropped, and the budget cuts the list.
+func TestFilterDropsDuplicates(t *testing.T) {
+	pool := func() []Cut {
+		var cs []Cut
+		for _, ls := range [][]int32{{4, 5}, {1, 3}, {4, 5}, {2, 6, 7}, {1, 3}, {2, 6, 7}, {1, 3, 4}} {
+			cs = append(cs, New(ls, 0))
+		}
+		return cs
+	}
+	for _, tc := range []struct {
+		maxCuts int
+		want    [][]int32
+	}{
+		{8, [][]int32{{1, 3}, {4, 5}, {2, 6, 7}}},
+		{2, [][]int32{{1, 3}, {4, 5}}},
+	} {
+		got := filter(pool(), tc.maxCuts, nil)
+		if len(got) != len(tc.want) {
+			t.Fatalf("maxCuts %d: kept %d cuts, want %v", tc.maxCuts, len(got), tc.want)
+		}
+		for i := range got {
+			if !slices.Equal(got[i].Leaves(), tc.want[i]) {
+				t.Fatalf("maxCuts %d: cut %d = %v, want %v", tc.maxCuts, i, got[i].Leaves(), tc.want[i])
+			}
+		}
+	}
+}
+
+// TestMergeMatchesSortedUnion checks the signature-gated merge against a
+// plain reference: the sorted union of the two leaf sets, rejected when
+// it exceeds k, with each table rewired by the general TransformPins
+// loop. Leaves are drawn from a few values 64 apart, so signatures alias
+// and the gate's popcount undercounts the union.
+func TestMergeMatchesSortedUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pool := []int32{3, 67, 131, 195, 5, 69, 9, 200, 1000, 1064}
+	pick := func() []int32 {
+		var ls []int32
+		for _, l := range pool {
+			if len(ls) < 4 && rng.Intn(3) == 0 {
+				ls = append(ls, l)
+			}
+		}
+		slices.Sort(ls)
+		return ls
+	}
+	aliased := 0
+	for trial := 0; trial < 20000; trial++ {
+		la, lb := pick(), pick()
+		k := 2 + rng.Intn(3)
+		inv0, inv1 := rng.Intn(2) == 0, rng.Intn(2) == 0
+		a := New(la, truth.PadTo4(uint16(rng.Uint32()), len(la)))
+		b := New(lb, truth.PadTo4(uint16(rng.Uint32()), len(lb)))
+		union := slices.Compact(slices.Sorted(slices.Values(append(slices.Clone(la), lb...))))
+		if bits.OnesCount64(a.sig|b.sig) < len(union) {
+			aliased++
+		}
+		got, ok := merge(&a, &b, k, inv0, inv1)
+		if ok != (len(union) <= k) {
+			t.Fatalf("merge(%v, %v, k=%d) ok=%v, union %v", la, lb, k, ok, union)
+		}
+		if !ok {
+			continue
+		}
+		want := New(union, 0)
+		if !sameLeaves(&got, &want) || got.sig != want.sig {
+			t.Fatalf("merge(%v, %v) = %v sig %x, want %v sig %x", la, lb, got.Leaves(), got.sig, union, want.sig)
+		}
+		rewire := func(c Cut, ls []int32, inv bool) uint16 {
+			var pinVar [4]int // pins past len(ls) are padding; any variable will do
+			for j, l := range ls {
+				pinVar[j] = slices.Index(union, l)
+			}
+			tt := truth.TransformPins(c.Table, 4, pinVar[:], 0)
+			if inv {
+				tt = ^tt
+			}
+			return tt
+		}
+		if wt := rewire(a, la, inv0) & rewire(b, lb, inv1); got.Table != wt {
+			t.Fatalf("merge(%v, %v) table %04x, want %04x", la, lb, got.Table, wt)
+		}
+	}
+	if aliased == 0 {
+		t.Fatal("no trial had aliased signature bits")
 	}
 }
 
 func TestTrivialCutTable(t *testing.T) {
-	c := new(Arena).trivialCut(9)
+	c := trivialCut(9)
 	// Projection of variable 0.
 	want := truth.PadTo4(0xA, 2)
 	if c.Table != want {
@@ -244,7 +343,7 @@ func sameCutLists(t *testing.T, tag string, a, b [][]Cut) {
 		}
 		for i := range a[n] {
 			ca, cb := a[n][i], b[n][i]
-			if ca.Table != cb.Table || !equalLeaves(ca.Leaves, cb.Leaves) {
+			if ca.Table != cb.Table || !sameLeaves(&ca, &cb) {
 				t.Fatalf("%s: node %d cut %d differs: %+v vs %+v", tag, n, i, ca, cb)
 			}
 		}
@@ -301,22 +400,62 @@ func TestExpandMatchesTransformPins(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for mask := 1; mask < 16; mask++ {
 		var own []int32
+		var pinVar [4]int
+		var pos [4]uint8
 		for b := 0; b < 4; b++ {
 			if mask>>b&1 == 1 {
+				pinVar[len(own)], pos[len(own)] = b, uint8(b)
 				own = append(own, leaves[b])
 			}
 		}
-		var pinVar [4]int
-		for j, l := range own {
-			pinVar[j] = indexOf(leaves, l)
-		}
 		for trial := 0; trial < 256; trial++ {
 			tbl := truth.PadTo4(uint16(rng.Uint32()), len(own))
-			c := Cut{Leaves: own, Table: tbl}
 			want := truth.TransformPins(tbl, 4, pinVar[:], 0)
-			if got := expand(c, leaves); got != want {
+			if got := expand(tbl, len(own), &pos); got != want {
 				t.Fatalf("expand(%04x, own=%v) = %04x, want %04x", tbl, own, got, want)
 			}
 		}
+	}
+}
+
+// hashCuts feeds every node's cut list — count, then per cut the leaf
+// count, leaves and table — into h.
+func hashCuts(h hash.Hash64, cuts [][]Cut) {
+	var buf [4]byte
+	put := func(v uint32) {
+		binary.LittleEndian.PutUint32(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, cs := range cuts {
+		put(uint32(len(cs)))
+		for i := range cs {
+			put(uint32(cs[i].Size()))
+			for _, l := range cs[i].Leaves() {
+				put(uint32(l))
+			}
+			put(uint32(cs[i].Table))
+		}
+	}
+}
+
+// TestEnumerateGoldenDigest pins the enumerator's output on every suite
+// design: Enumerate at four (K, MaxCuts) budgets and both lists of the
+// signoff effort pair's EnumerateDual. The digest was recorded from the
+// slice-leaf enumerator that the fixed-width cut value replaced; any
+// change to a kept list, its order, or a table changes it.
+func TestEnumerateGoldenDigest(t *testing.T) {
+	const want = 0x1dd98911f906ef0c
+	h := fnv.New64a()
+	for _, d := range bench.Suite() {
+		g := d.Build()
+		for _, p := range []Params{{4, 8}, {4, 24}, {3, 5}, {2, 3}} {
+			hashCuts(h, Enumerate(g, p))
+		}
+		low, high := EnumerateDual(g, Params{4, 8}, Params{4, 24})
+		hashCuts(h, low)
+		hashCuts(h, high)
+	}
+	if got := h.Sum64(); got != want {
+		t.Fatalf("cut digest %016x, want %016x", got, uint64(want))
 	}
 }

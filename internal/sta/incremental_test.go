@@ -32,8 +32,9 @@ func sameSignoff(t *testing.T, got, want *SignoffResult) {
 }
 
 // remapPair maps prev, mutates it, and returns the previous state's
-// netlist analysis inputs plus the remapped netlist and correspondence.
-func remapPair(t *testing.T, rng *rand.Rand, ands int) (prevNl, nextNl *netlist.Netlist, nm netlist.NetMap) {
+// netlist analysis inputs plus the remapped netlist, the correspondence,
+// and the number of dirty AND nodes in the rebased delta.
+func remapPair(t *testing.T, rng *rand.Rand, ands int) (prevNl, nextNl *netlist.Netlist, nm netlist.NetMap, dirty int) {
 	t.Helper()
 	lib := cell.Builtin()
 	prev := randomAIG(rng, 5+rng.Intn(4), ands, 2+rng.Intn(3))
@@ -47,10 +48,12 @@ func remapPair(t *testing.T, rng *rand.Rand, ands int) (prevNl, nextNl *netlist.
 	if err != nil {
 		t.Fatalf("Remap: %v", err)
 	}
-	return st.Netlist(), nl, netmap
+	return st.Netlist(), nl, netmap, d.NumDirty()
 }
 
-// mutateForTest re-strashes with occasional local restructuring.
+// mutateForTest re-strashes g and rebuilds about one AND in ten as
+// (a·c)·a or (a·c)·c: the function is kept, but strashing cannot fold
+// the redundant node back, so the rebased delta has a real dirty suffix.
 func mutateForTest(g *aig.AIG, rng *rand.Rand) *aig.AIG {
 	nb := aig.NewBuilder(g.NumPIs())
 	m := make([]aig.Lit, g.NumNodes())
@@ -61,9 +64,12 @@ func mutateForTest(g *aig.AIG, rng *rand.Rand) *aig.AIG {
 	g.TopoForEachAnd(func(n int32, f0, f1 aig.Lit) {
 		a := m[f0.Node()].NotIf(f0.IsCompl())
 		c := m[f1.Node()].NotIf(f1.IsCompl())
-		if rng.Intn(10) == 0 {
-			m[n] = nb.Or(a.Not(), c.Not()).Not()
-		} else {
+		switch rng.Intn(20) {
+		case 0:
+			m[n] = nb.And(nb.And(a, c), a)
+		case 1:
+			m[n] = nb.And(nb.And(a, c), c)
+		default:
 			m[n] = nb.And(a, c)
 		}
 	})
@@ -75,8 +81,12 @@ func mutateForTest(g *aig.AIG, rng *rand.Rand) *aig.AIG {
 
 func TestSignoffUpdateMatchesSignoff(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
+	changed := 0
 	for trial := 0; trial < 20; trial++ {
-		prevNl, nextNl, nm := remapPair(t, rng, 40+rng.Intn(120))
+		prevNl, nextNl, nm, dirty := remapPair(t, rng, 40+rng.Intn(120))
+		if dirty > 0 {
+			changed++
+		}
 		prevRes, err := Signoff(prevNl, SignoffParams{})
 		if err != nil {
 			t.Fatalf("Signoff(prev): %v", err)
@@ -91,11 +101,14 @@ func TestSignoffUpdateMatchesSignoff(t *testing.T) {
 		}
 		sameSignoff(t, got, want)
 	}
+	if changed < 10 {
+		t.Fatalf("only %d of 20 deltas are non-empty", changed)
+	}
 }
 
 func TestSignoffUpdateRejectsMismatchedParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	prevNl, nextNl, nm := remapPair(t, rng, 60)
+	prevNl, nextNl, nm, _ := remapPair(t, rng, 60)
 	prevRes, err := Signoff(prevNl, SignoffParams{})
 	if err != nil {
 		t.Fatalf("Signoff(prev): %v", err)

@@ -14,7 +14,7 @@
 // indices only through order comparisons, so an order-preserving
 // relabeling carries the previous state over unchanged. The dirty
 // suffix is recomputed by literally the same code the full pass runs
-// (cut.EnumerateSuffix, selectImpls from the suffix start), and the
+// (cut.EnumerateSuffixArena, selectImpls from the suffix start), and the
 // global passes that depend on all-nodes state (area recovery, emit)
 // always run in full — they are linear and cheap next to enumeration
 // and matching. The differential harness in internal/eval and the
@@ -288,18 +288,19 @@ func RemapInto(s *State, next *aig.AIG, d *aig.Delta, a *cut.Arena, dead *State,
 	return nl, ns, correspond(s, ns, d, sc), nil
 }
 
-// translateCuts deep-copies a matched node's cut list into next-graph
-// indices, with storage carved from the arena. inv is monotone over the
-// matched image, so the sorted leaf order — and with it every table,
+// translateCuts copies a matched node's cut list into next-graph
+// indices, with list storage carved from the arena. inv is monotone over
+// the matched image, so the sorted leaf order — and with it every table,
 // filter decision, and match ranking downstream — is preserved exactly.
 func translateCuts(cs []cut.Cut, inv []int32, a *cut.Arena) []cut.Cut {
 	out := a.AllocCuts(len(cs))
-	for _, c := range cs {
-		leaves := a.AllocLeaves(len(c.Leaves))
-		for _, l := range c.Leaves {
-			leaves = append(leaves, inv[l])
+	var leaves [4]int32
+	for i := range cs {
+		c := &cs[i]
+		for j, l := range c.Leaves() {
+			leaves[j] = inv[l]
 		}
-		out = append(out, cut.Cut{Leaves: leaves, Table: c.Table})
+		out = append(out, cut.New(leaves[:c.Size()], c.Table))
 	}
 	return out
 }

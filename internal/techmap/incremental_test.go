@@ -2,6 +2,7 @@ package techmap
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aigtimer/internal/aig"
@@ -35,10 +36,11 @@ func sameNetlist(a, b *netlist.Netlist) bool {
 	return true
 }
 
-// mutateAIG derives a functionally different-but-similar graph from g:
-// it re-strashes g with occasional local restructurings (fanin swaps
-// and re-associations), the kind of cone-local change annealer moves
-// produce.
+// mutateAIG derives a structurally different, functionally equivalent
+// graph from g: it re-strashes g and rebuilds about one AND in twelve as
+// (a·c)·a or (a·c)·c, which strashing cannot fold back, so the rebased
+// delta has a real dirty suffix — the kind of cone-local change annealer
+// moves produce.
 func mutateAIG(g *aig.AIG, rng *rand.Rand) *aig.AIG {
 	nb := aig.NewBuilder(g.NumPIs())
 	m := make([]aig.Lit, g.NumNodes())
@@ -51,11 +53,9 @@ func mutateAIG(g *aig.AIG, rng *rand.Rand) *aig.AIG {
 		c := m[f1.Node()].NotIf(f1.IsCompl())
 		switch rng.Intn(12) {
 		case 0:
-			// Redundant restructure: a AND c via De Morgan through OR.
-			m[n] = nb.Or(a.Not(), c.Not()).Not()
+			m[n] = nb.And(nb.And(a, c), a)
 		case 1:
-			a, c = c, a
-			m[n] = nb.And(a, c)
+			m[n] = nb.And(nb.And(a, c), c)
 		default:
 			m[n] = nb.And(a, c)
 		}
@@ -69,6 +69,9 @@ func mutateAIG(g *aig.AIG, rng *rand.Rand) *aig.AIG {
 func TestRemapMatchesFullMap(t *testing.T) {
 	lib := cell.Builtin()
 	rng := rand.New(rand.NewSource(42))
+	// mixed counts deltas with both a matched prefix, whose cuts Remap
+	// translates, and a dirty suffix it re-enumerates.
+	deltas, mixed := 0, 0
 	for _, p := range []Params{
 		DefaultParams,
 		{Cut: cut.Params{K: 4, MaxCuts: 24}, NominalLoadFF: 6.0, AreaRecovery: true},
@@ -85,6 +88,10 @@ func TestRemapMatchesFullMap(t *testing.T) {
 			for step := 0; step < 4; step++ {
 				raw := mutateAIG(cur, rng)
 				next, d := aig.Rebase(cur, raw)
+				deltas++
+				if d.NumMatched() > 0 && d.NumDirty() > 0 {
+					mixed++
+				}
 				incNl, incState, nm, err := Remap(curState, next, d)
 				if err != nil {
 					t.Fatalf("Remap: %v", err)
@@ -95,6 +102,12 @@ func TestRemapMatchesFullMap(t *testing.T) {
 				}
 				if !sameNetlist(incNl, fullNl) {
 					t.Fatalf("trial %d step %d (%v): incremental netlist differs from full map (dirty %v)",
+						trial, step, p.Cut, d)
+				}
+				// The retained cut lists, translated prefix and
+				// re-enumerated suffix, must equal a fresh enumeration.
+				if !slices.EqualFunc(incState.cuts, cut.Enumerate(next, incState.p.Cut), slices.Equal[[]cut.Cut]) {
+					t.Fatalf("trial %d step %d (%v): remapped cut lists differ from a fresh enumeration (dirty %v)",
 						trial, step, p.Cut, d)
 				}
 				// Correspondence sanity: every mapped net pair must have
@@ -117,6 +130,9 @@ func TestRemapMatchesFullMap(t *testing.T) {
 				cur, curState = next, incState
 			}
 		}
+	}
+	if mixed < deltas/2 {
+		t.Fatalf("only %d of %d deltas have a matched prefix and a dirty suffix", mixed, deltas)
 	}
 }
 

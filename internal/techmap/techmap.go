@@ -187,8 +187,9 @@ func (m *mapper) selectImpls(from int32) error {
 func (m *mapper) selectNode(n int32) error {
 	for ph := pos; ph <= neg; ph++ {
 		best := impl{kind: kindNone, arrival: math.Inf(1)}
-		for ci, c := range m.cuts[n] {
-			if c.IsTrivial(n) || len(c.Leaves) == 0 {
+		for ci := range m.cuts[n] {
+			c := &m.cuts[n][ci]
+			if c.IsTrivial(n) || c.Size() == 0 {
 				continue
 			}
 			tbl := c.Table
@@ -229,7 +230,7 @@ func (m *mapper) selectNode(n int32) error {
 // cutCandidates yields all realizations of the table tbl over cut c —
 // tie cells for constants, wires for projections, and library matches —
 // in the Scratch candidate buffer (valid until the next call).
-func (m *mapper) cutCandidates(c cut.Cut, ci int, tbl uint16) []impl {
+func (m *mapper) cutCandidates(c *cut.Cut, ci int, tbl uint16) []impl {
 	out := m.sc.cands[:0]
 	switch tbl {
 	case 0:
@@ -241,21 +242,21 @@ func (m *mapper) cutCandidates(c cut.Cut, ci int, tbl uint16) []impl {
 		m.sc.cands = out
 		return out
 	}
-	for j := range c.Leaves {
+	for j, leaf := range c.Leaves() {
 		if tbl == projections[j] {
 			out = append(out, impl{
-				kind: kindWire, leaf: c.Leaves[j], leafPhase: pos,
-				arrival: m.arrivalOf(c.Leaves[j], pos),
+				kind: kindWire, leaf: leaf, leafPhase: pos,
+				arrival: m.arrivalOf(leaf, pos),
 			})
 		}
 		if tbl == ^projections[j] {
 			out = append(out, impl{
-				kind: kindWire, leaf: c.Leaves[j], leafPhase: neg,
-				arrival: m.arrivalOf(c.Leaves[j], neg),
+				kind: kindWire, leaf: leaf, leafPhase: neg,
+				arrival: m.arrivalOf(leaf, neg),
 			})
 		}
 	}
-	for _, match := range m.lib.Matches(tbl, len(c.Leaves)) {
+	for _, match := range m.lib.Matches(tbl, c.Size()) {
 		out = append(out, m.evalMatch(c, ci, match))
 	}
 	m.sc.cands = out
@@ -263,11 +264,11 @@ func (m *mapper) cutCandidates(c cut.Cut, ci int, tbl uint16) []impl {
 }
 
 // evalMatch scores a cut/cell pairing under the nominal-load delay model.
-func (m *mapper) evalMatch(c cut.Cut, cutIdx int, match cell.Match) impl {
+func (m *mapper) evalMatch(c *cut.Cut, cutIdx int, match cell.Match) impl {
 	d := match.Cell.DelayPS(m.p.NominalLoadFF)
 	arr := 0.0
 	for j := 0; j < match.Cell.NumInputs; j++ {
-		leaf := c.Leaves[match.PinVar[j]]
+		leaf := c.Leaf(match.PinVar[j])
 		ph := pos
 		if match.PinInv>>j&1 == 1 {
 			ph = neg
@@ -334,13 +335,13 @@ func (m *mapper) markUsed() {
 		case kindWire:
 			push(im.leaf, im.leafPhase)
 		case kindGate:
-			c := m.cuts[it.n][im.cutIdx]
+			c := &m.cuts[it.n][im.cutIdx]
 			for j := 0; j < im.match.Cell.NumInputs; j++ {
 				ph := pos
 				if im.match.PinInv>>j&1 == 1 {
 					ph = neg
 				}
-				push(c.Leaves[im.match.PinVar[j]], ph)
+				push(c.Leaf(im.match.PinVar[j]), ph)
 			}
 		}
 	}
@@ -407,14 +408,14 @@ func (m *mapper) recoverArea() {
 					lower(&req[im.leaf][im.leafPhase], req[n][ph])
 				}
 			case kindGate:
-				c := m.cuts[n][im.cutIdx]
+				c := &m.cuts[n][im.cutIdx]
 				d := im.match.Cell.DelayPS(m.p.NominalLoadFF)
 				for j := 0; j < im.match.Cell.NumInputs; j++ {
 					lph := pos
 					if im.match.PinInv>>j&1 == 1 {
 						lph = neg
 					}
-					leaf := c.Leaves[im.match.PinVar[j]]
+					leaf := c.Leaf(im.match.PinVar[j])
 					if m.g.IsAnd(leaf) {
 						lower(&req[leaf][lph], req[n][ph]-d)
 					}
@@ -434,13 +435,13 @@ func (m *mapper) recoverArea() {
 				continue
 			}
 			r := req[n][ph]
-			c := m.cuts[n][im.cutIdx]
+			c := &m.cuts[n][im.cutIdx]
 			tbl := c.Table
 			if ph == neg {
 				tbl = ^tbl
 			}
 			best := m.evalMatch(c, im.cutIdx, im.match) // refresh arrival
-			for _, match := range m.lib.Matches(tbl, len(c.Leaves)) {
+			for _, match := range m.lib.Matches(tbl, c.Size()) {
 				if match.PinVar != im.match.PinVar || match.PinInv != im.match.PinInv {
 					continue
 				}
@@ -530,7 +531,7 @@ func (e *emitter) need(n int32, ph int) netlist.NetID {
 		case kindTie:
 			net = e.addGate(key, m.lib.Tie(im.tieVal))
 		case kindGate:
-			c := m.cuts[n][im.cutIdx]
+			c := &m.cuts[n][im.cutIdx]
 			var insArr [4]netlist.NetID
 			ins := insArr[:im.match.Cell.NumInputs]
 			for j := range ins {
@@ -538,7 +539,7 @@ func (e *emitter) need(n int32, ph int) netlist.NetID {
 				if im.match.PinInv>>j&1 == 1 {
 					lph = neg
 				}
-				ins[j] = e.need(c.Leaves[im.match.PinVar[j]], lph)
+				ins[j] = e.need(c.Leaf(im.match.PinVar[j]), lph)
 			}
 			net = e.addGate(key, im.match.Cell, ins...)
 		default:

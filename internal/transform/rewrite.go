@@ -35,28 +35,29 @@ func rewriteImpl(g *aig.AIG, rng *rand.Rand, minGain int) *aig.AIG {
 	g.TopoForEachAnd(func(n int32, f0, f1 aig.Lit) {
 		best = best[:0]
 		bestGain := minGain - 1
-		for _, c := range cuts[n] {
-			if c.IsTrivial(n) || len(c.Leaves) < 2 {
+		for i := range cuts[n] {
+			c := &cuts[n][i]
+			if c.IsTrivial(n) || c.Size() < 2 {
 				continue
 			}
-			saved := sav.compute(n, c.Leaves, fo)
-			cost := synthCost(c.Table, len(c.Leaves))
+			saved := sav.compute(n, c.Leaves(), fo)
+			cost := synthCost(c.Table, c.Size())
 			gain := saved - cost
 			if gain > bestGain {
 				bestGain = gain
 				best = best[:0]
 			}
 			if gain == bestGain {
-				best = append(best, c)
+				best = append(best, *c)
 			}
 		}
 		if bestGain < minGain || len(best) == 0 {
 			r.copyNode(n, f0, f1)
 			return
 		}
-		chosen := best[rng.Intn(len(best))]
-		ins = r.mapLeaves(chosen.Leaves, ins)
-		r.m[n] = cutProg(chosen.Table, len(chosen.Leaves)).replay(r.nb, ins)
+		chosen := &best[rng.Intn(len(best))]
+		ins = r.mapLeaves(chosen.Leaves(), ins)
+		r.m[n] = cutProg(chosen.Table, chosen.Size()).replay(r.nb, ins)
 	})
 	return r.finish()
 }
@@ -83,18 +84,18 @@ func Expand(g *aig.AIG, rng *rand.Rand) *aig.AIG {
 		}
 		// Pick a random non-trivial cut.
 		options = options[:0]
-		for _, c := range cuts[n] {
-			if !c.IsTrivial(n) && len(c.Leaves) >= 2 {
-				options = append(options, c)
+		for i := range cuts[n] {
+			if c := &cuts[n][i]; !c.IsTrivial(n) && c.Size() >= 2 {
+				options = append(options, *c)
 			}
 		}
 		if len(options) == 0 {
 			r.copyNode(n, f0, f1)
 			return
 		}
-		c := options[rng.Intn(len(options))]
-		ins = r.mapLeaves(c.Leaves, ins)
-		r.m[n] = flatProg(c.Table, len(c.Leaves)).replay(r.nb, ins)
+		c := &options[rng.Intn(len(options))]
+		ins = r.mapLeaves(c.Leaves(), ins)
+		r.m[n] = flatProg(c.Table, c.Size()).replay(r.nb, ins)
 	})
 	return r.finish()
 }
