@@ -324,99 +324,6 @@ func BenchmarkRecipeApply(b *testing.B) {
 	}
 }
 
-// coneForest builds an AIG of `trees` independent logic cones (one PO
-// each, disjoint PI supports, ~30 AND nodes per cone), so dirtying k
-// cones touches exactly k/trees of the graph — a controllable workload
-// for the incremental-evaluation benchmarks. The first `mutated` cones
-// use a re-associated shape of the same function, so two forests that
-// differ only in `mutated` share all remaining cones structurally.
-func coneForest(trees, mutated int) *aig.AIG {
-	const pisPerTree = 11
-	b := aig.NewBuilder(trees * pisPerTree)
-	for t := 0; t < trees; t++ {
-		pis := make([]aig.Lit, pisPerTree)
-		for i := range pis {
-			pis[i] = b.PI(t*pisPerTree + i)
-		}
-		// An XOR-heavy reduction (~4 ANDs per XOR keeps cones around 30
-		// nodes); the mutated variant re-associates the same function.
-		var out aig.Lit
-		if t < mutated {
-			out = pis[pisPerTree-1]
-			for i := pisPerTree - 2; i >= 0; i-- {
-				out = b.Xor(out, pis[i])
-			}
-			out = b.And(out, b.Or(pis[0], pis[3]))
-		} else {
-			out = pis[0]
-			for i := 1; i < pisPerTree; i++ {
-				out = b.Xor(out, pis[i])
-			}
-			out = b.And(out, b.Or(pis[0], pis[3]))
-		}
-		b.AddPO(out)
-	}
-	return b.Build().Compact()
-}
-
-// BenchmarkIncrementalEval compares a full signoff evaluation (mapping
-// at two efforts + 3-corner NLDM STA) against the incremental path at
-// several dirty-cone sizes on a >= 2000-node AIG. The incremental
-// result is bit-identical by construction (enforced by the eval-layer
-// differential harness); this benchmark tracks the speedup, which
-// should exceed 3x for small dirty cones (<= 5% of nodes). Both arms
-// draw from one warmed signoff.Pool and release every result, as the
-// annealer's evaluator does, so neither arm pays for fresh storage.
-func BenchmarkIncrementalEval(b *testing.B) {
-	const trees = 64
-	lib := cell.Builtin()
-	prev := coneForest(trees, 0)
-	if prev.NumAnds() < 2000 {
-		b.Fatalf("forest too small: %d ands", prev.NumAnds())
-	}
-	pool := signoff.NewPool()
-	_, st, err := pool.EvaluateState(prev, lib)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, dirtyTrees := range []int{1, 3, 16, 64} {
-		raw := coneForest(trees, dirtyTrees)
-		next, d := aig.Rebase(prev, raw)
-		tag := itoa(dirtyTrees) + "of" + itoa(trees) + "-cones"
-		run := func(b *testing.B, eval func() (*signoff.EvalState, error)) {
-			for i := 0; i < 2; i++ { // warm the pool's carcasses for this graph
-				ns, err := eval()
-				if err != nil {
-					b.Fatal(err)
-				}
-				ns.Release()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ns, err := eval()
-				if err != nil {
-					b.Fatal(err)
-				}
-				ns.Release()
-			}
-			b.ReportMetric(100*d.DirtyFraction(), "dirty%") // after ResetTimer, which drops reported metrics
-		}
-		b.Run("full/dirty-"+tag, func(b *testing.B) {
-			run(b, func() (*signoff.EvalState, error) {
-				_, ns, err := pool.EvaluateState(next, lib)
-				return ns, err
-			})
-		})
-		b.Run("incremental/dirty-"+tag, func(b *testing.B) {
-			run(b, func() (*signoff.EvalState, error) {
-				_, ns, err := st.EvaluateDelta(next, d)
-				return ns, err
-			})
-		})
-	}
-}
-
 // BenchmarkSignoffEval measures one pooled full signoff evaluation of
 // EX08 (shared dual-effort cut enumeration, two mappings, multi-corner
 // STA), warmed to the pool's allocation-free steady state first, so it

@@ -55,15 +55,13 @@ func main() {
 		chains     = flag.Int("chains", 1, "parallel annealing chains, merged best-of")
 		noCache    = flag.Bool("no-cache", false, "disable the structural-fingerprint evaluation cache")
 		cacheMax   = flag.Int("cache-max", 0, "LRU bound on cached evaluations (0 = unbounded)")
-		noInc      = flag.Bool("no-incremental", false, "disable incremental (dirty-cone) evaluation")
-		incThresh  = flag.Float64("inc-threshold", 0, "dirty-cone fraction above which evaluation falls back to full rebuild (0 = default)")
 		sweep      = flag.Bool("sweep", false, "run the hyperparameter sweep (Fig. 5 grid) instead of a single optimization and print the Pareto front")
 		suite      = flag.String("suite", "", "comma-separated benchmark designs to sweep through one session (implies -sweep; mutually exclusive with -design/-in)")
 		shardAddrs = flag.String("shard", "", "comma-separated sweepd worker addresses; distributes -sweep/-suite across them (empty = local worker pool)")
 		hubAddr    = flag.String("hub", "", "sweephub coordinator address; submits -sweep/-suite to the resident hub fleet instead of dialing workers directly")
 		preseed    = flag.Bool("preseed", true, "push merged cache records to shard workers mid-sweep (recovers cross-worker duplicate evaluations; results unchanged)")
 		storePath  = flag.String("store", "", "persistent evaluation store file for -sweep/-suite: warm-start from past runs' records and flush this run's back (results unchanged)")
-		noTune     = flag.Bool("no-autotune", false, "disable the measurement pilot that fills unset cost knobs (batch bounds, workers, incremental threshold); explicit flags always pin their knob either way")
+		noTune     = flag.Bool("no-autotune", false, "disable the measurement pilot that fills unset cost knobs (batch bounds, workers); explicit flags always pin their knob either way")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile here (pprof format), covering the whole run")
 		memProf    = flag.String("memprofile", "", "write an allocation profile here (pprof format) at exit")
 		verbose    = flag.Bool("v", false, "print per-iteration progress")
@@ -92,25 +90,21 @@ func main() {
 	}
 
 	p := anneal.Params{
-		Iterations:           *iters,
-		StartTemp:            *startTemp,
-		DecayRate:            *decay,
-		DelayWeight:          *wDelay,
-		AreaWeight:           *wArea,
-		Seed:                 *seed,
-		BatchSize:            *batch,
-		BatchMin:             *batchMin,
-		BatchMax:             *batchMax,
-		Workers:              *workers,
-		Chains:               *chains,
-		CacheMaxEntries:      *cacheMax,
-		IncrementalThreshold: *incThresh,
+		Iterations:      *iters,
+		StartTemp:       *startTemp,
+		DecayRate:       *decay,
+		DelayWeight:     *wDelay,
+		AreaWeight:      *wArea,
+		Seed:            *seed,
+		BatchSize:       *batch,
+		BatchMin:        *batchMin,
+		BatchMax:        *batchMax,
+		Workers:         *workers,
+		Chains:          *chains,
+		CacheMaxEntries: *cacheMax,
 	}
 	if *noCache {
 		p.CacheMode = anneal.CacheOff
-	}
-	if *noInc {
-		p.Incremental = anneal.IncrementalOff
 	}
 	var store *eval.Store
 	if *storePath != "" {
@@ -183,11 +177,6 @@ func main() {
 		res.InitialEvalTime.Round(time.Microsecond))
 	fmt.Printf("oracle: %d evals (%d speculative), cache %d hits / %d misses (%.0f%% hit rate)\n",
 		res.Evals, res.SpeculativeEvals, res.CacheHits, res.CacheMisses, 100*res.CacheHitRate())
-	if res.DeltaEvals+res.FullEvals > 0 {
-		fmt.Printf("incremental: %d cone-sized / %d full evaluations (%.0f%% incremental)\n",
-			res.DeltaEvals, res.FullEvals,
-			100*float64(res.DeltaEvals)/float64(res.DeltaEvals+res.FullEvals))
-	}
 	if len(res.Chains) > 1 {
 		for _, c := range res.Chains {
 			fmt.Printf("  chain %d (seed %d): best cost %.4f, accepted %d\n",

@@ -21,7 +21,6 @@ type annealBenchConfig struct {
 	BatchSize          int     `json:"batch_size"`
 	Chains             int     `json:"chains"`
 	CacheEnabled       bool    `json:"cache_enabled"`
-	Incremental        bool    `json:"incremental"`
 	WallSeconds        float64 `json:"wall_seconds"`
 	ItersPerSec        float64 `json:"iters_per_sec"`
 	MoveSeconds        float64 `json:"move_seconds"`
@@ -32,8 +31,6 @@ type annealBenchConfig struct {
 	CacheHits          int64   `json:"cache_hits"`
 	CacheMisses        int64   `json:"cache_misses"`
 	CacheHitRate       float64 `json:"cache_hit_rate"`
-	DeltaEvals         int64   `json:"delta_evals"`
-	FullEvals          int64   `json:"full_evals"`
 	BestCost           float64 `json:"best_cost"`
 }
 
@@ -75,25 +72,17 @@ func runBenchAnneal(cfg config) error {
 	old := base
 	old.BatchSize, old.Workers, old.Chains = 1, 1, 1
 	old.CacheMode = anneal.CacheOff
-	old.Incremental = anneal.IncrementalOff
-	// The batched+cached configuration with incremental evaluation off,
-	// isolating the dirty-cone path's contribution in the third config.
+	// The shipped default: batched speculation behind the memo cache.
 	batched := base
 	batched.BatchSize = anneal.EffectiveBatchSize(0)
 	batched.CacheMode = anneal.CacheOn
-	batched.Incremental = anneal.IncrementalOff
-	// The shipped default: batched, cached, and incremental (cone-sized
-	// re-evaluation on cache misses with an anchored base).
-	incremental := batched
-	incremental.Incremental = anneal.IncrementalAuto
 	// The self-tuning configuration: the shipped stack with its cost
-	// knobs (batch bounds, workers, incremental threshold) derived from a
-	// measurement pilot. The pilot's one-time cost (amortized over a
+	// knobs (batch bounds, workers) derived from a measurement pilot. The pilot's one-time cost (amortized over a
 	// whole sweep in real flows) is reported here but kept out of the
 	// config's timed run so rows stay comparable; the trajectory check
 	// below proves the tuned knobs change none of the bits.
 	tuneStart := time.Now()
-	tuned, tuneRep, err := anneal.AutoTune(g, flows.NewGroundTruth(lib), incremental)
+	tuned, tuneRep, err := anneal.AutoTune(g, flows.NewGroundTruth(lib), batched)
 	if err != nil {
 		return fmt.Errorf("bench-anneal: autotune: %w", err)
 	}
@@ -113,7 +102,6 @@ func runBenchAnneal(cfg config) error {
 	}{
 		{"sequential-uncached", old},
 		{"batched-cached", batched},
-		{"batched-cached-incremental", incremental},
 		{"autotuned", tuned},
 	} {
 		t0 := time.Now()
@@ -129,7 +117,6 @@ func runBenchAnneal(cfg config) error {
 			BatchSize:          c.p.BatchSize,
 			Chains:             1,
 			CacheEnabled:       cacheOn,
-			Incremental:        c.p.Incremental != anneal.IncrementalOff,
 			WallSeconds:        wall.Seconds(),
 			ItersPerSec:        float64(len(res.History)) / wall.Seconds(),
 			MoveSeconds:        res.MoveTime.Seconds(),
@@ -140,20 +127,17 @@ func runBenchAnneal(cfg config) error {
 			CacheHits:          res.CacheHits,
 			CacheMisses:        res.CacheMisses,
 			CacheHitRate:       res.CacheHitRate(),
-			DeltaEvals:         res.DeltaEvals,
-			FullEvals:          res.FullEvals,
 			BestCost:           res.BestCost,
 		})
-		fmt.Printf("%-28s %8.3fs wall  %6.2f iters/s  eval %7.3fs  move %7.3fs  cache %d/%d (%.0f%%)  delta %d/%d\n",
+		fmt.Printf("%-28s %8.3fs wall  %6.2f iters/s  eval %7.3fs  move %7.3fs  cache %d/%d (%.0f%%)\n",
 			c.name, wall.Seconds(), float64(len(res.History))/wall.Seconds(),
 			res.EvalTime.Seconds(), res.MoveTime.Seconds(),
-			res.CacheHits, res.CacheHits+res.CacheMisses, 100*res.CacheHitRate(),
-			res.DeltaEvals, res.DeltaEvals+res.FullEvals)
+			res.CacheHits, res.CacheHits+res.CacheMisses, 100*res.CacheHitRate())
 	}
 	// The headline speedup tracks the shipped default configuration
-	// (batched-cached-incremental), not the autotuned row, whose knobs
-	// vary with the measuring machine.
-	const ship = 2
+	// (batched-cached), not the autotuned row, whose knobs vary with the
+	// measuring machine.
+	const ship = 1
 	report.SpeedupNewOverOld = report.Configs[0].WallSeconds / report.Configs[ship].WallSeconds
 	report.TrajectoryIdentical = true
 	for _, r := range results[1:] {
@@ -194,8 +178,8 @@ func runBenchAnneal(cfg config) error {
 
 // trajectoryRecord is one compact line of the cross-PR perf trajectory
 // (perf/trajectory.jsonl): enough to plot iters/sec, the eval/move
-// split, and the cache/incremental rates over time without retaining
-// full reports. NumCPU and CPUModel name the machine, since GOMAXPROCS
+// split, and the cache hit rate over time without retaining full
+// reports. NumCPU and CPUModel name the machine, since GOMAXPROCS
 // alone can be set below the real core count.
 type trajectoryRecord struct {
 	Date        string  `json:"date"`
@@ -209,8 +193,6 @@ type trajectoryRecord struct {
 	EvalSeconds float64 `json:"eval_seconds"`
 	MoveSeconds float64 `json:"move_seconds"`
 	CacheHit    float64 `json:"cache_hit_rate"`
-	DeltaEvals  int64   `json:"delta_evals"`
-	FullEvals   int64   `json:"full_evals"`
 	Speedup     float64 `json:"speedup_over_sequential"`
 	BestCost    float64 `json:"best_cost"`
 }
@@ -234,7 +216,7 @@ func appendTrajectory(path string, report annealBenchReport) error {
 			NumCPU:     runtime.NumCPU(), CPUModel: model,
 			Config: c.Name, ItersPerSec: c.ItersPerSec,
 			EvalSeconds: c.EvalSeconds, MoveSeconds: c.MoveSeconds,
-			CacheHit: c.CacheHitRate, DeltaEvals: c.DeltaEvals, FullEvals: c.FullEvals,
+			CacheHit: c.CacheHitRate,
 			Speedup:  report.Configs[0].WallSeconds / c.WallSeconds,
 			BestCost: c.BestCost,
 		}

@@ -4,7 +4,7 @@
 // aigopt -sweep -shard and experiments -shard.
 //
 // Each accepted connection is one independent session with its own
-// evaluation stack (memo cache + incremental oracle), configured by the
+// evaluation stack (the memo cache over the evaluator), configured by the
 // coordinator's opening message; the session's base AIG arrives once
 // and all result graphs return as delta records against it. Results are
 // bit-identical to local execution of the same grid points, so a

@@ -52,7 +52,7 @@ func main() {
 		d.Name, g.NumAnds(), g.MaxLevel(), len(cfg.Grid()))
 
 	// Start two workers. Each accepted connection becomes one session
-	// with its own evaluation stack (memo cache + incremental oracle) —
+	// with its own evaluation stack (the memo cache over the evaluator) —
 	// exactly what cmd/sweepd does per connection.
 	var addrs []string
 	for w := 0; w < 2; w++ {

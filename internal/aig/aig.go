@@ -73,11 +73,6 @@ type AIG struct {
 	levels  []int32
 	fanouts []int32
 	pairs   map[uint64]int32
-
-	// ancestry for incremental evaluation (see delta.go); set by Rebase,
-	// dropped by ClearProvenance, never copied by Copy/Compact.
-	base  *AIG
-	delta *Delta
 }
 
 // NumPIs returns the number of primary inputs.

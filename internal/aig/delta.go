@@ -7,10 +7,10 @@ import (
 
 // Delta records how a derived AIG ("next") structurally relates to the
 // AIG it was produced from ("prev"): which nodes are shared and which
-// belong to the cone a transformation actually touched. It is the
-// currency of the incremental evaluation path — techmap.Remap consumes
-// it to recompute only the dirty region, and hands sta.SignoffUpdate
-// the net correspondence that does the same for timing.
+// belong to the cone a transformation actually touched. Rebase returns
+// one with every rebased graph; it describes a move's footprint
+// (NumDirty, DirtyFraction) and Validate checks it against a pair of
+// graphs.
 //
 // A Delta always describes a *rebased* next graph (see Rebase): the AND
 // nodes of next are partitioned into a matched prefix and a dirty
@@ -18,14 +18,13 @@ import (
 // function, same fanin structure, transitively) to prev node
 // MatchedPrev[i], and MatchedPrev is strictly ascending, so the
 // translation between the two graphs preserves index order — the
-// property that makes translated per-node mapping state bit-exact. All
+// property that lets per-node state of prev carry over to next. All
 // remaining nodes, indices FirstAnd+len(MatchedPrev) and up, are dirty:
 // they either are new structure or have new structure somewhere in
 // their transitive fanin.
 //
 // Because matching requires both fanins to be matched, the dirty set is
-// closed under transitive fanout by construction: the TFO-cone
-// expansion the incremental evaluators need is already folded in.
+// closed under transitive fanout by construction.
 type Delta struct {
 	// MatchedPrev maps the matched prefix of next onto prev: next AND
 	// node FirstAnd+i corresponds to prev node MatchedPrev[i]. Strictly
@@ -44,8 +43,7 @@ func (d *Delta) NumMatched() int { return len(d.MatchedPrev) }
 func (d *Delta) NumDirty() int { return d.nextAnds - len(d.MatchedPrev) }
 
 // DirtyFraction returns NumDirty over next's AND count; 0 for an empty
-// graph. Incremental oracles fall back to full evaluation above a
-// threshold on this value.
+// graph.
 func (d *Delta) DirtyFraction() float64 {
 	if d.nextAnds == 0 {
 		return 0
@@ -62,8 +60,8 @@ func (d *Delta) String() string {
 // Validate checks that d is a consistent description of next relative
 // to prev: the matched prefix is in bounds, strictly ascending, and
 // every matched node's fanin pair translates exactly onto its prev
-// counterpart's stored pair (up to the commutative swap). Incremental
-// consumers call this before trusting a delta; the check is O(matched).
+// counterpart's stored pair (up to the commutative swap). The check is
+// O(matched).
 func (d *Delta) Validate(prev, next *AIG) error {
 	if prev.numPIs != next.numPIs {
 		return fmt.Errorf("aig: delta: PI count mismatch (%d vs %d)", prev.numPIs, next.numPIs)
@@ -145,15 +143,13 @@ func (g *AIG) PairIndex() map[uint64]int32 {
 // Rebase renumbers next into the canonical delta-friendly form relative
 // to prev and returns the rebased graph together with its Delta. Both
 // inputs are left untouched; the result is a pure renumbering of next
-// (functionally identical, same AND/level counts), with provenance set
-// to (prev, delta) so evaluation layers can pick the incremental path.
+// (functionally identical, same AND/level counts).
 //
 // Matching is structural: a next node matches a prev node when its
 // fanin pair, translated through already-matched fanins, is a fanin
 // pair of prev (commutative order ignored). Matched nodes are placed
 // first, sorted by their prev index — which makes the next↔prev
-// translation monotone, the property incremental technology mapping
-// needs for exact state reuse — followed by the dirty nodes in their
+// translation monotone — followed by the dirty nodes in their
 // original relative order. Both segments respect topological order
 // because a matched node's fanins are matched and a dirty node's fanins
 // precede it in next.
@@ -229,32 +225,14 @@ func Rebase(prev, next *AIG) (*AIG, *Delta) {
 	for i, po := range next.pos {
 		g.pos[i] = mapLit(po)
 	}
-	d := &Delta{MatchedPrev: matchedPrev, prevAnds: prev.NumAnds(), nextAnds: next.NumAnds()}
-	g.base, g.delta = prev, d
-	return g, d
+	return g, &Delta{MatchedPrev: matchedPrev, prevAnds: prev.NumAnds(), nextAnds: next.NumAnds()}
 }
 
-// Provenance returns the graph this AIG was rebased against and the
-// structural delta between them, or (nil, nil) for graphs without
-// recorded ancestry. Incremental oracles use it to locate reusable
-// evaluation state for the base graph.
-func (g *AIG) Provenance() (*AIG, *Delta) { return g.base, g.delta }
-
-// SetProvenance records (base, delta) as this graph's ancestry. The
-// delta must describe this graph relative to base (see Delta); Rebase
-// sets it automatically.
-func (g *AIG) SetProvenance(base *AIG, d *Delta) { g.base, g.delta = base, d }
-
-// ClearProvenance drops the ancestry record so the base graph can be
-// garbage-collected. The annealer calls this once a speculation round
-// has been consumed, keeping provenance chains at depth one.
-func (g *AIG) ClearProvenance() { g.base, g.delta = nil, nil }
-
 // TFO returns the AND nodes in the transitive fanout of the seed nodes
-// (seeds included, ascending order). It is the cone-expansion primitive
-// behind delta tracking: any change at a seed invalidates exactly this
-// set downstream, which is why Rebase's dirty suffix — unmatched nodes
-// plus everything reached through them — is TFO-closed by construction.
+// (seeds included, ascending order): any change at a seed invalidates
+// exactly this set downstream, which is why Rebase's dirty suffix —
+// unmatched nodes plus everything reached through them — is TFO-closed
+// by construction.
 func (g *AIG) TFO(seeds []int32) []int32 {
 	mark := make([]bool, len(g.nodes))
 	for _, s := range seeds {

@@ -110,9 +110,7 @@ func EncodeDelta(base, g *AIG) ([]byte, error) {
 // used; every back-reference and literal is bounds-checked, so a
 // mismatched or corrupted record returns an error rather than a
 // malformed graph. The result is a fresh AIG — node array, fanin order,
-// and PO list bit-identical to the encoder's input — with no provenance
-// recorded (callers wanting the incremental-evaluation ancestry run
-// Rebase themselves).
+// and PO list bit-identical to the encoder's input.
 func DecodeDelta(base *AIG, data []byte) (*AIG, error) {
 	if len(data) == 0 || data[0] != deltaWireVersion {
 		return nil, fmt.Errorf("aig: DecodeDelta: bad version byte")

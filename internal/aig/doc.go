@@ -39,16 +39,16 @@
 // into a functional fingerprint. Results are bit-identical at any worker
 // count.
 //
-// # Deltas and incremental evaluation
+// # Deltas
 //
 // Rebase renumbers a derived graph into the canonical delta-friendly
 // form relative to a base — a matched prefix (shared structure, sorted
 // by base index, so the translation is monotone) followed by a
-// TFO-closed dirty suffix — and records the (base, Delta) provenance
-// incremental evaluators key on. Delta exactness is a contract, not a
-// heuristic: consumers (techmap.Remap, and sta.SignoffUpdate through the
-// net correspondence Remap returns) produce results bit-identical to a
-// full rebuild, and Delta.Validate checks a record before it is trusted.
+// TFO-closed dirty suffix — and returns the Delta between the two;
+// Delta.Validate checks such a record against a pair of graphs. The
+// annealer rebases every ground-truth move against its parent
+// (transform.Recipe.ApplyTracked), so the rebased node order is part of
+// those trajectories.
 //
 // EncodeDelta/DecodeDelta serialize a graph against a base graph both
 // sides hold, back-referencing shared structure through the same strash

@@ -36,20 +36,6 @@ const (
 	CacheOff
 )
 
-// IncrementalMode selects the incremental-evaluation policy of a run.
-type IncrementalMode int
-
-const (
-	// IncrementalAuto routes cache misses through the delta path
-	// (eval.Incremental) when the evaluator supports it: candidates
-	// whose move touched a small cone are re-mapped and re-timed
-	// incrementally. Metrics are bit-identical to full evaluation, so
-	// the trajectory does not depend on this setting.
-	IncrementalAuto IncrementalMode = iota
-	// IncrementalOff always evaluates from scratch.
-	IncrementalOff
-)
-
 // Params configures one annealing run.
 type Params struct {
 	Iterations  int
@@ -96,16 +82,11 @@ type Params struct {
 	// it to the per-run cache it builds; flows.Sweep applies it to the
 	// sweep-wide shared cache instead.
 	CacheMaxEntries int
-	// Incremental is the incremental-evaluation policy; default
-	// IncrementalAuto. The setting never changes the trajectory, only
-	// the evaluation cost. It applies when Run builds the evaluation
-	// stack itself; callers passing a pre-cached stack (flows.Sweep)
-	// bake the policy into that stack instead.
-	Incremental IncrementalMode
-	// IncrementalThreshold overrides the dirty-fraction above which the
-	// incremental path falls back to full evaluation (0 = the
-	// evaluation layer's default). Like Incremental, it applies when
-	// Run builds the stack itself.
+	// IncrementalThreshold has no effect: every evaluation that misses
+	// the memo cache is a full one.
+	//
+	// Deprecated: nothing in this module reads or sets
+	// IncrementalThreshold, and it will be removed.
 	IncrementalThreshold float64
 	// Parallelism has no effect: a signoff evaluation always runs
 	// sequentially, and cores go to whole evaluations instead (Workers,
@@ -187,15 +168,14 @@ type Result struct {
 	CacheHits        int64
 	CacheMisses      int64
 
-	// Incremental-evaluation accounting (zero when the policy is off or
-	// the evaluator has no delta path). DeltaEvals counts evaluations
-	// served through cone-sized incremental remap+STA; FullEvals counts
-	// evaluations that ran the full pipeline (including the initial
-	// one). Cache hits appear in neither. For a shared pre-cached stack
-	// the counters report this run's share, approximate when several
-	// runs evaluate concurrently (same caveat as the cache counters).
+	// DeltaEvals and FullEvals are always 0: no evaluation takes an
+	// incremental path any more.
+	//
+	// Deprecated: nothing in this module sets them, and they will be
+	// removed.
 	DeltaEvals int64
-	FullEvals  int64
+	// Deprecated: see DeltaEvals.
+	FullEvals int64
 }
 
 // TotalSteps returns the number of iterations consumed across all
@@ -243,8 +223,8 @@ func (r *Result) CacheHitRate() float64 {
 
 // EffectiveBatchSize resolves a Params.BatchSize value to the batch the
 // run actually uses: the value itself, or min(8, GOMAXPROCS) for the
-// auto default of 0. Exported so stack builders outside Run (the sweep,
-// the bench driver) size shared resources against the same number.
+// auto default of 0. Exported so callers outside Run (the bench-anneal
+// driver) size against the same number.
 func EffectiveBatchSize(v int) int {
 	if v != 0 {
 		return v
@@ -255,32 +235,23 @@ func EffectiveBatchSize(v int) int {
 	return v
 }
 
-// AnchorBudget returns the incremental-oracle anchor store size one run
-// needs: one speculation round of candidates plus the current state,
-// per chain. Shared stacks serving several concurrent runs multiply
-// this by the run count.
-func AnchorBudget(batch, chains int) int { return (2*batch + 4) * chains }
-
-// movesTracked reports whether candidates should carry structural
-// deltas (Recipe.ApplyTracked): true when some layer of the evaluation
-// stack can consume them. The decision depends only on the stack's
-// capability, never on Params.Incremental, so the proposed moves — and
-// with them the trajectory — are identical whether the incremental
-// policy is on or off; evaluators with no delta path skip the rebase
-// work entirely.
+// movesTracked reports whether candidates are rebased against their
+// parent (Recipe.ApplyTracked): true when the evaluator under the memo
+// cache is an eval.DeltaEvaluator, as flows.GroundTruth is. Rebasing
+// renumbers a candidate's nodes, and that order is an input to later
+// moves and to the ground-truth mapper, so it is part of every recorded
+// ground-truth trajectory; evaluators that do not ask for it skip the
+// rebase work entirely.
 func movesTracked(oracle eval.Oracle) bool {
 	for {
-		switch o := oracle.(type) {
-		case *eval.Cached:
-			oracle = o.Underlying()
-		case *eval.Incremental:
-			return true
-		case eval.DeltaEvaluator:
-			return true
-		default:
-			return false
+		c, ok := oracle.(*eval.Cached)
+		if !ok {
+			break
 		}
+		oracle = c.Underlying()
 	}
+	_, ok := oracle.(eval.DeltaEvaluator)
+	return ok
 }
 
 // chainSeed derives the RNG seed of chain c, matching the historical
@@ -326,13 +297,6 @@ func Run(g0 *aig.AIG, ev Evaluator, p Params) (*Result, error) {
 		recipes = transform.Recipes()
 	}
 	batch := EffectiveBatchSize(p.BatchSize)
-	// maxBatch is the largest round any chain may run: the fixed batch,
-	// or the adaptive ceiling. Shared budgets (anchors, slice capacity)
-	// size against it.
-	maxBatch := batch
-	if p.BatchMax > maxBatch {
-		maxBatch = p.BatchMax
-	}
 	chains := p.Chains
 	if chains == 0 {
 		chains = 1
@@ -341,36 +305,10 @@ func Run(g0 *aig.AIG, ev Evaluator, p Params) (*Result, error) {
 	oracle := eval.AsOracle(ev, p.Workers)
 	// An already-cached oracle (e.g. the sweep-wide cache flows.Sweep
 	// shares across grid points) is used as-is — wrapping a second cache
-	// on top would double the fingerprint cost and graph retention, and
-	// its stack already routes misses through the incremental path. Its
+	// on top would double the fingerprint cost and graph retention. Its
 	// counters are snapshotted so the Result reports this run's share
 	// (approximate when several runs share the cache concurrently).
 	cached, preCached := oracle.(*eval.Cached)
-	var inc *eval.Incremental
-	var incBefore eval.IncrementalStats
-	if preCached {
-		// A pre-built stack carries its own incremental policy (set by
-		// whoever built it, e.g. flows.Sweep from SweepConfig.Base);
-		// report this run's share of its counters like the cache's.
-		if i, ok := cached.Underlying().(*eval.Incremental); ok {
-			inc = i
-			incBefore = i.Stats()
-		}
-	}
-	if !preCached && p.Incremental != IncrementalOff {
-		// The incremental path sits under the cache: a cache hit needs no
-		// evaluation at all, a miss is re-mapped and re-timed only inside
-		// the move's dirty cone when its base state is anchored. The
-		// anchor budget covers one round of speculative candidates plus
-		// the current state per chain.
-		wrapped := eval.NewIncremental(oracle, eval.IncrementalParams{
-			DirtyThreshold: p.IncrementalThreshold,
-			MaxStates:      AnchorBudget(maxBatch, chains),
-			Workers:        p.Workers,
-		})
-		inc, _ = wrapped.(*eval.Incremental)
-		oracle = wrapped
-	}
 	if !preCached && (p.CacheMode == CacheOn || (p.CacheMode == CacheAuto && !eval.IsCheap(ev))) {
 		cached = eval.NewCachedLRU(oracle, p.CacheMaxEntries)
 		oracle = cached
@@ -437,11 +375,6 @@ func Run(g0 *aig.AIG, ev Evaluator, p Params) (*Result, error) {
 		s := cached.Stats()
 		res.CacheHits = s.Hits - statsBefore.Hits
 		res.CacheMisses = s.Misses - statsBefore.Misses
-	}
-	if inc != nil {
-		s := inc.Stats()
-		res.DeltaEvals = s.DeltaEvals - incBefore.DeltaEvals
-		res.FullEvals = s.FullEvals - incBefore.FullEvals
 	}
 	return res, nil
 }
@@ -510,9 +443,9 @@ func treeDepth(batch int) int {
 func runChain(g0 *aig.AIG, oracle eval.Oracle, p Params, recipes []transform.Recipe,
 	batch int, seed int64, cost func(Metrics) float64, init Metrics, tracked bool) chainState {
 
-	// apply runs one recipe move, emitting the structural delta only
-	// when some oracle layer can consume it (tracked); rebasing costs a
-	// graph copy per proposal, pure waste for proxy-style evaluators.
+	// apply runs one recipe move, rebased against its base when the
+	// evaluator asks for it (tracked); rebasing costs a graph copy per
+	// proposal, pure waste for proxy-style evaluators.
 	apply := func(r transform.Recipe, base *aig.AIG, rng *rand.Rand) *aig.AIG {
 		if tracked {
 			g, _ := r.ApplyTracked(base, rng)
@@ -547,17 +480,14 @@ func runChain(g0 *aig.AIG, oracle eval.Oracle, p Params, recipes []transform.Rec
 	nodes := make([]specNode, 0, batch)
 	gs := make([]*aig.AIG, 0, batch)
 	bases := make([]*aig.AIG, 0, batch)
-	levelEnds := make([]int, 0, 8) // tree rounds: end index of each level
-	sinceAccept := 0               // consumed iterations since the last acceptance
+	sinceAccept := 0 // consumed iterations since the last acceptance
 
 	// propose fills nodes[lo:hi] for iteration index iter, node j taking
 	// bases[j] as its assumed current state. Proposals are independent
 	// given their per-iteration RNG streams, so they run on the worker
 	// pool; the shared bases' lazy caches are pre-warmed by the caller.
-	// ApplyTracked rebases each candidate against its base and records
-	// the move's dirty cone as provenance, which the incremental oracle
-	// turns into cone-sized evaluation; rebasing is deterministic, so
-	// the trajectory stays batch- and worker-invariant.
+	// Rebasing (tracked) is deterministic, so the trajectory stays
+	// batch- and worker-invariant.
 	propose := func(lo, hi, iter int) {
 		eval.ForEach(hi-lo, p.Workers, func(j int) {
 			rng := rand.New(rand.NewSource(iterSeed(seed, iter)))
@@ -591,7 +521,6 @@ func runChain(g0 *aig.AIG, oracle eval.Oracle, p Params, recipes []transform.Rec
 		}
 		nodes = nodes[:0]
 		bases = bases[:0]
-		levelEnds = levelEnds[:0]
 		if hot && d > 1 {
 			// Tree round: level l holds the 2^l proposals for iteration
 			// it+l, one per reachable state after l decisions.
@@ -599,7 +528,6 @@ func runChain(g0 *aig.AIG, oracle eval.Oracle, p Params, recipes []transform.Rec
 			nodes = append(nodes, specNode{})
 			bases = append(bases, cur)
 			propose(0, 1, it)
-			levelEnds = append(levelEnds, 1)
 			for l := 1; l < d; l++ {
 				hi := len(nodes)
 				for pi := lo; pi < hi; pi++ {
@@ -611,7 +539,6 @@ func runChain(g0 *aig.AIG, oracle eval.Oracle, p Params, recipes []transform.Rec
 					bases = append(bases, nodes[pi].g)
 				}
 				propose(hi, len(nodes), it+l)
-				levelEnds = append(levelEnds, len(nodes))
 				lo = hi
 			}
 		} else {
@@ -648,24 +575,7 @@ func runChain(g0 *aig.AIG, oracle eval.Oracle, p Params, recipes []transform.Rec
 			gs = append(gs, nodes[i].g)
 		}
 		tEval := time.Now()
-		var ms []Metrics
-		if tracked && len(levelEnds) > 1 {
-			// Score the speculation tree level by level: a level's
-			// candidates are anchored in the incremental oracle before
-			// their children (whose bases they are) evaluate, so the
-			// accept branches take the cone-sized path instead of
-			// missing the anchor. EvaluateBatch is value-transparent, so
-			// the metrics — and the trajectory — are identical to one
-			// flat batch; only evaluation cost changes.
-			ms = make([]Metrics, 0, len(gs))
-			s := 0
-			for _, e := range levelEnds {
-				ms = append(ms, oracle.EvaluateBatch(gs[s:e])...)
-				s = e
-			}
-		} else {
-			ms = oracle.EvaluateBatch(gs)
-		}
+		ms := oracle.EvaluateBatch(gs)
 		cs.evalTime += time.Since(tEval)
 		cs.evals += len(nodes)
 
@@ -716,12 +626,6 @@ func runChain(g0 *aig.AIG, oracle eval.Oracle, p Params, recipes []transform.Rec
 					curBatch = p.BatchMax
 				}
 			}
-		}
-		// The oracle has consumed every candidate's provenance; drop the
-		// records so base graphs do not chain into a retained history
-		// (provenance depth stays at one).
-		for i := range nodes {
-			nodes[i].g.ClearProvenance()
 		}
 	}
 	return cs

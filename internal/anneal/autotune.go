@@ -9,17 +9,17 @@ import (
 )
 
 // Self-tuning search parameters. The cost knobs of Params — adaptive
-// batch bounds, worker count, incremental dirty-fraction threshold —
-// are all value-transparent: the accepted trajectory for a fixed seed
-// is identical at every setting, so choosing them is purely a question
-// of cost, and cost is measurable. AutoTune measures it with a short
-// pilot run and fills every knob the caller left at its zero value;
-// anything set explicitly (a flag, a config file) is never overwritten.
+// batch bounds and worker count — are value-transparent: the accepted
+// trajectory for a fixed seed is identical at every setting, so
+// choosing them is purely a question of cost, and cost is measurable.
+// AutoTune measures it with a short pilot run and fills every knob the
+// caller left at its zero value; anything set explicitly (a flag, a
+// config file) is never overwritten.
 
 // autoTunePilotIters is the pilot-run length: long enough for the
-// acceptance rate and the delta/full latency split to be meaningful,
-// short enough to be noise next to a real sweep (a 21-point default
-// grid at 120 iterations spends ~1% of its budget here).
+// acceptance rate to be meaningful, short enough to be noise next to a
+// real sweep (a 21-point default grid at 120 iterations spends ~1% of
+// its budget here).
 const autoTunePilotIters = 16
 
 // TuneReport records what AutoTune measured and what it decided, for
@@ -29,12 +29,15 @@ type TuneReport struct {
 	PilotIterations int
 	AcceptRate      float64
 	FullEval        time.Duration // measured full-pipeline latency
-	DeltaEval       time.Duration // mean delta-path latency (0: no delta path)
+	// DeltaEval is always 0: no evaluation takes an incremental path.
+	//
+	// Deprecated: nothing in this module sets DeltaEval, and it will be
+	// removed.
+	DeltaEval time.Duration
 
-	ChosenBatchMin, ChosenBatchMax           int
-	ChosenWorkers                            int
-	ChosenThreshold                          float64
-	TunedBatch, TunedWorkers, TunedThreshold bool
+	ChosenBatchMin, ChosenBatchMax int
+	ChosenWorkers                  int
+	TunedBatch, TunedWorkers       bool
 }
 
 // String renders the report in one line for flow logs.
@@ -46,11 +49,10 @@ func (r TuneReport) String() string {
 		return " (pinned)"
 	}
 	return fmt.Sprintf(
-		"autotune: accept %.0f%%, full %v, delta %v -> batch [%d,%d]%s, workers %d%s, threshold %.2f%s",
-		100*r.AcceptRate, r.FullEval.Round(time.Microsecond), r.DeltaEval.Round(time.Microsecond),
+		"autotune: accept %.0f%%, full %v -> batch [%d,%d]%s, workers %d%s",
+		100*r.AcceptRate, r.FullEval.Round(time.Microsecond),
 		r.ChosenBatchMin, r.ChosenBatchMax, mark(r.TunedBatch),
-		r.ChosenWorkers, mark(r.TunedWorkers),
-		r.ChosenThreshold, mark(r.TunedThreshold))
+		r.ChosenWorkers, mark(r.TunedWorkers))
 }
 
 // parallelEvalCutoff is the full-evaluation latency below which
@@ -72,11 +74,10 @@ func splitCoreBudget(fullEval time.Duration, batchMax, maxProcs int) int {
 	return maxProcs
 }
 
-// AutoTune returns p with its zero-valued cost knobs — BatchMin/BatchMax,
-// Workers, and IncrementalThreshold — derived from measurement: a short
-// sequential pilot run of the same (g0, evaluator, seed) observes the
-// acceptance rate and the full-versus-delta evaluation latencies, and the
-// knobs follow from those.
+// AutoTune returns p with its zero-valued cost knobs — BatchMin/BatchMax
+// and Workers — derived from measurement: a short sequential pilot run
+// of the same (g0, evaluator, seed) observes the acceptance rate and
+// the evaluation latency, and the knobs follow from those.
 //
 //   - BatchMax tracks the expected rejection-run length 1/acceptance
 //     (speculation past the next acceptance is wasted work), clamped to
@@ -84,10 +85,6 @@ func splitCoreBudget(fullEval time.Duration, batchMax, maxProcs int) int {
 //   - Workers stays 1 when a full evaluation is so cheap that dispatch
 //     overhead would dominate; otherwise it takes GOMAXPROCS, capped at
 //     the batch ceiling (splitCoreBudget).
-//   - IncrementalThreshold grows with the measured full/delta latency
-//     ratio r as 1-1/r, clamped to [0.25, 0.95]: the cheaper the delta
-//     path, the dirtier a cone can be and still be worth re-evaluating
-//     incrementally. Evaluators with no delta path keep the layer default.
 //
 // Fields the caller set explicitly are never overwritten, so flags pin any
 // subset. Every tuned knob is value-transparent by construction (see the
@@ -97,14 +94,13 @@ func splitCoreBudget(fullEval time.Duration, batchMax, maxProcs int) int {
 func AutoTune(g0 *aig.AIG, ev Evaluator, p Params) (Params, TuneReport, error) {
 	rep := TuneReport{
 		ChosenBatchMin: p.BatchMin, ChosenBatchMax: p.BatchMax,
-		ChosenWorkers: p.Workers, ChosenThreshold: p.IncrementalThreshold,
+		ChosenWorkers: p.Workers,
 	}
 	// Batch bounds count as pinned when either is set: a caller choosing
 	// BatchMax alone has chosen adaptive sizing deliberately.
 	tuneBatch := p.BatchMin == 0 && p.BatchMax == 0
 	tuneWorkers := p.Workers == 0
-	tuneThreshold := p.IncrementalThreshold == 0
-	if !tuneBatch && !tuneWorkers && !tuneThreshold {
+	if !tuneBatch && !tuneWorkers {
 		return p, rep, nil // everything pinned; skip the pilot
 	}
 
@@ -114,8 +110,7 @@ func AutoTune(g0 *aig.AIG, ev Evaluator, p Params) (Params, TuneReport, error) {
 		pilot.Iterations = p.Iterations
 	}
 	// Sequential single chain, cache off: each iteration is exactly one
-	// real evaluation, so the latency split is unpolluted by memo hits
-	// and speculative waste.
+	// real evaluation, unpolluted by memo hits and speculative waste.
 	pilot.Chains = 1
 	pilot.BatchSize = 1
 	pilot.BatchMin, pilot.BatchMax = 0, 0
@@ -132,21 +127,6 @@ func AutoTune(g0 *aig.AIG, ev Evaluator, p Params) (Params, TuneReport, error) {
 		rep.AcceptRate = float64(r.Accepted) / float64(steps)
 	}
 	rep.FullEval = r.InitialEvalTime
-	// The in-loop evaluation time decomposes into full and delta evals;
-	// with the full latency measured directly, the mean delta latency is
-	// the remainder. Noise can drive it negative on near-free evaluators;
-	// the ratio path below clamps.
-	if r.DeltaEvals > 0 {
-		fullInLoop := r.FullEvals - 1 // minus the initial evaluation
-		if fullInLoop < 0 {
-			fullInLoop = 0
-		}
-		d := r.EvalTime - time.Duration(fullInLoop)*rep.FullEval
-		if d < 0 {
-			d = 0
-		}
-		rep.DeltaEval = d / time.Duration(r.DeltaEvals)
-	}
 
 	if tuneBatch {
 		bmax := 16
@@ -174,22 +154,6 @@ func AutoTune(g0 *aig.AIG, ev Evaluator, p Params) (Params, TuneReport, error) {
 		p.Workers = w
 		rep.ChosenWorkers = w
 		rep.TunedWorkers = true
-	}
-	if tuneThreshold && rep.DeltaEval > 0 {
-		ratio := float64(rep.FullEval) / float64(rep.DeltaEval)
-		thr := 0.25
-		if ratio > 1 {
-			thr = 1 - 1/ratio
-		}
-		if thr < 0.25 {
-			thr = 0.25
-		}
-		if thr > 0.95 {
-			thr = 0.95
-		}
-		p.IncrementalThreshold = thr
-		rep.ChosenThreshold = thr
-		rep.TunedThreshold = true
 	}
 	return p, rep, nil
 }

@@ -10,11 +10,11 @@
 // Evaluation goes through the internal/eval layer: candidates are
 // proposed in speculative batches and scored concurrently through
 // eval.Oracle.EvaluateBatch, behind a structural-fingerprint memo cache
-// that spares revisited structures a second mapping+STA, and — for
-// delta-capable evaluators like the ground-truth flow — behind the
-// incremental oracle, which re-maps and re-times only the logic cone a
-// move touched (moves are applied with Recipe.ApplyTracked, so every
-// candidate carries its structural delta).
+// that spares revisited structures a second mapping+STA. For evaluators
+// that implement eval.DeltaEvaluator, as the ground-truth flow does,
+// moves are applied with Recipe.ApplyTracked, which rebases each
+// candidate against its parent; that node order is part of the
+// ground-truth trajectories.
 //
 // # Trajectory determinism
 //

@@ -108,12 +108,10 @@ func (a *Arena) Reset() {
 	a.active = 0
 }
 
-// AllocCuts returns a zero-length, capacity-n cut slice carved from the
-// arena, for callers that build retained cut lists by translation rather
-// than enumeration (incremental techmap translating a matched prefix).
-// The three-index slice expression caps it so appends can never spill
-// into a neighbour's storage.
-func (a *Arena) AllocCuts(n int) []Cut {
+// allocCuts returns a zero-length, capacity-n cut slice carved from the
+// arena. The three-index slice expression caps it so appends can never
+// spill into a neighbour's storage.
+func (a *Arena) allocCuts(n int) []Cut {
 	for {
 		if a.active >= len(a.blocks) {
 			a.blocks = append(a.blocks, make([]Cut, 0, max(n, arenaBlock)))
@@ -131,7 +129,7 @@ func (a *Arena) AllocCuts(n int) []Cut {
 // copyKept copies filter output plus the trailing trivial cut of n into
 // one arena-backed list — the retained form of a node's cut list.
 func (a *Arena) copyKept(kept []Cut, n int32) []Cut {
-	out := a.AllocCuts(len(kept) + 1)
+	out := a.allocCuts(len(kept) + 1)
 	out = append(out, kept...)
 	return append(out, trivialCut(n))
 }
@@ -170,39 +168,14 @@ func Enumerate(g *aig.AIG, p Params) [][]Cut {
 // cuts (length g.NumNodes()). Reusing all three across calls makes
 // enumeration allocation-free in the steady state.
 func EnumerateArena(g *aig.AIG, p Params, cuts [][]Cut, a *Arena, s *Scratch) {
-	Seed(g, cuts, a)
-	EnumerateSuffixArena(g, p, cuts, g.FirstAnd(), a, s)
-}
-
-// Seed fills the constant node's and the PIs' cut lists in cuts, the
-// base case of both full and suffix enumeration. cuts must have length
-// g.NumNodes(). List storage comes from a.
-func Seed(g *aig.AIG, cuts [][]Cut, a *Arena) {
-	cuts[0] = append(a.AllocCuts(1), Cut{}) // constant false
-	for i := 1; i <= g.NumPIs(); i++ {
-		cuts[i] = append(a.AllocCuts(1), trivialCut(int32(i)))
-	}
-}
-
-// EnumerateSuffixArena runs the bottom-up cut merge for every AND node
-// with index >= first, reading (and trusting) the already-filled entries
-// of cuts below first; kept lists go to a and working buffers come from
-// s. It is the incremental half of EnumerateArena: when a graph shares a
-// matched prefix with a previously enumerated one (aig.Delta), the prefix
-// cuts can be translated and only the dirty suffix re-enumerated, with
-// results identical to a full enumeration — the merge for a node
-// consults nothing but its fanins' cut lists.
-func EnumerateSuffixArena(g *aig.AIG, p Params, cuts [][]Cut, first int32, a *Arena, s *Scratch) {
 	if p.K < 2 || p.K > 4 {
 		panic("cut: K must be in [2,4]")
 	}
 	if p.MaxCuts < 1 {
 		panic("cut: MaxCuts must be positive")
 	}
-	if first < g.FirstAnd() {
-		first = g.FirstAnd()
-	}
-	for i := int(first); i < g.NumNodes(); i++ {
+	seed(g, cuts, a)
+	for i := int(g.FirstAnd()); i < g.NumNodes(); i++ {
 		n := int32(i)
 		f0, f1 := g.Fanins(n)
 		c0 := cuts[f0.Node()]
@@ -217,6 +190,16 @@ func EnumerateSuffixArena(g *aig.AIG, p Params, cuts [][]Cut, first int32, a *Ar
 		}
 		s.keep = filter(s.merged, p.MaxCuts, s.keep[:0])
 		cuts[n] = a.copyKept(s.keep, n)
+	}
+}
+
+// seed fills the constant node's and the PIs' cut lists in cuts, the
+// base case of enumeration. cuts must have length g.NumNodes(). List
+// storage comes from a.
+func seed(g *aig.AIG, cuts [][]Cut, a *Arena) {
+	cuts[0] = append(a.allocCuts(1), Cut{}) // constant false
+	for i := 1; i <= g.NumPIs(); i++ {
+		cuts[i] = append(a.allocCuts(1), trivialCut(int32(i)))
 	}
 }
 
@@ -292,8 +275,8 @@ func seedDual(g *aig.AIG, pLow, pHigh Params, low, high [][]Cut, isPrefix []bool
 	if pLow.MaxCuts < 1 || pHigh.MaxCuts < 1 {
 		panic("cut: MaxCuts must be positive")
 	}
-	Seed(g, low, a)
-	Seed(g, high, a)
+	seed(g, low, a)
+	seed(g, high, a)
 	for i := range isPrefix {
 		isPrefix[i] = i < int(g.FirstAnd())
 	}

@@ -177,8 +177,8 @@ func (c *Cached) Name() string { return c.oracle.Name() + "+cache" }
 
 // Underlying returns the oracle the cache wraps, so callers handed a
 // pre-built stack (e.g. a sweep-wide shared cache) can reach the layers
-// beneath it — anneal.Run uses this to report the incremental-path
-// counters of a shared stack.
+// beneath it — anneal.Run uses this to see whether the evaluator asks
+// for rebased moves.
 func (c *Cached) Underlying() Oracle { return c.oracle }
 
 // Stats returns a snapshot of the cache counters.

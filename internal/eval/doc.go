@@ -7,7 +7,7 @@
 //
 // The layer exists because the evaluator dominates the wall-clock of
 // every flow in the paper's Fig. 3 and every sweep point of Fig. 5.
-// Three mechanisms attack that cost without changing any reported value:
+// Two mechanisms attack that cost without changing any reported value:
 //
 //   - batching (AsOracle): a plain Evaluator is adapted to EvaluateBatch
 //     with a worker pool, so a search that proposes several candidates at
@@ -17,25 +17,23 @@
 //     low-acceptance phase, never re-run mapping+STA — the cache key is a
 //     structural fingerprint, but a hit additionally requires full
 //     aig.StructuralEqual, so a hash collision costs a comparison, never
-//     a wrong answer;
-//   - incremental evaluation (Incremental over a DeltaEvaluator): a
-//     candidate carrying aig.Rebase provenance whose base state is
-//     anchored is re-evaluated only inside its dirty cone, bit-identically
-//     to a full evaluation.
+//     a wrong answer.
+//
+// A cache miss is one full evaluation. Re-evaluating only the cone a
+// move dirtied is not worth its retained state here: random recipe
+// moves dirty most of a design's nodes.
 //
 // # Contract
 //
 // Every layer is value-transparent: EvaluateBatch returns exactly what N
 // sequential Evaluate calls would, in input order, independent of worker
-// count; cache hits return exactly what re-evaluation would; the
-// incremental path returns exactly what the full pipeline would (an
-// implementation that cannot must decline, never approximate). This is
+// count; cache hits return exactly what re-evaluation would. This is
 // the property the annealer's bit-reproducible trajectories, the sweep's
 // shared cache, and the distributed driver's byte-identical merges are
 // all built on: stacking, sharing, or sharding evaluation layers changes
-// cost, never results. The only caveats are the counters — hit/miss and
-// delta/full splits are approximate when several goroutines race on one
-// shared stack.
+// cost, never results. The only caveat is the counters — hit/miss
+// splits are approximate when several goroutines race on one shared
+// stack.
 //
 // Caches are exportable for cross-process merging and preseedable with
 // remote knowledge: Export/ExportSince snapshot a Cached oracle as

@@ -110,3 +110,28 @@ func ForEach(n, workers int, f func(i int)) {
 	close(idx)
 	wg.Wait()
 }
+
+// DeltaState is the opaque state a DeltaEvaluator's EvaluateFull
+// returns for its EvaluateDelta to start from.
+//
+// Deprecated: nothing in this module produces or consumes a DeltaState;
+// it survives only for DeltaEvaluator and will be removed with it.
+type DeltaState interface{}
+
+// DeltaEvaluator is implemented by evaluators whose candidates are
+// rebased against their parent (transform.Recipe.ApplyTracked) before
+// evaluation: the annealer keys its choice of rebased moves on this
+// interface. EvaluateFull returns Evaluate's metrics and may return a
+// nil state; EvaluateDelta may always decline (ok=false), and when it
+// answers, its metrics must equal Evaluate(g) exactly.
+//
+// Deprecated: no evaluation in this module takes a delta path any more.
+// flows.GroundTruth keeps both methods in their trivial forms only
+// because benchmark tracing forwards this interface to mark
+// ground-truth moves as rebased; the interface will be removed once
+// that forwarding no longer needs it.
+type DeltaEvaluator interface {
+	Evaluator
+	EvaluateFull(g *aig.AIG) (Metrics, DeltaState)
+	EvaluateDelta(prev DeltaState, g *aig.AIG, d *aig.Delta) (Metrics, DeltaState, bool)
+}

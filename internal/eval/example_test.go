@@ -2,11 +2,9 @@ package eval_test
 
 import (
 	"fmt"
-	"math/rand"
 
 	"aigtimer/internal/aig"
 	"aigtimer/internal/eval"
-	"aigtimer/internal/transform"
 )
 
 // exampleChain builds a tiny AND chain over n PIs.
@@ -51,71 +49,4 @@ func ExampleNewCachedLRU() {
 	// Output:
 	// underlying evals: 4
 	// hits=1 misses=4 entries=2 evictions=2
-}
-
-// ExampleNewIncremental shows the incremental oracle routing a derived
-// candidate through the delta path: the move's graph is rebased against
-// its parent (Recipe.ApplyTracked does this inside the annealer), and
-// the oracle re-evaluates only because the parent's state is anchored —
-// bit-identically to a full evaluation.
-func ExampleNewIncremental() {
-	g0 := exampleChain(6)
-	de := &countingDelta{}
-	// DirtyThreshold 1 means "never fall back on cone size" — handy for
-	// a demo; production stacks keep the default and let mostly-dirty
-	// candidates take the full path.
-	oracle := eval.NewIncremental(de, eval.IncrementalParams{DirtyThreshold: 1, Workers: 1})
-
-	oracle.Evaluate(g0) // full evaluation; anchors g0's state
-
-	// A tracked move: apply a transformation and rebase the result so it
-	// carries provenance (base graph + structural delta).
-	next, _ := transform.Recipes()[0].ApplyTracked(g0, rand.New(rand.NewSource(1)))
-	m := oracle.Evaluate(next) // served through EvaluateDelta
-
-	full := de.EvaluateFullMetrics(next) // reference: from-scratch metrics
-	st := oracle.(*eval.Incremental).Stats()
-	fmt.Printf("delta evals: %d, full evals: %d\n", st.DeltaEvals, st.FullEvals)
-	fmt.Printf("delta path exact: %v\n", m == full)
-	// Output:
-	// delta evals: 1, full evals: 1
-	// delta path exact: true
-}
-
-// countingDelta is a minimal DeltaEvaluator: metrics are proxy levels /
-// node counts, and the "retained state" is just the evaluated graph.
-// Real delta evaluators (flows.GroundTruth) retain mapping and STA
-// state; the contract — EvaluateDelta bit-identical to EvaluateFull —
-// is the same.
-type countingDelta struct{}
-
-func (countingDelta) Name() string { return "demo" }
-func (countingDelta) Evaluate(g *aig.AIG) eval.Metrics {
-	return eval.Metrics{DelayPS: float64(g.MaxLevel()) + 1, AreaUM2: float64(g.NumAnds()) + 1}
-}
-func (d countingDelta) EvaluateBatch(gs []*aig.AIG) []eval.Metrics {
-	out := make([]eval.Metrics, len(gs))
-	for i, g := range gs {
-		out[i] = d.Evaluate(g)
-	}
-	return out
-}
-func (d countingDelta) EvaluateFull(g *aig.AIG) (eval.Metrics, eval.DeltaState) {
-	return d.Evaluate(g), g
-}
-func (d countingDelta) EvaluateDelta(prev eval.DeltaState, g *aig.AIG, del *aig.Delta) (eval.Metrics, eval.DeltaState, bool) {
-	base, ok := prev.(*aig.AIG)
-	if !ok || base == nil {
-		return eval.Metrics{}, nil, false
-	}
-	if err := del.Validate(base, g); err != nil {
-		return eval.Metrics{}, nil, false
-	}
-	return d.Evaluate(g), g, true
-}
-
-// EvaluateFullMetrics is a test convenience around EvaluateFull.
-func (d countingDelta) EvaluateFullMetrics(g *aig.AIG) eval.Metrics {
-	m, _ := d.EvaluateFull(g)
-	return m
 }

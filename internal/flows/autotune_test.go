@@ -72,17 +72,15 @@ func TestAutoTunePinnedKnobs(t *testing.T) {
 	p.Iterations = 8
 	p.BatchMin, p.BatchMax = 2, 4
 	p.Workers = 3
-	p.IncrementalThreshold = 0.5
 
 	tuned, rep, err := anneal.AutoTune(g, gt, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tuned.BatchMin != p.BatchMin || tuned.BatchMax != p.BatchMax ||
-		tuned.Workers != p.Workers || tuned.IncrementalThreshold != p.IncrementalThreshold {
+	if tuned.BatchMin != p.BatchMin || tuned.BatchMax != p.BatchMax || tuned.Workers != p.Workers {
 		t.Fatalf("pinned params rewritten: %+v vs %+v", tuned, p)
 	}
-	if rep.TunedBatch || rep.TunedWorkers || rep.TunedThreshold {
+	if rep.TunedBatch || rep.TunedWorkers {
 		t.Fatalf("pinned knobs reported as tuned: %+v", rep)
 	}
 	if rep.PilotIterations != 0 {

@@ -7,13 +7,14 @@
 //	ML            Table II features + trained GBDT inference
 //
 // All three evaluators implement eval.Oracle natively: the ground-truth
-// oracle maps batch candidates concurrently through signoff.EvaluateBatch,
-// the ML oracle extracts features in parallel and predicts through
-// gbdt.PredictBatch, and the proxy marks itself cheap so the evaluation
-// layer skips memoization for it. The ground-truth oracle additionally
-// implements eval.DeltaEvaluator — incremental remapping and incremental
-// multi-corner STA, bit-identical to a full evaluation — which is what
-// the incremental path of both sweep drivers runs on.
+// oracle maps batch candidates concurrently, each one full signoff
+// evaluation in storage recycled through its signoff.Pool; the ML
+// oracle extracts features in parallel and predicts through
+// gbdt.PredictBatch; and the proxy marks itself cheap so the evaluation
+// layer skips memoization for it. The ground-truth oracle also carries
+// the eval.DeltaEvaluator marker, so the annealer rebases its moves
+// against their parents — the node order every recorded ground-truth
+// trajectory was produced with.
 //
 // # Sweeps, local and sharded
 //

@@ -48,15 +48,20 @@ func (Proxy) CheapEval() bool { return true }
 
 // GroundTruth runs the full signoff pipeline (dual-effort technology
 // mapping + multi-corner NLDM STA) per evaluation.
+//
+// It implements eval.DeltaEvaluator, in the trivial form that interface
+// allows, so that the annealer rebases its moves against their parents
+// (transform.Recipe.ApplyTracked): every recorded ground-truth
+// trajectory was produced with rebased candidates, and their node order
+// is an input to later moves and to the mapper.
 type GroundTruth struct {
 	Lib *cell.Library
 	// Workers bounds the concurrent mappings of EvaluateBatch; 0 uses
 	// GOMAXPROCS.
 	Workers int
 
-	// pool recycles evaluation-state storage across the incremental
-	// path's full and delta evaluations (see signoff.Pool); built
-	// lazily so the zero value still works.
+	// pool recycles evaluation storage across evaluations (see
+	// signoff.Pool); built lazily so the zero value still works.
 	poolOnce sync.Once
 	pool     *signoff.Pool
 }
@@ -75,68 +80,47 @@ func NewGroundTruth(lib *cell.Library) *GroundTruth {
 // Name implements eval.Evaluator.
 func (*GroundTruth) Name() string { return "ground-truth" }
 
-// Evaluate implements eval.Evaluator.
+// Evaluate implements eval.Evaluator: one full signoff evaluation in
+// storage taken from the evaluator's pool and handed back once the
+// metrics are read.
 func (e *GroundTruth) Evaluate(g *aig.AIG) anneal.Metrics {
-	r, err := signoff.Evaluate(g, e.Lib)
+	r, st, err := e.statePool().EvaluateState(g, e.Lib)
 	if err != nil {
 		// Unmatchable graphs cannot occur with the built-in library; make
 		// such a candidate maximally unattractive rather than failing the
 		// whole optimization.
 		return anneal.Metrics{DelayPS: 1e12, AreaUM2: 1e12}
 	}
-	return gtMetrics(r)
+	// The +1 keeps metrics positive for degenerate graphs.
+	m := anneal.Metrics{DelayPS: r.DelayPS + 1, AreaUM2: r.AreaUM2 + 1}
+	st.Release()
+	return m
 }
 
 // EvaluateBatch implements eval.Oracle: candidates are mapped and timed
 // concurrently, with values identical to sequential Evaluate calls in
-// input order regardless of worker count.
+// input order regardless of worker count. GroundTruth must stay an
+// Oracle: eval.AsOracle would otherwise wrap it in an adapter that hides
+// its eval.DeltaEvaluator marker from the annealer.
 func (e *GroundTruth) EvaluateBatch(gs []*aig.AIG) []anneal.Metrics {
-	rs, errs := signoff.EvaluateBatch(gs, e.Lib, e.Workers)
 	out := make([]anneal.Metrics, len(gs))
-	for i := range gs {
-		if errs[i] != nil {
-			out[i] = anneal.Metrics{DelayPS: 1e12, AreaUM2: 1e12}
-			continue
-		}
-		out[i] = gtMetrics(rs[i])
-	}
+	eval.ForEach(len(gs), e.Workers, func(i int) { out[i] = e.Evaluate(gs[i]) })
 	return out
 }
 
-// gtMetrics converts a signoff result to oracle metrics (the +1 keeps
-// metrics positive for degenerate graphs, matching Evaluate).
-func gtMetrics(r signoff.Result) anneal.Metrics {
-	return anneal.Metrics{DelayPS: r.DelayPS + 1, AreaUM2: r.AreaUM2 + 1}
-}
-
-// EvaluateFull implements eval.DeltaEvaluator: a from-scratch signoff
-// evaluation that additionally retains the mapping and STA state for
-// later incremental re-evaluation. Metrics equal Evaluate's exactly.
-// States are drawn from the evaluator's pool, so the anchor store's
-// Release calls (eval.Releasable) recycle their storage.
+// EvaluateFull implements eval.DeltaEvaluator: Evaluate's metrics and no
+// state.
+//
+// Deprecated: kept only while eval.DeltaEvaluator exists; call Evaluate.
 func (e *GroundTruth) EvaluateFull(g *aig.AIG) (anneal.Metrics, eval.DeltaState) {
-	r, st, err := e.statePool().EvaluateState(g, e.Lib)
-	if err != nil {
-		return anneal.Metrics{DelayPS: 1e12, AreaUM2: 1e12}, nil
-	}
-	return gtMetrics(r), st
+	return e.Evaluate(g), nil
 }
 
-// EvaluateDelta implements eval.DeltaEvaluator: signoff evaluation of
-// a derived graph through incremental remapping and incremental
-// multi-corner STA, bit-identical to EvaluateFull but at cone-sized
-// cost. It declines (ok=false) when the delta does not describe g
-// relative to the state's graph.
-func (e *GroundTruth) EvaluateDelta(prev eval.DeltaState, g *aig.AIG, d *aig.Delta) (anneal.Metrics, eval.DeltaState, bool) {
-	st, ok := prev.(*signoff.EvalState)
-	if !ok {
-		return anneal.Metrics{}, nil, false
-	}
-	r, ns, err := st.EvaluateDelta(g, d)
-	if err != nil {
-		return anneal.Metrics{}, nil, false
-	}
-	return gtMetrics(r), ns, true
+// EvaluateDelta implements eval.DeltaEvaluator by always declining.
+//
+// Deprecated: kept only while eval.DeltaEvaluator exists; call Evaluate.
+func (e *GroundTruth) EvaluateDelta(eval.DeltaState, *aig.AIG, *aig.Delta) (anneal.Metrics, eval.DeltaState, bool) {
+	return anneal.Metrics{}, nil, false
 }
 
 // ML predicts post-mapping delay and area from Table II features with
@@ -226,11 +210,11 @@ type SweepConfig struct {
 	// identity to key records by.
 	Store *eval.Store
 	// AutoTune derives the zero-valued cost knobs of Base — adaptive
-	// batch bounds, worker count, incremental threshold — from a short
-	// measurement pilot per suite entry (anneal.AutoTune) instead of the
-	// static defaults. Knobs set explicitly in Base stay pinned. Every
-	// tuned knob is value-transparent, so results are bit-identical with
-	// autotuning on or off; only the cost changes.
+	// batch bounds and worker count — from a short measurement pilot per
+	// suite entry (anneal.AutoTune) instead of the static defaults.
+	// Knobs set explicitly in Base stay pinned. Every tuned knob is
+	// value-transparent, so results are bit-identical with autotuning on
+	// or off; only the cost changes.
 	AutoTune bool
 }
 
@@ -250,9 +234,9 @@ func (c SweepConfig) tunedBase(g *aig.AIG, ev anneal.Evaluator) anneal.Params {
 }
 
 // DefaultSweep is a compact grid that still traces a front. Its cost
-// knobs are self-tuning: each entry's batch bounds, worker count, and
-// incremental threshold come from a measurement pilot rather than
-// static defaults (set Base fields, or AutoTune: false, to pin them).
+// knobs are self-tuning: each entry's batch bounds and worker count
+// come from a measurement pilot rather than static defaults (set Base
+// fields, or AutoTune: false, to pin them).
 var DefaultSweep = SweepConfig{
 	Base:         anneal.DefaultParams,
 	DelayWeights: []float64{1.0},
@@ -328,53 +312,19 @@ type SweepPoint struct {
 }
 
 // NewSweepStack builds the evaluation stack a sweep executor shares
-// across its grid points: the evaluator behind a sweep-wide memo cache,
-// with cache misses routed through the incremental (dirty-cone) path
-// when the base params ask for it. anneal.Run recognizes the pre-built
+// across its grid points: the evaluator behind a sweep-wide memo cache
+// bounded by base.CacheMaxEntries. anneal.Run recognizes the pre-built
 // cache and layers nothing on top, so run-level misses still hit here
-// when another grid point already evaluated the same structure; the
-// incremental anchor store is likewise shared — starting with g0, which
-// every run's first moves derive from. Cheap evaluators (proxy metrics)
-// are returned untouched.
-//
-// concurrent is the number of grid points the caller runs at once: the
-// anchor budget scales with it (capped — each anchored state retains
-// full mapping state at two efforts, megabytes on large designs, and an
-// eviction only costs a later full evaluation, never a wrong answer) so
-// one run's speculation round cannot thrash another's current-state
-// anchor. The sharded worker daemon builds the identical stack with
-// concurrent=1; metrics are value-transparent through every layer, so
-// the stack shape never changes results, only their cost.
-func NewSweepStack(ev anneal.Evaluator, base anneal.Params, concurrent int) anneal.Evaluator {
+// when another grid point already evaluated the same structure; every
+// miss is one full evaluation. Cheap evaluators (proxy metrics) are
+// returned untouched. The sharded worker daemon builds the identical
+// stack; metrics are value-transparent through it, so the stack never
+// changes results, only their cost.
+func NewSweepStack(ev anneal.Evaluator, base anneal.Params) anneal.Evaluator {
 	if eval.IsCheap(ev) {
 		return ev
 	}
-	if concurrent < 1 {
-		concurrent = 1
-	}
-	inner := eval.AsOracle(ev, 0)
-	if base.Incremental != anneal.IncrementalOff {
-		chains := base.Chains
-		if chains == 0 {
-			chains = 1
-		}
-		// With adaptive batching the round size can grow to BatchMax, so
-		// the anchor budget must cover the largest round.
-		batch := anneal.EffectiveBatchSize(base.BatchSize)
-		if base.BatchMax > batch {
-			batch = base.BatchMax
-		}
-		budget := anneal.AnchorBudget(batch, chains) * concurrent
-		if budget > 128 {
-			budget = 128
-		}
-		inner = eval.NewIncremental(inner, eval.IncrementalParams{
-			DirtyThreshold: base.IncrementalThreshold,
-			MaxStates:      budget,
-			Workers:        base.Workers,
-		})
-	}
-	return eval.NewCachedLRU(inner, base.CacheMaxEntries)
+	return eval.NewCachedLRU(eval.AsOracle(ev, 0), base.CacheMaxEntries)
 }
 
 // RunPoint executes one grid point: an annealing run at the point's

@@ -184,8 +184,8 @@ type shardRunner struct {
 }
 
 // NewShardRunner returns the production shard.Runner used by
-// cmd/sweepd. Each worker session gets its own runner (its own caches
-// and incremental stacks).
+// cmd/sweepd. Each worker session gets its own runner (its own
+// evaluation stacks).
 func NewShardRunner() shard.Runner { return &shardRunner{warmed: make(map[*aig.AIG]bool)} }
 
 // NewShardRunnerPooled is NewShardRunner with cross-session record
@@ -224,7 +224,7 @@ func (r *shardRunner) Configure(cfg shard.RunConfig) error {
 		if err != nil {
 			return err
 		}
-		r.stacks[i] = NewSweepStack(ev, cfg.Base, 1)
+		r.stacks[i] = NewSweepStack(ev, cfg.Base)
 		r.specHashes[i] = e.Eval.Hash()
 	}
 	r.gt = NewGroundTruth(lib)

@@ -85,7 +85,7 @@ func SweepSuite(entries []SuiteEntry, lib *cell.Library, cfg SweepConfig) ([]Sui
 	for e, ent := range entries {
 		WarmRoot(ent.G)
 		bases[e] = cfg.tunedBase(ent.G, ent.Eval)
-		stacks[e] = NewSweepStack(ent.Eval, bases[e], workers)
+		stacks[e] = NewSweepStack(ent.Eval, bases[e])
 		// Store records enter behind the memo cache's prefilter: they may
 		// only skip oracle calls whose graph they provably describe, so a
 		// warm start never changes a result.

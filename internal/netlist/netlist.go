@@ -15,15 +15,6 @@ import (
 // NetID identifies a net.
 type NetID int32
 
-// NetMap relates the nets of a derived netlist to those of a previous
-// netlist of the same design: NetMap[n] is the previous net that net n
-// corresponds to, or -1 when n has no exact counterpart. Correspondence
-// is strict — the driving gates use the same cell and corresponding
-// input nets — so timing state cached at the previous net can seed the
-// new one (see sta.SignoffUpdate). Primary-input nets always map to
-// themselves.
-type NetMap []NetID
-
 // Gate is one standard-cell instance.
 type Gate struct {
 	Cell   *cell.Cell

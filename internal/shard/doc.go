@@ -11,12 +11,12 @@
 // promise, extended over a process boundary:
 //
 //   - Determinism. A grid point's trajectory depends only on (base
-//     graph, params, seed); every evaluation layer (cache, incremental,
-//     batching, preseeding) is value-transparent. Which worker executes
+//     graph, params, seed); every evaluation layer (cache, batching,
+//     preseeding) is value-transparent. Which worker executes
 //     which job — and how often a job is retried — therefore never
 //     changes any result, and the coordinator's merge is byte-identical
-//     to local execution. Timing fields and cache/incremental counters
-//     are the only schedule-dependent values.
+//     to local execution. Timing fields and cache counters are the
+//     only schedule-dependent values.
 //   - Warm handoff. A worker session receives every base AIG exactly
 //     once (as dictionary-free aig.EncodeDelta records, sent with the
 //     config); every graph sent back — the per-chain best AIGs of each
@@ -75,6 +75,11 @@
 // connection: the worker drops its decoded bases and the Runner drops
 // per-session state (Runner.EndSession; cross-session retention pools
 // survive), leaving the connection idle for the next session.
+//
+// Both ends speak protocol version 7, checked in the config message and
+// in the hub hello. Version 7 dropped the incremental-evaluation policy
+// and threshold from the config message, since no evaluation takes an
+// incremental path any more.
 //
 // # Hub
 //

@@ -405,14 +405,38 @@ type prefixedConn struct {
 
 func (p prefixedConn) Read(b []byte) (int, error) { return p.Reader.Read(b) }
 
+// helloTimeout bounds how long a new connection may take to deliver
+// its hello; a peer that connects and sends nothing is dropped then
+// instead of holding a goroutine and a socket until it disconnects.
+const helloTimeout = 10 * time.Second
+
+// maxHelloPayload caps the hello frame: it carries only a protocol
+// version, a role and a display name.
+const maxHelloPayload = 1 << 10
+
+// helloDeadline is the hello read deadline HandleConn applies; tests
+// shorten it.
+var helloDeadline = helloTimeout
+
 // HandleConn speaks the hub side of one connection: it reads the hello
-// and dispatches on the peer's role. Worker connections are handed to
-// the fleet (HandleConn returns immediately); client connections are
-// served until they disconnect (HandleConn blocks).
+// and dispatches on the peer's role. The hello must arrive within
+// helloTimeout and fit in maxHelloPayload bytes; the deadline is lifted
+// before the peer is served, so idle workers and clients are never timed
+// out later. Worker connections are handed to the fleet (HandleConn
+// returns immediately); client connections are served until they
+// disconnect (HandleConn blocks).
 func (h *Hub) HandleConn(conn net.Conn) error {
 	br := bufio.NewReader(conn)
-	typ, payload, err := readMsg(br)
+	if err := conn.SetReadDeadline(time.Now().Add(helloDeadline)); err != nil {
+		conn.Close()
+		return fmt.Errorf("shard: hub handshake: %w", err)
+	}
+	typ, payload, err := readMsgLimit(br, maxHelloPayload)
 	if err != nil {
+		conn.Close()
+		return fmt.Errorf("shard: hub handshake: %w", err)
+	}
+	if err := conn.SetReadDeadline(time.Time{}); err != nil {
 		conn.Close()
 		return fmt.Errorf("shard: hub handshake: %w", err)
 	}

@@ -21,7 +21,7 @@ import (
 // peers built from different releases fail at connection time instead
 // of misreading each other's messages. Bump it on any change to a
 // message layout.
-const protocolVersion = 6
+const protocolVersion = 7
 
 // maxPayload bounds one message; anything larger indicates a framing
 // desync or a hostile peer, not a real sweep artifact.
@@ -157,12 +157,17 @@ func writeMsg(w *bufio.Writer, typ byte, payload []byte) error {
 // it.
 const readChunk = 64 << 10
 
-// readMsg reads one frame. io.EOF before the frame's first byte is an
-// orderly close; a frame cut short after it is io.ErrUnexpectedEOF. The
-// payload buffer starts at readChunk at most and doubles only once the
-// bytes received fill it, so a length prefix alone cannot make readMsg
-// allocate: the hub reads a hello from any peer that connects.
-func readMsg(r *bufio.Reader) (byte, []byte, error) {
+// readMsg reads one frame of at most maxPayload bytes. io.EOF before
+// the frame's first byte is an orderly close; a frame cut short after it
+// is io.ErrUnexpectedEOF. The payload buffer starts at readChunk at most
+// and doubles only once the bytes received fill it, so a length prefix
+// alone cannot make readMsg allocate.
+func readMsg(r *bufio.Reader) (byte, []byte, error) { return readMsgLimit(r, maxPayload) }
+
+// readMsgLimit is readMsg for frames whose payload may hold at most
+// limit bytes: a larger frame is rejected from its length prefix, before
+// any of its payload is read.
+func readMsgLimit(r *bufio.Reader, limit uint64) (byte, []byte, error) {
 	typ, err := r.ReadByte()
 	if err != nil {
 		return 0, nil, err
@@ -171,8 +176,8 @@ func readMsg(r *bufio.Reader) (byte, []byte, error) {
 	if err != nil {
 		return 0, nil, unexpectedEOF(err)
 	}
-	if n > maxPayload {
-		return 0, nil, fmt.Errorf("shard: message of %d bytes exceeds limit", n)
+	if n > limit {
+		return 0, nil, fmt.Errorf("shard: message of %d bytes exceeds the %d-byte limit", n, limit)
 	}
 	payload := make([]byte, 0, min(n, readChunk))
 	for uint64(len(payload)) < n {
@@ -344,8 +349,6 @@ func encodeConfig(cfg RunConfig) []byte {
 	b = appendVarint(b, int64(p.Chains))
 	b = appendVarint(b, int64(p.CacheMode))
 	b = appendVarint(b, int64(p.CacheMaxEntries))
-	b = appendVarint(b, int64(p.Incremental))
-	b = appendF64(b, p.IncrementalThreshold)
 	// Evaluator specs are deduplicated into a table — a suite sweeping
 	// many designs under one ML flow ships its (potentially large) model
 	// blobs once, not once per entry; entries reference specs by index
@@ -411,8 +414,6 @@ func decodeConfig(payload []byte) (RunConfig, error) {
 	cfg.Base.Chains = int(d.varint("chains"))
 	cfg.Base.CacheMode = anneal.CacheMode(d.varint("cache mode"))
 	cfg.Base.CacheMaxEntries = int(d.varint("cache max entries"))
-	cfg.Base.Incremental = anneal.IncrementalMode(d.varint("incremental mode"))
-	cfg.Base.IncrementalThreshold = d.f64("incremental threshold")
 	numSpecs := d.uvarint("spec count")
 	if d.err != nil {
 		return RunConfig{}, d.err

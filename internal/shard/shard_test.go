@@ -461,14 +461,16 @@ func TestAllWorkersLost(t *testing.T) {
 	}
 }
 
-func TestConfigRoundTrip(t *testing.T) {
-	in := RunConfig{
+// roundTripConfig is the config TestConfigRoundTrip encodes: every
+// Params field the wire carries set away from its zero value, and
+// entries of all three evaluator kinds over two bases.
+func roundTripConfig() RunConfig {
+	return RunConfig{
 		Base: anneal.Params{
 			Iterations: 77, StartTemp: 0.123, DecayRate: 0.987,
 			DelayWeight: 1.5, AreaWeight: 0.25, Seed: -9,
 			BatchSize: 6, BatchMin: 2, BatchMax: 16, Workers: 3, Chains: 2,
 			CacheMode: anneal.CacheOn, CacheMaxEntries: 512,
-			Incremental: anneal.IncrementalOff, IncrementalThreshold: 0.5,
 		},
 		Entries: []EntrySpec{
 			{Base: 0, Eval: EvalSpec{Kind: "ml", DelayModel: []byte(`{"trees":[]}`), AreaModel: []byte(`{}`), AreaPerNode: true}},
@@ -477,6 +479,17 @@ func TestConfigRoundTrip(t *testing.T) {
 		},
 		Library: []byte("library demo"),
 	}
+}
+
+// withSharedSpec returns cfg plus one more entry reusing the first
+// entry's evaluator spec.
+func withSharedSpec(cfg RunConfig) RunConfig {
+	cfg.Entries = append(cfg.Entries[:len(cfg.Entries):len(cfg.Entries)], EntrySpec{Base: 1, Eval: cfg.Entries[0].Eval})
+	return cfg
+}
+
+func TestConfigRoundTrip(t *testing.T) {
+	in := roundTripConfig()
 	out, err := decodeConfig(encodeConfig(in))
 	if err != nil {
 		t.Fatal(err)
@@ -494,7 +507,7 @@ func TestConfigRoundTrip(t *testing.T) {
 	// a second entry with the same ML models must cost entry-reference
 	// bytes, not another copy of the blobs.
 	base := len(encodeConfig(in))
-	in.Entries = append(in.Entries, EntrySpec{Base: 1, Eval: in.Entries[0].Eval})
+	in = withSharedSpec(in)
 	if grown := len(encodeConfig(in)) - base; grown >= len(in.Entries[0].Eval.DelayModel) {
 		t.Fatalf("duplicate spec re-encoded: +%d bytes for a shared-spec entry", grown)
 	}

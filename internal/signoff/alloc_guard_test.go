@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"aigtimer/internal/aig"
 	"aigtimer/internal/cell"
 )
 
@@ -35,52 +34,5 @@ func TestPooledFullEvalZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("pooled full evaluation allocates %v per run, want 0", avg)
-	}
-}
-
-// TestPooledDeltaEvalZeroAllocs pins the same contract for the pooled
-// delta path: per-effort remaps plus seeded multi-corner STA,
-// allocation-free once warm.
-func TestPooledDeltaEvalZeroAllocs(t *testing.T) {
-	lib := cell.Builtin()
-	rng := rand.New(rand.NewSource(22))
-	g := randomAIG(rng, 8, 250, 4)
-	pool := NewPool()
-	_, anchor, err := pool.EvaluateState(g, lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pre-generate rebased candidates so the measured loop does no
-	// graph construction of its own.
-	type cand struct {
-		next *aig.AIG
-		d    *aig.Delta
-	}
-	cands := make([]cand, 32)
-	for i := range cands {
-		next, d := aig.Rebase(g, mutate(g, rng))
-		cands[i] = cand{next, d}
-	}
-	// Warm every candidate once (sizes differ slightly; the scratch
-	// high-water mark must cover them all).
-	for _, c := range cands {
-		_, st, err := anchor.EvaluateDelta(c.next, c.d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.Release()
-	}
-	i := 0
-	avg := testing.AllocsPerRun(100, func() {
-		c := cands[i%len(cands)]
-		i++
-		_, st, err := anchor.EvaluateDelta(c.next, c.d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.Release()
-	})
-	if avg != 0 {
-		t.Fatalf("pooled delta evaluation allocates %v per run, want 0", avg)
 	}
 }

@@ -22,12 +22,10 @@
 // memoization, of cross-process cache-record merging, and of the
 // distributed sweep's byte-identical result guarantee.
 //
-// EvaluateState additionally retains the full mapping and STA state of
-// both effort levels; EvalState.EvaluateDelta re-evaluates a derived
-// graph from that state through incremental remapping (techmap.Remap)
-// and incremental multi-corner STA (sta.SignoffUpdate) at cone-sized
-// cost. Exactness is inherited from those layers and re-checked here:
-// the delta result is bit-identical to a from-scratch evaluation, so
-// callers may mix full and incremental evaluations freely without
-// perturbing any trajectory.
+// A Pool evaluates the same pipeline from recycled storage:
+// Pool.EvaluateState returns the result together with the EvalState
+// that holds it, and releasing the state hands its arenas, mapping
+// states, netlists, and STA results to the pool's next evaluation. The
+// pooled result is bit-identical to Evaluate's; only where the storage
+// comes from differs.
 package signoff

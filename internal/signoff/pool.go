@@ -6,24 +6,22 @@ import (
 	"aigtimer/internal/aig"
 	"aigtimer/internal/cell"
 	"aigtimer/internal/cut"
-	"aigtimer/internal/sta"
 	"aigtimer/internal/techmap"
 )
 
 // evalScratch bundles the per-call working buffers of one evaluation —
-// cut enumeration, mapping, and STA scratch — so one freelist cycle
-// covers the whole pipeline. Both efforts use it in turn.
+// cut enumeration and mapping scratch — so one freelist cycle covers
+// the whole pipeline. Both efforts use it in turn.
 type evalScratch struct {
 	cuts cut.Scratch
 	tm   techmap.Scratch
-	sta  sta.Scratch
 }
 
 // Pool recycles EvalState carcasses and evaluation scratch buffers. An
 // evaluation drawn from a pool reuses the arenas, mapping state,
 // netlists, and STA result storage of previously Released states, so a
-// retained pipeline (the annealer's incremental oracle) performs zero
-// steady-state heap allocations per evaluation once the pool is warm.
+// retained evaluator (flows.GroundTruth) performs zero steady-state heap
+// allocations per evaluation once the pool is warm.
 //
 // Results are value-identical to unpooled evaluations — recycling
 // changes where storage comes from, never what is computed (recycled
@@ -32,7 +30,7 @@ type evalScratch struct {
 // An explicit mutex-guarded freelist rather than sync.Pool: states must
 // never be dropped by GC pressure mid-cycle (the allocation guards in
 // the tests depend on deterministic reuse), and the pool's high-water
-// mark is bounded by the anchor store plus in-flight evaluations.
+// mark is the largest number of evaluations ever in flight at once.
 //
 // The netlists inside a pooled state's results are recycled storage:
 // they are valid only until the state is Released. A Pool is safe for
@@ -78,9 +76,9 @@ func (p *Pool) putScratch(sc *evalScratch) {
 	p.mu.Unlock()
 }
 
-// EvaluateState is signoff.EvaluateState drawing all storage from the
-// pool; the returned state must be Released when dead for its storage
-// to be recycled.
+// EvaluateState evaluates g like Evaluate, drawing all storage from the
+// pool. The returned state holds the result's netlist; Release it once
+// the result is no longer read, so its storage is recycled.
 func (p *Pool) EvaluateState(g *aig.AIG, lib *cell.Library) (Result, *EvalState, error) {
 	st := p.getState()
 	sc := p.getScratch()
@@ -107,7 +105,6 @@ func (s *EvalState) Release() {
 		panic("signoff: EvalState released twice")
 	}
 	s.released = true
-	s.g = nil
 	p := s.pool
 	p.mu.Lock()
 	p.states = append(p.states, s)

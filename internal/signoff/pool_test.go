@@ -12,7 +12,7 @@ import (
 // mutate rebuilds g with cone-local redundant restructurings, the kind
 // of change annealer moves produce: about one AND in six becomes
 // (a·c)·a or (a·c)·c, the same function through an extra node that
-// structural hashing keeps, so the rebased delta is never empty.
+// structural hashing keeps, so the rebased graph really differs.
 func mutate(g *aig.AIG, rng *rand.Rand) *aig.AIG {
 	nb := aig.NewBuilder(g.NumPIs())
 	m := make([]aig.Lit, g.NumNodes())
@@ -101,18 +101,26 @@ func mustEqualStates(t *testing.T, ctx string, want, got *EvalState) {
 	}
 }
 
+// freshState evaluates g into unpooled storage, the reference a pooled
+// evaluation must reproduce.
+func freshState(g *aig.AIG, lib *cell.Library) (Result, *EvalState, error) {
+	st := &EvalState{}
+	r, err := evaluateInto(g, lib, st, &evalScratch{})
+	return r, st, err
+}
+
 // FuzzPooledDelta feeds fuzz-chosen graph shapes and seeds through one
 // long-lived pool (so carcasses and scratches are recycled across
-// inputs) and asserts that the pooled anchor and a chain of pooled
-// EvaluateDelta steps are each bit-identical to a from-scratch
-// EvaluateState of the same graph: headline result, both efforts'
-// netlists, and every corner's per-net arrivals and slews.
+// inputs, and across graphs of different sizes) and asserts that the
+// pooled evaluation of a graph and of a chain of rebased mutations of
+// it — annealer-style deltas, each evaluated while its predecessor's
+// state is still live — is bit-identical to a fresh evaluation of the
+// same graph: headline result, both efforts' netlists, and every
+// corner's per-net arrivals and slews.
 func FuzzPooledDelta(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(80), uint8(3))
 	f.Add(int64(99), uint8(12), uint8(200), uint8(8))
 	f.Add(int64(1234), uint8(2), uint8(15), uint8(1))
-	// A delta that changes loads inside the shared prefix, so the
-	// seeded STA must repropagate through unchanged gates.
 	f.Add(int64(20), uint8(8), uint8(107), uint8(2))
 	lib := cell.Builtin()
 	pool := NewPool()
@@ -121,7 +129,7 @@ func FuzzPooledDelta(f *testing.F) {
 		// Clamp into randomAIG's supported range (its PO picker reaches
 		// up to 40 literals back, so keep at least that many).
 		g := randomAIG(rng, 1+int(pis)%16, 40+int(ands), 1+int(pos)%8)
-		wantR, wantSt, err := EvaluateState(g, lib)
+		wantR, wantSt, err := freshState(g, lib)
 		if err != nil {
 			t.Skip() // unmatchable graphs are not this fuzzer's subject
 		}
@@ -133,11 +141,11 @@ func FuzzPooledDelta(f *testing.F) {
 		mustEqualStates(t, "fuzz-full", wantSt, st)
 		cur := g
 		for step := 0; step < 2; step++ {
-			next, d := aig.Rebase(cur, mutate(cur, rng))
-			wantR, wantSt, err1 := EvaluateState(next, lib)
-			gotR, gotSt, err2 := st.EvaluateDelta(next, d)
+			next, _ := aig.Rebase(cur, mutate(cur, rng))
+			wantR, wantSt, err1 := freshState(next, lib)
+			gotR, gotSt, err2 := pool.EvaluateState(next, lib)
 			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("step %d: delta error mismatch: full %v delta %v", step, err1, err2)
+				t.Fatalf("step %d: error mismatch: fresh %v pooled %v", step, err1, err2)
 			}
 			if err1 != nil {
 				break

@@ -4,7 +4,6 @@ import (
 	"aigtimer/internal/aig"
 	"aigtimer/internal/cell"
 	"aigtimer/internal/cut"
-	"aigtimer/internal/eval"
 	"aigtimer/internal/netlist"
 	"aigtimer/internal/sta"
 	"aigtimer/internal/techmap"
@@ -29,28 +28,24 @@ var highEffort = techmap.Params{
 // reporting order (the first wins delay/area ties).
 var efforts = [2]techmap.Params{techmap.DefaultParams, highEffort}
 
-// Evaluate maps g onto lib and returns the signoff metrics.
+// Evaluate maps g onto lib and returns the signoff metrics. It
+// allocates fresh storage per call; Pool.EvaluateState computes the
+// same result from recycled storage.
 func Evaluate(g *aig.AIG, lib *cell.Library) (Result, error) {
-	r, _, err := EvaluateState(g, lib)
-	return r, err
+	return evaluateInto(g, lib, &EvalState{}, &evalScratch{})
 }
 
-// EvalState is the reusable outcome of one full signoff evaluation:
-// the mapping state and multi-corner STA of both effort levels. It is
-// the anchor the incremental path needs — EvaluateDelta re-evaluates a
-// derived graph from it at cone-sized cost. A live EvalState is
-// immutable and safe to share across goroutines; one produced by a Pool
-// additionally owns recyclable storage (the cut arena, mapping states,
-// netlist carcasses, and STA results) that Release hands back for the
-// pool's next evaluation to cannibalize.
+// EvalState is the storage of one pooled signoff evaluation: the cut
+// lists, mapping states, netlists, and multi-corner STA of both effort
+// levels. The Result a pooled evaluation returns points into it (its
+// Netlist is one of the state's), so the state stays live until
+// Release hands it back for the pool's next evaluation to cannibalize.
 type EvalState struct {
-	g    *aig.AIG
 	maps [2]*techmap.State
 	srs  [2]*sta.SignoffResult
 
-	// arena backs the retained cut lists of both efforts; cutbufs are
-	// the per-effort cut tables the full path enumerates into (the delta
-	// path recycles the tables held inside maps instead). Both are
+	// arena backs the cut lists of both efforts; cutbufs are the
+	// per-effort cut tables enumeration writes into. Both are
 	// reset/regrown at the start of each evaluation into this carcass.
 	arena   cut.Arena
 	cutbufs [2][][]cut.Cut
@@ -58,9 +53,6 @@ type EvalState struct {
 	pool     *Pool // owning pool; nil for unpooled states
 	released bool
 }
-
-// AIG returns the graph this state evaluated.
-func (s *EvalState) AIG() *aig.AIG { return s.g }
 
 // pick folds one effort's outcome into the running best using the
 // signoff selection rule (slow-corner delay, area breaks ties).
@@ -85,9 +77,10 @@ func growCutLists(b [][]cut.Cut, n int) [][]cut.Cut {
 	return b
 }
 
-// EvaluateState evaluates g like Evaluate and additionally returns the
-// retained state that EvaluateDelta needs to evaluate derived graphs
-// incrementally.
+// evaluateInto is the evaluation body shared by the plain and pooled
+// entry points: it rebuilds st (a fresh or recycled carcass) as the
+// evaluation of g, drawing retained storage from st's own arena and
+// carcasses and working buffers from sc.
 //
 // Both mapping efforts share one cut enumeration: the default-effort
 // cut sets (MaxCuts 8) are selected from the same pairwise merge work
@@ -95,21 +88,7 @@ func growCutLists(b [][]cut.Cut, n int) [][]cut.Cut {
 // cut.EnumerateDual, whose per-effort output is bit-identical to two
 // independent enumerations — so the shared pass changes evaluation
 // cost, never the mapping (asserted by TestEvaluateStateMatchesPerEffortMapping).
-func EvaluateState(g *aig.AIG, lib *cell.Library) (Result, *EvalState, error) {
-	st := &EvalState{}
-	r, err := evaluateInto(g, lib, st, &evalScratch{})
-	if err != nil {
-		return Result{}, nil, err
-	}
-	return r, st, nil
-}
-
-// evaluateInto is the full-evaluation body shared by the plain and
-// pooled entry points: it rebuilds st (a fresh or recycled carcass) as
-// the evaluation of g, drawing retained storage from st's own arena
-// and carcasses and working buffers from sc.
 func evaluateInto(g *aig.AIG, lib *cell.Library, st *EvalState, sc *evalScratch) (Result, error) {
-	st.g = g
 	st.arena.Reset()
 	n := g.NumNodes()
 	st.cutbufs[0] = growCutLists(st.cutbufs[0], n)
@@ -129,56 +108,4 @@ func evaluateInto(g *aig.AIG, lib *cell.Library, st *EvalState, sc *evalScratch)
 		best = pick(best, i, nl, sr)
 	}
 	return best, nil
-}
-
-// EvaluateDelta evaluates next — a graph rebased against s's graph
-// with structural delta d (aig.Rebase) — by incremental remapping and
-// incremental multi-corner STA at both effort levels. The returned
-// metrics and netlist are bit-identical to a from-scratch
-// EvaluateState(next, lib); the cost scales with the dirty cone, not
-// the graph. When s came from a Pool, the new state draws its storage
-// from the same pool (and must eventually be Released).
-func (s *EvalState) EvaluateDelta(next *aig.AIG, d *aig.Delta) (Result, *EvalState, error) {
-	var ns *EvalState
-	var sc *evalScratch
-	if s.pool != nil {
-		ns = s.pool.getState()
-		sc = s.pool.getScratch()
-		defer s.pool.putScratch(sc)
-	} else {
-		ns = &EvalState{}
-		sc = &evalScratch{}
-	}
-	ns.g = next
-	ns.arena.Reset()
-	best := Result{}
-	for i := range efforts {
-		nl, ms, nm, err := techmap.RemapInto(s.maps[i], next, d, &ns.arena, ns.maps[i], &sc.tm)
-		if err != nil {
-			ns.Release()
-			return Result{}, nil, err
-		}
-		sr, err := sta.SignoffUpdateInto(s.srs[i], nl, nm, sta.SignoffParams{}, ns.srs[i], &sc.sta)
-		if err != nil {
-			ns.Release()
-			return Result{}, nil, err
-		}
-		ns.maps[i], ns.srs[i] = ms, sr
-		best = pick(best, i, nl, sr)
-	}
-	return best, ns, nil
-}
-
-// EvaluateBatch evaluates every graph concurrently on up to `workers`
-// goroutines (GOMAXPROCS when workers <= 0) and returns per-graph results
-// and errors, both in input order. Values are identical to sequential
-// Evaluate calls at any worker count: the pipeline is deterministic and
-// each graph is processed by exactly one worker.
-func EvaluateBatch(gs []*aig.AIG, lib *cell.Library, workers int) ([]Result, []error) {
-	rs := make([]Result, len(gs))
-	errs := make([]error, len(gs))
-	eval.ForEach(len(gs), workers, func(i int) {
-		rs[i], errs[i] = Evaluate(gs[i], lib)
-	})
-	return rs, errs
 }

@@ -7,6 +7,7 @@ import (
 	"aigtimer/internal/aig"
 	"aigtimer/internal/cell"
 	"aigtimer/internal/cut"
+	"aigtimer/internal/eval"
 	"aigtimer/internal/sta"
 	"aigtimer/internal/techmap"
 )
@@ -98,8 +99,10 @@ func TestEvaluatePreservesFunction(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatchMatchesSequential: the parallel batch path must agree
-// with sequential Evaluate calls, in input order, at any worker count.
+// TestEvaluateBatchMatchesSequential: a batch evaluated concurrently
+// through one shared Pool (the ground-truth oracle's batch path) must
+// agree with sequential Evaluate calls, in input order, at any worker
+// count — recycled storage never leaks between concurrent evaluations.
 func TestEvaluateBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	lib := cell.Builtin()
@@ -113,11 +116,18 @@ func TestEvaluateBatchMatchesSequential(t *testing.T) {
 		}
 		want[i] = r
 	}
+	pool := NewPool()
 	for _, workers := range []int{0, 1, 3, 16} {
-		rs, errs := EvaluateBatch(gs, lib, workers)
-		if len(rs) != len(gs) || len(errs) != len(gs) {
-			t.Fatalf("workers=%d: wrong result lengths", workers)
-		}
+		rs := make([]Result, len(gs))
+		errs := make([]error, len(gs))
+		eval.ForEach(len(gs), workers, func(i int) {
+			r, st, err := pool.EvaluateState(gs[i], lib)
+			if err == nil {
+				r.Netlist = nil // recycled by Release; only the metrics are compared
+				st.Release()
+			}
+			rs[i], errs[i] = r, err
+		})
 		for i := range gs {
 			if errs[i] != nil {
 				t.Fatalf("workers=%d: batch[%d] error: %v", workers, i, errs[i])
@@ -130,10 +140,10 @@ func TestEvaluateBatchMatchesSequential(t *testing.T) {
 }
 
 // TestEvaluateStateMatchesPerEffortMapping asserts the dual-effort cut
-// reuse is invisible: EvaluateState (one shared cut.EnumerateDual pass)
-// must produce the same metrics, the same governing corner, and
+// reuse is invisible: Pool.EvaluateState (one shared cut.EnumerateDual
+// pass) must produce the same metrics, the same governing corner, and
 // gate-for-gate the same netlist as mapping each effort with its own
-// independent enumeration (techmap.MapState) and timing it.
+// independent enumeration (techmap.Map) and timing it.
 func TestEvaluateStateMatchesPerEffortMapping(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	lib := cell.Builtin()
@@ -141,15 +151,16 @@ func TestEvaluateStateMatchesPerEffortMapping(t *testing.T) {
 		techmap.DefaultParams,
 		{Cut: cut.Params{K: 4, MaxCuts: 24}, NominalLoadFF: 6.0, AreaRecovery: true},
 	}
+	pool := NewPool()
 	for i := 0; i < 6; i++ {
 		g := randomAIG(rng, 8, 160, 4)
-		got, st, err := EvaluateState(g, lib)
+		got, st, err := pool.EvaluateState(g, lib)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := Result{}
 		for ei, mp := range efforts {
-			nl, _, err := techmap.MapState(g, lib, mp)
+			nl, err := techmap.Map(g, lib, mp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,8 +169,8 @@ func TestEvaluateStateMatchesPerEffortMapping(t *testing.T) {
 				t.Fatal(err)
 			}
 			want = pick(want, ei, nl, sr)
-			// The retained per-effort state must also map identically —
-			// it anchors later incremental evaluations.
+			// Each effort's mapping inside the state must match too, not
+			// only the one that won.
 			stNl := st.maps[ei].Netlist()
 			if len(stNl.Gates) != len(nl.Gates) {
 				t.Fatalf("graph %d effort %d: %d vs %d gates", i, ei, len(stNl.Gates), len(nl.Gates))
@@ -180,5 +191,6 @@ func TestEvaluateStateMatchesPerEffortMapping(t *testing.T) {
 			t.Fatalf("graph %d: shared-pass result (%v %v %s) vs independent (%v %v %s)",
 				i, got.DelayPS, got.AreaUM2, got.Corner, want.DelayPS, want.AreaUM2, want.Corner)
 		}
+		st.Release()
 	}
 }

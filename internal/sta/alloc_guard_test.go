@@ -6,15 +6,14 @@ import (
 
 	"aigtimer/internal/aig"
 	"aigtimer/internal/cell"
-	"aigtimer/internal/netlist"
 	"aigtimer/internal/sta"
 	"aigtimer/internal/techmap"
 )
 
-// TestSignoffUpdateZeroAllocs guards the incremental STA worklist path:
-// with a recycled result carcass and a caller-owned Scratch, a
-// steady-state SignoffUpdateInto must not touch the heap.
-func TestSignoffUpdateZeroAllocs(t *testing.T) {
+// TestSignoffIntoZeroAllocs guards the recycled signoff path: with a
+// dead result carcass to analyze into, a steady-state SignoffInto must
+// not touch the heap.
+func TestSignoffIntoZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	b := aig.NewBuilder(6)
 	lits := make([]aig.Lit, 0, 6+150)
@@ -43,28 +42,15 @@ func TestSignoffUpdateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Identity correspondence: the same netlist re-analyzed, the pure
-	// seeding-and-convergence shape of the worklist pass.
-	nm := make(netlist.NetMap, nl.NumNets())
-	for i := range nm {
-		nm[i] = netlist.NetID(i)
-	}
-	sc := &sta.Scratch{}
-	// Warm the scratch once.
-	res, err := sta.SignoffUpdateInto(prev, nl, nm, p, spare, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev, spare = res, prev
 	avg := testing.AllocsPerRun(50, func() {
-		r, err := sta.SignoffUpdateInto(prev, nl, nm, p, spare, sc)
+		r, err := sta.SignoffInto(nl, p, spare)
 		if err != nil {
 			t.Fatal(err)
 		}
 		prev, spare = r, prev
 	})
 	if avg != 0 {
-		t.Fatalf("SignoffUpdateInto allocates %.1f objects per run, want 0", avg)
+		t.Fatalf("SignoffInto allocates %.1f objects per run, want 0", avg)
 	}
 	if prev.WorstDelayPS <= 0 {
 		t.Fatal("degenerate analysis")

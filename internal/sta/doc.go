@@ -18,17 +18,11 @@
 // governing the reported delay. This is the "STA" step the paper runs
 // after technology mapping to obtain ground-truth maximum delay.
 //
-// # Determinism and the incremental contract
+// # Determinism
 //
 // Both analyzers are deterministic functions of (netlist, parameters):
 // equal inputs time identically, the property the evaluation layer's
-// memoization and the distributed sweep's merges rely on.
-//
-// SignoffUpdate repropagates a base signoff analysis through a changed
-// region only: seeded from the gates whose nets changed, a worklist
-// re-times arrivals and slews forward until values converge back onto
-// the base, sharing untouched loads with it. The contract is exactness
-// — updated results are bit-identical to analyzing the new netlist from
-// scratch — which is what entitles signoff.EvaluateDelta to feed them
-// into trajectories that must match full evaluation.
+// memoization and the distributed sweep's merges rely on. SignoffInto
+// analyzes into a dead result's storage, so a retained pipeline times
+// without allocating; its result is bit-identical to Signoff's.
 package sta

@@ -51,13 +51,8 @@ type SignoffResult struct {
 	AreaUM2 float64
 	// LoadsFF is the capacitive load of every gate-output net, shared
 	// by all corners (loads are corner-independent); primary-input net
-	// entries are left 0. SignoffUpdate compares these against a
-	// previous analysis to decide which gates to re-evaluate.
+	// entries are left 0.
 	LoadsFF []float64
-	// InputSlewPS is the primary-input transition time the analysis
-	// assumed; SignoffUpdate refuses to seed from a result produced
-	// under different parameters.
-	InputSlewPS float64
 }
 
 // Signoff runs slew-propagating NLDM STA at every corner.
@@ -71,42 +66,76 @@ func Signoff(nl *netlist.Netlist, p SignoffParams) (*SignoffResult, error) {
 // zeroed exactly like fresh allocations. The caller must guarantee
 // nothing references recycle anymore.
 func SignoffInto(nl *netlist.Netlist, p SignoffParams, recycle *SignoffResult) (*SignoffResult, error) {
-	r := beginSignoff(nl, p, recycle)
-	return r.run()
-}
-
-// withDefaults fills the zero-value fields; Signoff and SignoffUpdate
-// must default identically for incremental results to be exact.
-func (p SignoffParams) withDefaults() SignoffParams {
 	if p.Corners == nil {
 		p.Corners = cell.SignoffCorners
 	}
 	if p.InputSlewPS <= 0 {
 		p.InputSlewPS = 20
 	}
-	return p
-}
-
-// aggregate derives the governing corner summary from the per-corner
-// results; shared by Signoff and SignoffUpdate.
-func (res *SignoffResult) aggregate() {
-	res.WorstDelayPS, res.WorstCorner = 0, ""
-	for _, cr := range res.Corners {
-		if cr.MaxDelayPS > res.WorstDelayPS {
-			res.WorstDelayPS = cr.MaxDelayPS
-			res.WorstCorner = cr.Corner.Name
-		}
-	}
-}
-
-// netLoads computes the load of every gate-output net into loads (length
-// NumNets, zeroed); loads are corner-independent, so all corners share
-// the slice.
-func netLoads(nl *netlist.Netlist, loads []float64) {
+	res := recycleSignoff(recycle, nl.NumNets(), len(p.Corners))
+	res.Netlist, res.AreaUM2 = nl, nl.AreaUM2()
 	for gi := range nl.Gates {
 		out := nl.Gates[gi].Output
-		loads[out] = nl.LoadFF(out)
+		res.LoadsFF[out] = nl.LoadFF(out)
 	}
+	for ci, corner := range p.Corners {
+		cr := &res.Corners[ci]
+		if err := analyzeCorner(nl, cr, corner, p.InputSlewPS, res.LoadsFF); err != nil {
+			return nil, err
+		}
+		if cr.MaxDelayPS > res.WorstDelayPS {
+			res.WorstDelayPS = cr.MaxDelayPS
+			res.WorstCorner = corner.Name
+		}
+	}
+	return res, nil
+}
+
+// recycleSignoff returns a SignoffResult shell with storage reused from
+// recycle (which must be dead: no other holder) sized for numNets nets
+// and numCorners corners. A nil recycle allocates everything fresh; in
+// both cases the per-net slices are zeroed like fresh allocations, so
+// recycled results are bit-identical to fresh ones by construction.
+func recycleSignoff(recycle *SignoffResult, numNets, numCorners int) *SignoffResult {
+	res := recycle
+	if res == nil {
+		res = &SignoffResult{}
+	}
+	prev := res.Corners[:cap(res.Corners)]
+	corners := res.Corners[:0]
+	if cap(corners) < numCorners {
+		corners = make([]CornerResult, 0, numCorners)
+	}
+	// Reuse each previous corner slot's per-net slices; slots beyond the
+	// previous corner count start fresh.
+	for i := 0; i < numCorners; i++ {
+		var cr CornerResult
+		if i < len(prev) {
+			cr.ArrivalPS = growF64(prev[i].ArrivalPS, numNets)
+			cr.SlewPS = growF64(prev[i].SlewPS, numNets)
+		} else {
+			cr.ArrivalPS = make([]float64, numNets)
+			cr.SlewPS = make([]float64, numNets)
+		}
+		cr.CriticalPO = -1
+		corners = append(corners, cr)
+	}
+	loads := growF64(res.LoadsFF, numNets)
+	*res = SignoffResult{Corners: corners, LoadsFF: loads}
+	return res
+}
+
+// growF64 returns b resized to n elements, all zero — the recycled
+// equivalent of make([]float64, n).
+func growF64(b []float64, n int) []float64 {
+	if cap(b) < n {
+		return make([]float64, n)
+	}
+	b = b[:n]
+	for i := range b {
+		b[i] = 0
+	}
+	return b
 }
 
 // analyzeCorner runs the full forward pass at one corner into cr, whose
@@ -118,12 +147,26 @@ func analyzeCorner(nl *netlist.Netlist, cr *CornerResult, corner cell.Corner, in
 	}
 	for gi := range nl.Gates {
 		g := &nl.Gates[gi]
-		arr, slew, err := gateCornerEval(nl, cr.ArrivalPS, cr.SlewPS, gi, corner, inputSlew, loads)
-		if err != nil {
-			return err
+		c := g.Cell
+		if c.NLDM == nil {
+			return fmt.Errorf("sta: cell %s has no NLDM tables", c.Name)
 		}
-		cr.ArrivalPS[g.Output] = arr
-		cr.SlewPS[g.Output] = slew
+		load := loads[g.Output]
+		// Worst-slew merging: the latest-arriving transition is assumed
+		// to carry the worst slew seen at any pin (a standard
+		// conservative simplification of per-arc analysis).
+		arr, slew := 0.0, inputSlew
+		for _, in := range g.Inputs {
+			if a := cr.ArrivalPS[in]; a > arr {
+				arr = a
+			}
+			if s := cr.SlewPS[in]; s > slew {
+				slew = s
+			}
+		}
+		d := c.NLDM.Delay.Lookup(slew, load) * corner.Scale
+		cr.ArrivalPS[g.Output] = arr + d
+		cr.SlewPS[g.Output] = c.NLDM.SlewOut.Lookup(slew, load) * corner.Scale
 	}
 	for i, po := range nl.POs {
 		if a := cr.ArrivalPS[po]; cr.CriticalPO < 0 || a > cr.MaxDelayPS {
@@ -132,32 +175,4 @@ func analyzeCorner(nl *netlist.Netlist, cr *CornerResult, corner cell.Corner, in
 		}
 	}
 	return nil
-}
-
-// gateCornerEval computes one gate's output (arrival, slew) at a corner
-// from the current per-net values — the single evaluation step shared
-// verbatim by the full corner pass and the incremental update, so both
-// produce bit-identical numbers.
-func gateCornerEval(nl *netlist.Netlist, arrival, slews []float64, gi int,
-	corner cell.Corner, inputSlew float64, loads []float64) (float64, float64, error) {
-	g := &nl.Gates[gi]
-	c := g.Cell
-	if c.NLDM == nil {
-		return 0, 0, fmt.Errorf("sta: cell %s has no NLDM tables", c.Name)
-	}
-	load := loads[g.Output]
-	// Worst-slew merging: the latest-arriving transition is assumed
-	// to carry the worst slew seen at any pin (a standard
-	// conservative simplification of per-arc analysis).
-	arr, slew := 0.0, inputSlew
-	for _, in := range g.Inputs {
-		if a := arrival[in]; a > arr {
-			arr = a
-		}
-		if s := slews[in]; s > slew {
-			slew = s
-		}
-	}
-	d := c.NLDM.Delay.Lookup(slew, load) * corner.Scale
-	return arr + d, c.NLDM.SlewOut.Lookup(slew, load) * corner.Scale, nil
 }

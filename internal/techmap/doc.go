@@ -20,20 +20,16 @@
 // The mapper is intentionally the expensive step: its cost is what the
 // learned predictor amortizes away.
 //
-// # Determinism and the incremental contract
+// # Determinism and storage
 //
 // Mapping is a deterministic function of (graph, library, Params):
 // structurally equal AIGs map to identical netlists, which is what lets
 // the evaluation layer memoize results and the distributed sweep merge
 // them across processes.
 //
-// Map retains its full decision state in a State; Remap re-maps a
-// derived graph from the State of its base using the aig.Delta between
-// them — prefix cuts and implementations are translated (exact because
-// the pipeline is order-isomorphism-invariant and the delta's matched
-// translation is monotone), and only the dirty suffix is re-enumerated,
-// re-selected, and re-emitted. The contract is exactness, not
-// approximation: Remap's netlist is bit-identical to mapping the derived
-// graph from scratch, proven by the differential harness and fuzz target
-// in this package and internal/eval.
+// Map allocates what it needs. MapStateWithCutsInto is the retained
+// form signoff's pooled evaluation uses: it maps over a precomputed cut
+// set into a dead State's storage (implementation table and netlist
+// carcass) with working buffers from a Scratch, so a warm pipeline
+// maps without allocating. Both produce the same netlist.
 package techmap

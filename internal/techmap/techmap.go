@@ -81,27 +81,36 @@ type markItem struct {
 }
 
 // Scratch holds every per-call working buffer of the mapping pipeline —
-// match selection state, area-recovery overlays, the emit memo, and the
-// cut-enumeration scratch — reused across calls so a retained evaluation
-// pipeline performs no steady-state allocations while mapping. A Scratch
-// serves one mapping at a time.
+// match selection state, area-recovery requirements, and the emit memo —
+// reused across calls so a retained evaluation pipeline performs no
+// steady-state allocations while mapping. A Scratch serves one mapping
+// at a time.
 type Scratch struct {
 	direct [][2]impl
 	used   [][2]bool
 	req    [][2]float64
-	sized  [][2]impl
 	stack  []markItem
-	inv    []int32
 	memo   [2][]netlist.NetID
-	nm     netlist.NetMap
 	cands  []impl
-	cuts   cut.Scratch
 	// m is the pipeline's mapper for the in-flight call. It lives here
 	// rather than on the caller's stack because its address flows into
 	// the emitter and would otherwise escape — one heap allocation per
 	// mapping on an otherwise allocation-free path.
 	m mapper
 }
+
+// State is the storage one mapping leaves behind: the per-node
+// implementation table and the emitted netlist. MapStateWithCutsInto
+// builds a new mapping inside a dead State's storage instead of
+// allocating afresh; the caller owns the guarantee that nothing
+// references the dead State (or its netlist) any more.
+type State struct {
+	impls [][2]impl
+	nl    *netlist.Netlist
+}
+
+// Netlist returns the mapped netlist (identical to Map's result).
+func (s *State) Netlist() *netlist.Netlist { return s.nl }
 
 // mapper resets sc.m for a new mapping call and returns it.
 func (sc *Scratch) mapper() *mapper {
@@ -122,27 +131,85 @@ type mapper struct {
 	lib  *cell.Library
 	p    Params
 	cuts [][]cut.Cut
-	// impls is the selectImpls output, retained by the State. eff is
-	// what the global passes (markUsed, area recovery, emit) read: it
-	// aliases impls until area recovery copies it into the sized overlay
-	// — the pre-recovery impls are never mutated, so the State can
-	// retain them without a defensive snapshot.
+	// impls holds the chosen implementation of both phases of every
+	// node: selectImpls fills it and area recovery resizes its gates in
+	// place.
 	impls [][2]impl
-	eff   [][2]impl
 	sc    *Scratch
 }
 
 // Map maps the AIG onto the library and returns the gate-level netlist.
-// Use MapState instead to also retain the per-node mapping state that
-// Remap needs for incremental re-mapping; Map itself skips that
-// packaging (gate indexing), keeping the plain evaluation path lean.
 func Map(g *aig.AIG, lib *cell.Library, p Params) (*netlist.Netlist, error) {
 	m, err := runMapper(g, lib, p, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	nl, _ := emitMapped(m, nil)
-	return nl, nil
+	return emitMapped(m, nil), nil
+}
+
+// MapStateWithCutsInto maps g like Map, over a precomputed cut set —
+// one priority-cut list per node, exactly what cut.Enumerate(g, p.Cut)
+// returns — building the result inside dead's storage and drawing
+// working buffers from sc (either may be nil to allocate fresh). It
+// exists for callers that enumerate cuts for several mapping efforts in
+// one shared pass (cut.EnumerateDual, used by signoff's dual-effort
+// evaluation): the caller owns the guarantee that cuts matches p.Cut,
+// and the netlist is bit-identical to Map(g, lib, p) whenever it does.
+// The caller must also guarantee that nothing references dead any more.
+func MapStateWithCutsInto(g *aig.AIG, lib *cell.Library, p Params, cuts [][]cut.Cut, dead *State, sc *Scratch) (*netlist.Netlist, *State, error) {
+	if len(cuts) != g.NumNodes() {
+		return nil, nil, fmt.Errorf("techmap: cut set covers %d nodes, graph has %d", len(cuts), g.NumNodes())
+	}
+	m, err := runMapper(g, lib, p, cuts, dead, sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	s := dead
+	if s == nil {
+		s = &State{}
+	}
+	nl := emitMapped(m, s.nl)
+	*s = State{impls: m.impls, nl: nl}
+	return nl, s, nil
+}
+
+// runMapper normalizes the parameters, enumerates cuts (unless the
+// caller precomputed them), and selects implementations — the shared
+// front half of Map and MapStateWithCutsInto. The impls buffer is
+// recycled from dead and working buffers come from sc; either may be
+// nil for fresh allocation. The returned mapper lives inside sc and is
+// valid until sc's next mapping call.
+func runMapper(g *aig.AIG, lib *cell.Library, p Params, cuts [][]cut.Cut, dead *State, sc *Scratch) (*mapper, error) {
+	if p.Cut.K == 0 {
+		p.Cut = DefaultParams.Cut
+	}
+	if p.NominalLoadFF == 0 {
+		p.NominalLoadFF = DefaultParams.NominalLoadFF
+	}
+	if cuts == nil {
+		cuts = cut.Enumerate(g, p.Cut)
+	}
+	if sc == nil {
+		sc = &Scratch{}
+	}
+	m := sc.mapper()
+	m.g, m.lib, m.p, m.cuts, m.sc = g, lib, p, cuts, sc
+	var implsBuf [][2]impl
+	if dead != nil {
+		implsBuf = dead.impls
+	}
+	m.impls = growImpls(implsBuf, g.NumNodes())
+	sc.direct = growImpls(sc.direct, g.NumNodes())
+	return m, m.selectImpls()
+}
+
+// emitMapped runs the global tail of mapping (area recovery, emission)
+// into nlRecycle's storage (nil builds fresh).
+func emitMapped(m *mapper, nlRecycle *netlist.Netlist) *netlist.Netlist {
+	if m.p.AreaRecovery {
+		m.recoverArea()
+	}
+	return m.emit(nlRecycle)
 }
 
 // invDelay returns the nominal delay of the shared inverter.
@@ -150,9 +217,9 @@ func (m *mapper) invDelay() float64 {
 	return m.lib.Inverter().DelayPS(m.p.NominalLoadFF)
 }
 
-// arrivalOf returns the arrival time of (node, phase) under the
-// effective implementation view, deriving the complement phase through
-// an inverter when necessary.
+// arrivalOf returns the arrival time of (node, phase) under the chosen
+// implementations, deriving the complement phase through an inverter
+// when necessary.
 func (m *mapper) arrivalOf(n int32, ph int) float64 {
 	if !m.g.IsAnd(n) {
 		// PIs and constants arrive at t=0; a PI's complement costs an
@@ -162,18 +229,13 @@ func (m *mapper) arrivalOf(n int32, ph int) float64 {
 		}
 		return 0
 	}
-	return m.eff[n][ph].arrival
+	return m.impls[n][ph].arrival
 }
 
 // selectImpls chooses the best implementation for both phases of every
-// AND node with index >= from, in topological order. Impls of nodes
-// below from must already be filled (the full pass starts at FirstAnd;
-// the incremental pass starts past the translated matched prefix).
-func (m *mapper) selectImpls(from int32) error {
-	if from < m.g.FirstAnd() {
-		from = m.g.FirstAnd()
-	}
-	for i := int(from); i < m.g.NumNodes(); i++ {
+// AND node, in topological order.
+func (m *mapper) selectImpls() error {
+	for i := int(m.g.FirstAnd()); i < m.g.NumNodes(); i++ {
 		if err := m.selectNode(int32(i)); err != nil {
 			return err
 		}
@@ -328,7 +390,7 @@ func (m *mapper) markUsed() {
 	for len(stack) > 0 {
 		it := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		im := m.eff[it.n][it.ph]
+		im := m.impls[it.n][it.ph]
 		switch im.kind {
 		case kindInv:
 			push(it.n, 1-it.ph)
@@ -360,15 +422,7 @@ func phaseOf(l aig.Lit) int {
 // identical pin wiring that still meets the required time is selected.
 // Because only the cell choice changes (never the structure), the total
 // area is monotonically non-increasing.
-//
-// The pass operates on the sized overlay (m.eff), never on the
-// selectImpls output: m.impls survives unmodified for the State to
-// retain, which is what lets Remap translate pre-recovery choices
-// without any defensive copy.
 func (m *mapper) recoverArea() {
-	m.sc.sized = growImpls(m.sc.sized, m.g.NumNodes())
-	copy(m.sc.sized, m.impls)
-	m.eff = m.sc.sized
 	m.markUsed()
 	used := m.sc.used
 	if cap(m.sc.req) < m.g.NumNodes() {
@@ -399,7 +453,7 @@ func (m *mapper) recoverArea() {
 			if !used[n][ph] || math.IsInf(req[n][ph], 1) {
 				continue
 			}
-			im := m.eff[n][ph]
+			im := m.impls[n][ph]
 			switch im.kind {
 			case kindInv:
 				lower(&req[n][1-ph], req[n][ph]-m.invDelay())
@@ -430,7 +484,7 @@ func (m *mapper) recoverArea() {
 			if !used[n][ph] {
 				continue
 			}
-			im := m.eff[n][ph]
+			im := m.impls[n][ph]
 			if im.kind != kindGate {
 				continue
 			}
@@ -451,7 +505,7 @@ func (m *mapper) recoverArea() {
 					best = cand
 				}
 			}
-			m.eff[n][ph] = best
+			m.impls[n][ph] = best
 		}
 	})
 }
@@ -462,14 +516,10 @@ func lower(dst *float64, v float64) {
 	}
 }
 
-// emit materializes the effective implementations as a netlist built
-// into nlRecycle's storage (nil builds fresh). Alongside the netlist it
-// returns, per emitted gate, the (node, phase) key whose implementation
-// created it — the correspondence raw material the incremental path uses
-// to relate the nets of successive mappings (see Remap). The
-// (node, phase) -> net memo lives in the Scratch and is valid until its
-// next use.
-func (m *mapper) emit(nlRecycle *netlist.Netlist, gateKeys [][2]int32) (*netlist.Netlist, [][2]int32) {
+// emit materializes the chosen implementations as a netlist built into
+// nlRecycle's storage (nil builds fresh). The (node, phase) -> net memo
+// lives in the Scratch and is valid until its next use.
+func (m *mapper) emit(nlRecycle *netlist.Netlist) *netlist.Netlist {
 	for ph := 0; ph < 2; ph++ {
 		if cap(m.sc.memo[ph]) < m.g.NumNodes() {
 			m.sc.memo[ph] = make([]netlist.NetID, m.g.NumNodes())
@@ -480,28 +530,20 @@ func (m *mapper) emit(nlRecycle *netlist.Netlist, gateKeys [][2]int32) (*netlist
 		}
 	}
 	// A method-based emitter rather than recursive closures: a closure
-	// that captures itself escapes to the heap, and emit runs on the
-	// steady-state delta path.
-	e := emitter{m: m, nb: netlist.MakeBuilder(m.lib, m.g.NumPIs(), nlRecycle), gateKeys: gateKeys[:0]}
+	// that captures itself escapes to the heap, and emit runs on every
+	// pooled evaluation.
+	e := emitter{m: m, nb: netlist.MakeBuilder(m.lib, m.g.NumPIs(), nlRecycle)}
 	for _, po := range m.g.POs() {
 		e.nb.AddPO(e.need(po.Node(), phaseOf(po)))
 	}
-	return e.nb.Build(), e.gateKeys
+	return e.nb.Build()
 }
 
 // emitter carries the in-progress emission state through need's
 // recursion.
 type emitter struct {
-	m        *mapper
-	nb       netlist.Builder
-	gateKeys [][2]int32
-}
-
-// addGate instantiates a cell and records its creator key.
-func (e *emitter) addGate(key [2]int32, c *cell.Cell, ins ...netlist.NetID) netlist.NetID {
-	net := e.nb.AddGate(c, ins...)
-	e.gateKeys = append(e.gateKeys, key)
-	return net
+	m  *mapper
+	nb netlist.Builder
 }
 
 // need returns the net realizing (node, phase), emitting it on first use.
@@ -510,26 +552,25 @@ func (e *emitter) need(n int32, ph int) netlist.NetID {
 	if net := m.sc.memo[ph][n]; net >= 0 {
 		return net
 	}
-	key := [2]int32{n, int32(ph)}
 	var net netlist.NetID
 	switch {
 	case n == 0: // constant false node
-		net = e.addGate(key, m.lib.Tie(ph == neg))
+		net = e.nb.AddGate(m.lib.Tie(ph == neg))
 	case m.g.IsPI(n):
 		if ph == pos {
 			net = e.nb.PINet(int(n) - 1)
 		} else {
-			net = e.addGate(key, m.lib.Inverter(), e.nb.PINet(int(n)-1))
+			net = e.nb.AddGate(m.lib.Inverter(), e.nb.PINet(int(n)-1))
 		}
 	default:
-		im := m.eff[n][ph]
+		im := m.impls[n][ph]
 		switch im.kind {
 		case kindInv:
-			net = e.addGate(key, m.lib.Inverter(), e.need(n, 1-ph))
+			net = e.nb.AddGate(m.lib.Inverter(), e.need(n, 1-ph))
 		case kindWire:
 			net = e.need(im.leaf, im.leafPhase)
 		case kindTie:
-			net = e.addGate(key, m.lib.Tie(im.tieVal))
+			net = e.nb.AddGate(m.lib.Tie(im.tieVal))
 		case kindGate:
 			c := &m.cuts[n][im.cutIdx]
 			var insArr [4]netlist.NetID
@@ -541,7 +582,7 @@ func (e *emitter) need(n int32, ph int) netlist.NetID {
 				}
 				ins[j] = e.need(c.Leaf(im.match.PinVar[j]), lph)
 			}
-			net = e.addGate(key, im.match.Cell, ins...)
+			net = e.nb.AddGate(im.match.Cell, ins...)
 		default:
 			panic("techmap: emitting unimplemented node")
 		}

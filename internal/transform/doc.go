@@ -30,10 +30,10 @@
 //
 // Recipes are named compositions of transforms — the annealer's move
 // catalog. Recipe.Apply produces the derived graph; Recipe.ApplyTracked
-// additionally rebases the result against its input (aig.Rebase), so
-// the candidate carries the (base, delta) provenance the incremental
-// evaluation path keys on. Tracking never changes the produced
-// structure, only its node numbering and recorded ancestry — Rebase is
-// a pure renumbering — so trajectories are identical with and without
-// it.
+// additionally rebases the result against its input (aig.Rebase).
+// Rebasing is a pure renumbering, so the function and the node and level
+// counts are the same either way, but the node order is not: it is an
+// input to every later move and to the ground-truth mapper's cut order,
+// so every ground-truth trajectory depends on which of the two produced
+// its candidates.
 package transform

@@ -30,14 +30,16 @@ func (r Recipe) Apply(g *aig.AIG, rng *rand.Rand) *aig.AIG {
 	return g
 }
 
-// ApplyTracked runs the recipe like Apply and additionally emits the
-// structural delta of the move: the result is rebased against g
-// (aig.Rebase), so its AND nodes split into a prefix shared with g and
-// a dirty suffix — the cone the recipe actually touched plus its
-// transitive fanout — and carries (g, delta) as provenance. Incremental
-// evaluation oracles key off that record to re-map and re-time only the
-// dirty cone; callers that accept the move should eventually
-// ClearProvenance to unpin g.
+// ApplyTracked runs the recipe like Apply and rebases the result
+// against g (aig.Rebase): its AND nodes split into a prefix shared with
+// g, in g's order, and a dirty suffix — the cone the recipe actually
+// touched plus its transitive fanout — which the returned Delta
+// describes. The annealer applies every ground-truth move this way.
+// Rebasing stays although nothing evaluates the delta any more, because
+// the rebased node order is an input to every later move and to the
+// mapper's cut order: every recorded ground-truth trajectory, and the
+// EX08 fixed point, was produced with rebased candidates, and Apply's
+// order scores differently.
 func (r Recipe) ApplyTracked(g *aig.AIG, rng *rand.Rand) (*aig.AIG, *aig.Delta) {
 	return aig.Rebase(g, r.Apply(g, rng))
 }
