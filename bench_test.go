@@ -33,6 +33,7 @@ import (
 	"aigtimer/internal/features"
 	"aigtimer/internal/flows"
 	"aigtimer/internal/gbdt"
+	"aigtimer/internal/netlist"
 	"aigtimer/internal/signoff"
 	"aigtimer/internal/sta"
 	"aigtimer/internal/techmap"
@@ -73,9 +74,9 @@ func fixtures(b *testing.B) (map[string]*aig.AIG, []dataset.Sample, *gbdt.Model)
 }
 
 // BenchmarkSimulate compares the legacy one-shot sequential simulation path
-// with the reusable parallel engine across pattern widths, on the 8x8
-// multiplier (the paper's Fig. 1 workload). The engine should win on every
-// width ≥64 words on multi-core, and allocate nothing in steady state.
+// with the reusable engine across pattern widths, on the 8x8 multiplier
+// (the paper's Fig. 1 workload). The engine should win on every width and
+// allocate nothing in steady state.
 func BenchmarkSimulate(b *testing.B) {
 	g := bench.Multiplier(8)
 	for _, words := range []int{4, 64, 256, 1024} {
@@ -124,10 +125,13 @@ func BenchmarkFig1(b *testing.B) {
 	g := designs["mult5x5"]
 	lib := cell.Builtin()
 	b.Run("label-mult5x5", func(b *testing.B) {
+		var pool signoff.Pool
 		for i := 0; i < b.N; i++ {
-			if _, err := signoff.Evaluate(g, lib); err != nil {
+			_, st, err := pool.Evaluate(g, lib)
+			if err != nil {
 				b.Fatal(err)
 			}
+			st.Release()
 		}
 	})
 	b.Run("levels-proxy", func(b *testing.B) {
@@ -156,11 +160,14 @@ func BenchmarkFig2(b *testing.B) {
 		})
 		b.Run("ground-truth/"+d.Name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
+			var pool signoff.Pool
 			for i := 0; i < b.N; i++ {
 				cand := recipes[rng.Intn(len(recipes))].Apply(g, rng)
-				if _, err := signoff.Evaluate(cand, lib); err != nil {
+				_, st, err := pool.Evaluate(cand, lib)
+				if err != nil {
 					b.Fatal(err)
 				}
+				st.Release()
 			}
 		})
 	}
@@ -332,9 +339,9 @@ func BenchmarkSignoffEval(b *testing.B) {
 	designs, _, _ := fixtures(b)
 	g := designs["EX08"]
 	lib := cell.Builtin()
-	pool := signoff.NewPool()
+	var pool signoff.Pool
 	for i := 0; i < 2; i++ {
-		_, st, err := pool.EvaluateState(g, lib)
+		_, st, err := pool.Evaluate(g, lib)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -343,7 +350,7 @@ func BenchmarkSignoffEval(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, st, err := pool.EvaluateState(g, lib)
+		_, st, err := pool.Evaluate(g, lib)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -357,36 +364,35 @@ func BenchmarkAblation(b *testing.B) {
 	g := designs["EX08"]
 	lib := cell.Builtin()
 
-	b.Run("map-with-area-recovery", func(b *testing.B) {
-		p := techmap.DefaultParams
-		p.AreaRecovery = true
+	// mapAt maps g at p over cuts enumerated at cp, reusing one
+	// enumerator, mapper and netlist across iterations like signoff does.
+	mapAt := func(b *testing.B, p techmap.Params, cp cut.Params) {
+		var e cut.Enumerator
+		var m techmap.Mapper
+		var nl *netlist.Netlist
 		for i := 0; i < b.N; i++ {
-			if _, err := techmap.Map(g, lib, p); err != nil {
+			var err error
+			if nl, err = m.Map(g, lib, p, e.Enumerate(g, cp), nl); err != nil {
 				b.Fatal(err)
 			}
 		}
+	}
+	b.Run("map-with-area-recovery", func(b *testing.B) {
+		p := techmap.DefaultParams
+		p.AreaRecovery = true
+		mapAt(b, p, cut.DefaultParams)
 	})
 	b.Run("map-without-area-recovery", func(b *testing.B) {
 		p := techmap.DefaultParams
 		p.AreaRecovery = false
-		for i := 0; i < b.N; i++ {
-			if _, err := techmap.Map(g, lib, p); err != nil {
-				b.Fatal(err)
-			}
-		}
+		mapAt(b, p, cut.DefaultParams)
 	})
 	for _, mc := range []int{2, 8, 24} {
-		p := techmap.DefaultParams
-		p.Cut = cut.Params{K: 4, MaxCuts: mc}
 		b.Run("map-maxcuts-"+itoa(mc), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := techmap.Map(g, lib, p); err != nil {
-					b.Fatal(err)
-				}
-			}
+			mapAt(b, techmap.DefaultParams, cut.Params{K: 4, MaxCuts: mc})
 		})
 	}
-	nl, err := techmap.Map(g, lib, techmap.DefaultParams)
+	nl, err := new(techmap.Mapper).Map(g, lib, techmap.DefaultParams, new(cut.Enumerator).Enumerate(g, cut.DefaultParams), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -397,7 +403,7 @@ func BenchmarkAblation(b *testing.B) {
 	})
 	b.Run("sta-nldm-3corner", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sta.Signoff(nl, sta.SignoffParams{}); err != nil {
+			if _, err := sta.Signoff(nl, sta.SignoffParams{}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

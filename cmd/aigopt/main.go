@@ -187,14 +187,17 @@ func main() {
 		ev.Name(), res.Best.NumAnds(), res.Best.MaxLevel())
 
 	// Always report final ground-truth quality regardless of flow.
-	sr, err := signoff.Evaluate(res.Best, lib)
+	var pool signoff.Pool
+	sr, st, err := pool.Evaluate(res.Best, lib)
 	if err != nil {
 		fatal(err)
 	}
-	s0, err := signoff.Evaluate(g, lib)
+	st.Release()
+	s0, st, err := pool.Evaluate(g, lib)
 	if err != nil {
 		fatal(err)
 	}
+	st.Release()
 	fmt.Printf("signoff: delay %.1f ps -> %.1f ps (%+.1f%%), area %.1f -> %.1f um2 (%+.1f%%)\n",
 		s0.DelayPS, sr.DelayPS, 100*(sr.DelayPS-s0.DelayPS)/s0.DelayPS,
 		s0.AreaUM2, sr.AreaUM2, 100*(sr.AreaUM2-s0.AreaUM2)/s0.AreaUM2)

@@ -52,8 +52,8 @@ func main() {
 		}
 	}
 
-	lib := cell.Builtin()
-	r, err := signoff.Evaluate(g, lib)
+	var pool signoff.Pool
+	r, st, err := pool.Evaluate(g, cell.Builtin())
 	if err != nil {
 		fatal(err)
 	}
@@ -68,6 +68,7 @@ func main() {
 	if *dotOut != "" {
 		writeTo(*dotOut, func(f *os.File) error { return r.Netlist.WriteDOT(f, name) })
 	}
+	st.Release() // r.Netlist is the state's storage: read it before this
 	if *aigOut != "" {
 		writeTo(*aigOut, func(f *os.File) error { return g.WriteBinary(f) })
 	}

@@ -13,8 +13,7 @@ import (
 
 	"aigtimer/internal/bench"
 	"aigtimer/internal/cell"
-	"aigtimer/internal/sta"
-	"aigtimer/internal/techmap"
+	"aigtimer/internal/signoff"
 )
 
 // A deliberately spartan library: inverters and NAND2s only, as in the
@@ -46,17 +45,15 @@ func main() {
 	fmt.Printf("design %s: %v\n\n", design.Name, g.Stats())
 
 	fmt.Printf("%-12s %8s %12s %12s %10s\n", "library", "gates", "area (um2)", "delay (ps)", "depth")
+	var pool signoff.Pool
 	for _, lib := range []*cell.Library{custom, rich} {
-		nl, err := techmap.Map(g, lib, techmap.DefaultParams)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sr, err := sta.Signoff(nl, sta.SignoffParams{})
+		r, st, err := pool.Evaluate(g, lib)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-12s %8d %12.1f %12.1f %10d\n",
-			lib.Name, nl.NumGates(), sr.AreaUM2, sr.WorstDelayPS, nl.LogicDepth())
+			lib.Name, r.Netlist.NumGates(), r.AreaUM2, r.DelayPS, r.Netlist.LogicDepth())
+		st.Release()
 	}
 	fmt.Println("\nthe rich library should win on every axis: complex cells absorb")
 	fmt.Println("several AIG nodes per gate, which is exactly the depth-compression")

@@ -1,5 +1,6 @@
-// Quickstart: build a small circuit as an AIG, optimize it, map it onto
-// the built-in 130nm-class library, and run signoff timing analysis.
+// Quickstart: build a small circuit as an AIG, optimize it, then map it
+// onto the built-in 130nm-class library and run signoff timing analysis
+// in one ground-truth evaluation.
 //
 //	go run ./examples/quickstart
 package main
@@ -11,8 +12,8 @@ import (
 
 	"aigtimer/internal/aig"
 	"aigtimer/internal/cell"
+	"aigtimer/internal/signoff"
 	"aigtimer/internal/sta"
-	"aigtimer/internal/techmap"
 	"aigtimer/internal/transform"
 )
 
@@ -39,12 +40,16 @@ func main() {
 		log.Fatal("optimization changed the function!")
 	}
 
-	// 3. Map onto the built-in standard-cell library.
-	lib := cell.Builtin()
-	nl, err := techmap.Map(opt, lib, techmap.DefaultParams)
+	// 3. Map onto the built-in standard-cell library and run multi-corner
+	// NLDM signoff: the ground-truth evaluation maps at two efforts and
+	// keeps the faster netlist. The netlist lives in the evaluation's
+	// state until the state is released.
+	var pool signoff.Pool
+	r, st, err := pool.Evaluate(opt, cell.Builtin())
 	if err != nil {
 		log.Fatal(err)
 	}
+	nl := r.Netlist
 	fmt.Printf("mapped netlist: %s\n", nl.Stats())
 	fmt.Println("cell usage:")
 	for _, h := range nl.CellHistogram() {
@@ -52,16 +57,9 @@ func main() {
 	}
 
 	// 4. Linear-model STA for a quick look...
-	r := sta.Analyze(nl)
-	fmt.Printf("\n%s", r.Report())
+	fmt.Printf("\n%s", sta.Analyze(nl).Report())
+	st.Release()
 
-	// ...and multi-corner NLDM signoff for the number that counts.
-	sr, err := sta.Signoff(nl, sta.SignoffParams{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, cr := range sr.Corners {
-		fmt.Printf("corner %-3s max delay %8.1f ps\n", cr.Corner.Name, cr.MaxDelayPS)
-	}
-	fmt.Printf("signoff delay (%s): %.1f ps\n", sr.WorstCorner, sr.WorstDelayPS)
+	// ...and the signoff number that counts.
+	fmt.Printf("signoff delay (%s corner): %.1f ps, area %.1f um2\n", r.Corner, r.DelayPS, r.AreaUM2)
 }

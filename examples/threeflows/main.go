@@ -64,6 +64,7 @@ func main() {
 	}
 	fmt.Printf("\n%-14s %12s %12s %12s %14s %10s\n",
 		"flow", "delay (ps)", "area (um2)", "runtime", "eval/iter", "cache-hit")
+	var pool signoff.Pool
 	for _, ev := range evals {
 		t0 := time.Now()
 		res, err := anneal.Run(g, ev, p)
@@ -72,10 +73,11 @@ func main() {
 		}
 		elapsed := time.Since(t0)
 		// Judge every flow's winner with the same ground-truth signoff.
-		final, err := signoff.Evaluate(res.Best, lib)
+		final, st, err := pool.Evaluate(res.Best, lib)
 		if err != nil {
 			log.Fatal(err)
 		}
+		st.Release()
 		fmt.Printf("%-14s %12.1f %12.1f %12v %14v %9.0f%%\n",
 			ev.Name(), final.DelayPS, final.AreaUM2,
 			elapsed.Round(time.Millisecond), res.PerIterationEval().Round(time.Microsecond),

@@ -61,11 +61,13 @@ func main() {
 	mlTime := time.Since(t0)
 
 	t0 = time.Now()
-	gt, err := signoff.Evaluate(g, cell.Builtin())
+	var pool signoff.Pool
+	gt, st, err := pool.Evaluate(g, cell.Builtin())
 	if err != nil {
 		log.Fatal(err)
 	}
 	gtTime := time.Since(t0)
+	st.Release()
 	fmt.Printf("\none evaluation of the original design:\n")
 	fmt.Printf("  ML (features + inference): %8v -> %.1f ps\n", mlTime, p)
 	fmt.Printf("  ground truth (map + STA):  %8v -> %.1f ps\n", gtTime, gt.DelayPS)

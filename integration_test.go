@@ -12,6 +12,7 @@ import (
 	"aigtimer/internal/anneal"
 	"aigtimer/internal/bench"
 	"aigtimer/internal/cell"
+	"aigtimer/internal/cut"
 	"aigtimer/internal/dataset"
 	"aigtimer/internal/flows"
 	"aigtimer/internal/gbdt"
@@ -54,7 +55,7 @@ func TestSuiteMapsCorrectly(t *testing.T) {
 		d := d
 		t.Run(d.Name, func(t *testing.T) {
 			g := d.Build()
-			nl, err := techmap.Map(g, lib, techmap.DefaultParams)
+			nl, err := new(techmap.Mapper).Map(g, lib, techmap.DefaultParams, new(cut.Enumerator).Enumerate(g, cut.DefaultParams), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +124,8 @@ func TestGroundTruthFlowImprovesSignoff(t *testing.T) {
 	}
 	g := d.Build()
 	lib := cell.Builtin()
-	before, err := signoff.Evaluate(g, lib)
+	var pool signoff.Pool
+	before, _, err := pool.Evaluate(g, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +136,7 @@ func TestGroundTruthFlowImprovesSignoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := signoff.Evaluate(res.Best, lib)
+	after, _, err := pool.Evaluate(res.Best, lib)
 	if err != nil {
 		t.Fatal(err)
 	}

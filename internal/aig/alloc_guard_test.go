@@ -37,7 +37,7 @@ func TestResimulateZeroAllocs(t *testing.T) {
 		rows[1][w] = rng.Uint64()
 	}
 
-	sim := NewSimulator(g).SetWorkers(1)
+	sim := NewSimulator(g)
 	sim.Simulate(pats)
 	flip := 0
 	// Warm once: the first Resimulate after Simulate touches no new
@@ -51,5 +51,21 @@ func TestResimulateZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("SetPI+Resimulate allocates %.1f objects per run, want 0", avg)
+	}
+}
+
+// TestSimulateWordsZeroAllocs guards full simulation at 256 words, the
+// widest pattern set a move simulates (fraig): once the buffers are
+// sized, SimulateWords must not touch the heap.
+func TestSimulateWordsZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	g := randomAIG(rng, 16, 400, 4)
+	const words = 256
+	pats := RandomPatterns(g.NumPIs(), words, rng)
+	sim := NewSimulator(g)
+	sim.SimulateWords(pats, words)
+	avg := testing.AllocsPerRun(20, func() { sim.SimulateWords(pats, words) })
+	if avg != 0 {
+		t.Fatalf("SimulateWords allocates %.1f objects per run, want 0", avg)
 	}
 }

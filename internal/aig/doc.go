@@ -34,10 +34,9 @@
 //
 // # Simulation
 //
-// Simulator evaluates graphs on 64-pattern words with a reusable,
-// optionally parallel engine; Signature folds a seeded random simulation
-// into a functional fingerprint. Results are bit-identical at any worker
-// count.
+// Simulator evaluates graphs on 64-pattern words with a reusable engine
+// that runs each call as one sequential pass; Signature folds a seeded
+// random simulation into a functional fingerprint.
 //
 // # Deltas
 //

@@ -24,8 +24,8 @@ func (g *AIG) Simulate(piValues [][]uint64) *SimResult {
 
 // SimulateSequential is the scalar reference implementation of Simulate: a
 // single-threaded topological pass with the complement handling inlined in
-// the word loop. It allocates fresh buffers on every call. The parallel
-// engine is validated against it, and the BenchmarkSimulate suite measures
+// the word loop. It allocates fresh buffers on every call. The engine
+// is validated against it, and the BenchmarkSimulate suite measures
 // the engine's speedup over it; functional code should prefer a Simulator.
 func (g *AIG) SimulateSequential(piValues [][]uint64) *SimResult {
 	if len(piValues) != g.numPIs {

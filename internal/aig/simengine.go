@@ -1,10 +1,6 @@
 package aig
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // Simulator is a reusable bit-parallel simulation engine for one AIG.
 //
@@ -15,20 +11,12 @@ import (
 //     signatures) does not churn the allocator;
 //   - dispatches every AND node through one of four specialized word-loop
 //     kernels, hoisting the fanin-complement branches out of the inner loop;
-//   - fans simulation out across a pool of up to runtime.GOMAXPROCS worker
-//     goroutines, either striping the pattern words across workers (wide
-//     patterns) or chunking the nodes of each level (wide levels, narrow
-//     patterns); the AIG is levelized lazily, once, when the level-chunked
-//     path first runs — the striped and sequential paths never pay for it;
 //   - supports incremental re-simulation of only the cone affected by a
 //     changed primary input (SetPI followed by Resimulate).
 //
-// Both parallel decompositions compute exactly the word a sequential pass
-// would: word striping partitions the pattern columns (each worker runs the
-// full topological pass over its disjoint word range), and level chunking
-// only runs nodes of equal level concurrently (their fanins are strictly
-// below the level barrier). Results are therefore bit-identical to
-// SimulateSequential regardless of worker count or scheduling.
+// One call is one sequential pass in topological order on the calling
+// goroutine: callers that simulate many graphs (annealer moves, sweep
+// points) already run one per core, so a call spawns no goroutines.
 //
 // A Simulator may be reused for any number of Simulate calls of varying
 // pattern width. It must not be used from multiple goroutines at once;
@@ -36,11 +24,7 @@ import (
 // read-only and can be shared, and NewSimulator itself does not touch the
 // AIG's lazily cached state).
 type Simulator struct {
-	g       *AIG
-	workers int
-
-	levelized bool
-	byLevel   [][]int32 // AND node indices bucketed by logic level, ascending
+	g *AIG
 
 	words int
 	buf   []uint64   // backing storage for all node value rows
@@ -48,67 +32,16 @@ type Simulator struct {
 	dirty []bool     // per-node change marks for incremental re-simulation
 
 	// res is the result shell Simulate and Resimulate return a pointer
-	// to; retained so the steady-state incremental loop (SetPI +
-	// Resimulate) allocates nothing. Results already alias the
-	// simulator's buffers and are only valid until the next call, so
-	// sharing the shell adds no new aliasing.
+	// to; retained so the steady-state loops allocate nothing. Results
+	// already alias the simulator's buffers and are only valid until the
+	// next call, so sharing the shell adds no new aliasing.
 	res SimResult
 }
 
-// Parallelism thresholds. Work is measured in kernel word-operations: a
-// parallel hand-off only pays for its goroutine wake-ups when each worker
-// receives a few thousand of them.
-const (
-	minParallelWork   = 1 << 13
-	minWordsPerStripe = 8
-)
-
 // NewSimulator returns an engine for g with nothing allocated yet: the
-// first Simulate call sizes the buffers, and levelization happens only if
-// the level-chunked parallel path is ever taken.
+// first Simulate call sizes the buffers.
 func NewSimulator(g *AIG) *Simulator {
-	return &Simulator{g: g, workers: runtime.GOMAXPROCS(0)}
-}
-
-// levelize buckets the AND nodes by logic level for the level-chunked
-// parallel path. It works from the node array directly rather than through
-// g.Levels so that simulators for one shared AIG never race on the AIG's
-// lazy caches.
-func (s *Simulator) levelize() {
-	if s.levelized {
-		return
-	}
-	s.levelized = true
-	g := s.g
-	lv := make([]int32, len(g.nodes))
-	maxLv := int32(0)
-	for i := g.numPIs + 1; i < len(g.nodes); i++ {
-		nd := g.nodes[i]
-		l0, l1 := lv[nd.fanin0.Node()], lv[nd.fanin1.Node()]
-		if l0 < l1 {
-			l0 = l1
-		}
-		lv[i] = l0 + 1
-		if l0+1 > maxLv {
-			maxLv = l0 + 1
-		}
-	}
-	if g.NumAnds() > 0 {
-		counts := make([]int32, maxLv+1)
-		for i := g.numPIs + 1; i < len(g.nodes); i++ {
-			counts[lv[i]]++
-		}
-		backing := make([]int32, g.NumAnds())
-		s.byLevel = make([][]int32, maxLv+1)
-		for l := int32(1); l <= maxLv; l++ {
-			s.byLevel[l] = backing[:0:counts[l]]
-			backing = backing[counts[l]:]
-		}
-		for i := g.numPIs + 1; i < len(g.nodes); i++ {
-			s.byLevel[lv[i]] = append(s.byLevel[lv[i]], int32(i))
-		}
-		s.byLevel = s.byLevel[1:] // level 0 holds no AND nodes
-	}
+	return &Simulator{g: g}
 }
 
 // AIG returns the graph this simulator was built for.
@@ -121,8 +54,6 @@ func (s *Simulator) AIG() *AIG { return s.g }
 // re-sizes the per-node views. It returns s for chaining.
 func (s *Simulator) Rebind(g *AIG) *Simulator {
 	s.g = g
-	s.levelized = false
-	s.byLevel = nil
 	n := len(g.nodes)
 	if cap(s.vals) >= n {
 		s.vals = s.vals[:n]
@@ -135,16 +66,6 @@ func (s *Simulator) Rebind(g *AIG) *Simulator {
 		s.dirty = nil
 	}
 	s.words = -1 // force the next ensure to re-slice the rows
-	return s
-}
-
-// SetWorkers overrides the worker-pool size (default runtime.GOMAXPROCS).
-// Values below 1 force the sequential path. It returns s for chaining.
-func (s *Simulator) SetWorkers(n int) *Simulator {
-	if n < 1 {
-		n = 1
-	}
-	s.workers = n
 	return s
 }
 
@@ -204,94 +125,13 @@ func (s *Simulator) SimulateWords(piValues [][]uint64, words int) *SimResult {
 		copy(s.vals[i+1], row)
 	}
 	clear(s.dirty)
-	s.run()
+	for n := s.g.numPIs + 1; n < len(s.g.nodes); n++ {
+		nd := &s.g.nodes[n]
+		simKernel(nd.fanin0.IsCompl(), nd.fanin1.IsCompl(),
+			s.vals[n], s.vals[nd.fanin0.Node()], s.vals[nd.fanin1.Node()])
+	}
 	s.res = SimResult{Words: words, Values: s.vals}
 	return &s.res
-}
-
-// run simulates every AND node, picking the cheapest decomposition for the
-// shape of the workload. Only the level-chunked branch needs levelization;
-// the striped and sequential passes walk the topological node array.
-func (s *Simulator) run() {
-	g := s.g
-	if s.workers > 1 && g.NumAnds()*s.words >= minParallelWork {
-		if s.words >= 2*minWordsPerStripe {
-			s.runWordStriped()
-			return
-		}
-		s.levelize()
-		for _, nodes := range s.byLevel {
-			s.simLevel(nodes)
-		}
-		return
-	}
-	for i := g.numPIs + 1; i < len(g.nodes); i++ {
-		s.simNode(int32(i))
-	}
-}
-
-// runWordStriped partitions the pattern words into one contiguous stripe
-// per worker; each worker runs the whole topological pass restricted to its
-// stripe. Stripes are disjoint, so no synchronization is needed beyond the
-// final join, and narrow deep graphs parallelize as well as wide ones.
-func (s *Simulator) runWordStriped() {
-	stripes := s.workers
-	if most := s.words / minWordsPerStripe; stripes > most {
-		stripes = most
-	}
-	per := (s.words + stripes - 1) / stripes
-	var wg sync.WaitGroup
-	for k := 0; k < stripes; k++ {
-		lo := k * per
-		hi := min(lo+per, s.words)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			g := s.g
-			for i := g.numPIs + 1; i < len(g.nodes); i++ {
-				nd := &g.nodes[i]
-				simKernel(nd.fanin0.IsCompl(), nd.fanin1.IsCompl(),
-					s.vals[i][lo:hi],
-					s.vals[nd.fanin0.Node()][lo:hi],
-					s.vals[nd.fanin1.Node()][lo:hi])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// simLevel simulates one level, chunking its nodes across the worker pool
-// when the level carries enough work to amortize the hand-off.
-func (s *Simulator) simLevel(nodes []int32) {
-	if s.workers <= 1 || len(nodes) < 2 || len(nodes)*s.words < minParallelWork {
-		for _, n := range nodes {
-			s.simNode(n)
-		}
-		return
-	}
-	chunks := min(s.workers, len(nodes))
-	per := (len(nodes) + chunks - 1) / chunks
-	var wg sync.WaitGroup
-	for start := 0; start < len(nodes); start += per {
-		end := min(start+per, len(nodes))
-		wg.Add(1)
-		go func(ns []int32) {
-			defer wg.Done()
-			for _, n := range ns {
-				s.simNode(n)
-			}
-		}(nodes[start:end])
-	}
-	wg.Wait()
-}
-
-func (s *Simulator) simNode(n int32) {
-	nd := &s.g.nodes[n]
-	simKernel(nd.fanin0.IsCompl(), nd.fanin1.IsCompl(),
-		s.vals[n], s.vals[nd.fanin0.Node()], s.vals[nd.fanin1.Node()])
 }
 
 // simKernel dispatches to one of four specialized word loops, one per fanin
@@ -373,8 +213,8 @@ func (s *Simulator) Resimulate() *SimResult {
 	if s.vals == nil {
 		panic("aig: Resimulate: no prior Simulate call")
 	}
-	// The topological node order already guarantees fanins are refreshed
-	// before their fanouts, so no levelization is needed here.
+	// The topological node order guarantees fanins are refreshed before
+	// their fanouts.
 	g := s.g
 	for n := g.numPIs + 1; n < len(g.nodes); n++ {
 		nd := &g.nodes[n]

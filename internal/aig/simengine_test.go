@@ -6,8 +6,7 @@ import (
 	"testing"
 )
 
-// wideAIG builds a layered AIG whose levels each hold ~width nodes, so the
-// per-level node-chunk parallel path actually engages.
+// wideAIG builds a layered AIG whose levels each hold ~width nodes.
 func wideAIG(rng *rand.Rand, pis, width, layers, pos int) *AIG {
 	b := NewBuilder(pis)
 	prev := make([]Lit, 0, width)
@@ -51,7 +50,8 @@ func sameResult(t *testing.T, got, want *SimResult, label string) {
 
 // TestSimulatorMatchesSequential validates the engine against the scalar
 // reference over assorted graph shapes and pattern widths, including buffer
-// reuse across width changes within one Simulator.
+// reuse across width changes within one Simulator, and a wide layered
+// graph (levels of ~1500 nodes) at a narrow width.
 func TestSimulatorMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
@@ -62,34 +62,10 @@ func TestSimulatorMatchesSequential(t *testing.T) {
 			sameResult(t, sim.Simulate(pats), g.SimulateSequential(pats), "engine")
 		}
 	}
-}
-
-// TestSimulatorWideLevels runs a graph wide enough to engage the per-level
-// node-chunk parallel path (small word count keeps word striping off).
-func TestSimulatorWideLevels(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+	rng = rand.New(rand.NewSource(5))
 	g := wideAIG(rng, 16, 1500, 5, 8)
 	pats := RandomPatterns(g.NumPIs(), 8, rng)
-	want := g.SimulateSequential(pats)
-	for _, workers := range []int{1, 2, 3, 8} {
-		sameResult(t, NewSimulator(g).SetWorkers(workers).Simulate(pats), want, "wide")
-	}
-}
-
-// TestSimulatorDeterministicAcrossWorkers demands bit-identical results for
-// every worker count: parallel simulation must be indistinguishable from
-// sequential no matter how the pool is scheduled.
-func TestSimulatorDeterministicAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := wideAIG(rng, 12, 400, 10, 8)
-	pats := RandomPatterns(g.NumPIs(), 64, rng)
-	want := g.SimulateSequential(pats)
-	for _, workers := range []int{1, 2, 4, 7, 16} {
-		sim := NewSimulator(g).SetWorkers(workers)
-		for round := 0; round < 3; round++ {
-			sameResult(t, sim.Simulate(pats), want, "deterministic")
-		}
-	}
+	sameResult(t, NewSimulator(g).Simulate(pats), g.SimulateSequential(pats), "wide")
 }
 
 // TestSimulatorConcurrentUse exercises the engine from many goroutines at

@@ -15,13 +15,11 @@
 //
 // Allocation model: a Cut is a fixed-width value (at most four leaves held
 // inline, plus their signature and the table), so merging, filtering and
-// copying cuts never allocate. Enumeration distinguishes scratch
-// (candidate pools and the dual-enumeration union lists, valid only
-// within one node's merge, reused via Scratch) from retained storage (the
-// kept per-node cut lists, carved from a caller-owned Arena, which holds
-// cut lists and nothing else). A caller that reuses its Arena and Scratch
-// across calls pays zero steady-state heap allocations for enumeration;
-// the allocating entry points make a fresh pair per call.
+// copying cuts never allocate. An Enumerator owns everything else: the
+// kept per-node lists, carved from blocks it retains, and the working
+// buffers of one node's merge. The lists a call returns are valid until
+// the Enumerator's next call, and a warm Enumerator enumerates without
+// heap allocations.
 package cut
 
 import (
@@ -85,65 +83,71 @@ type Params struct {
 // DefaultParams are suitable for both rewriting and mapping.
 var DefaultParams = Params{K: 4, MaxCuts: 8}
 
-// arenaBlock sizes the Arena's allocation blocks, in cuts.
+// arenaBlock sizes the Enumerator's blocks of retained cut storage, in
+// cuts.
 const arenaBlock = 4096
 
-// Arena is block-based retained storage for kept cut lists. Blocks are
-// never freed by Reset, so a long-lived Arena reaches a high-water mark
-// and then serves every subsequent enumeration allocation-free. Slices
-// handed out remain valid until Reset; the owner of the enumerated cuts
-// (a techmap state, a rewrite pass) therefore owns the Arena and may
-// Reset it only when those cuts are dead.
-type Arena struct {
+// Enumerator computes priority cuts into storage it owns: the kept
+// per-node cut lists, carved from blocks of retained storage, the
+// per-node list tables, and the working buffers of one node's merge
+// (candidate pools and the dual-enumeration union lists). Blocks are
+// never freed, so a long-lived Enumerator reaches a high-water mark and
+// then enumerates without allocating. The lists a call returns stay
+// valid until the Enumerator's next call. The zero Enumerator is ready
+// to use; it serves one enumeration at a time.
+type Enumerator struct {
 	blocks [][]Cut
 	active int
-}
+	lists  [2][][]Cut // per-node list tables: the single or low lists, then the high lists
 
-// Reset recycles all storage. Every slice previously returned becomes
-// invalid for reuse (contents are clobbered by subsequent allocations).
-func (a *Arena) Reset() {
-	for i := range a.blocks {
-		a.blocks[i] = a.blocks[i][:0]
-	}
-	a.active = 0
-}
-
-// allocCuts returns a zero-length, capacity-n cut slice carved from the
-// arena. The three-index slice expression caps it so appends can never
-// spill into a neighbour's storage.
-func (a *Arena) allocCuts(n int) []Cut {
-	for {
-		if a.active >= len(a.blocks) {
-			a.blocks = append(a.blocks, make([]Cut, 0, max(n, arenaBlock)))
-		}
-		blk := a.blocks[a.active]
-		if cap(blk)-len(blk) >= n {
-			s := blk[len(blk) : len(blk) : len(blk)+n]
-			a.blocks[a.active] = blk[: len(blk)+n : cap(blk)]
-			return s
-		}
-		a.active++
-	}
-}
-
-// copyKept copies filter output plus the trailing trivial cut of n into
-// one arena-backed list — the retained form of a node's cut list.
-func (a *Arena) copyKept(kept []Cut, n int32) []Cut {
-	out := a.allocCuts(len(kept) + 1)
-	out = append(out, kept...)
-	return append(out, trivialCut(n))
-}
-
-// Scratch holds enumeration working buffers — candidate pools and the
-// dual-enumeration union lists — reused across calls. A Scratch serves
-// one enumeration at a time.
-type Scratch struct {
 	merged   []Cut
 	keep     []Cut
 	u0, u1   []taggedCut
 	poolLow  []Cut
 	poolHigh []Cut
 	isPrefix []bool
+}
+
+// reset recycles all retained storage for an enumeration of an n-node
+// graph and sizes the first k list tables to n; the enumeration writes
+// every entry before it returns.
+func (e *Enumerator) reset(n, k int) {
+	for i := range e.blocks {
+		e.blocks[i] = e.blocks[i][:0]
+	}
+	e.active = 0
+	for i := 0; i < k; i++ {
+		if cap(e.lists[i]) < n {
+			e.lists[i] = make([][]Cut, n)
+		}
+		e.lists[i] = e.lists[i][:n]
+	}
+}
+
+// allocCuts returns a zero-length, capacity-n cut slice carved from the
+// retained blocks. The three-index slice expression caps it so appends
+// can never spill into a neighbour's storage.
+func (e *Enumerator) allocCuts(n int) []Cut {
+	for {
+		if e.active >= len(e.blocks) {
+			e.blocks = append(e.blocks, make([]Cut, 0, max(n, arenaBlock)))
+		}
+		blk := e.blocks[e.active]
+		if cap(blk)-len(blk) >= n {
+			s := blk[len(blk) : len(blk) : len(blk)+n]
+			e.blocks[e.active] = blk[: len(blk)+n : cap(blk)]
+			return s
+		}
+		e.active++
+	}
+}
+
+// copyKept copies filter output plus the trailing trivial cut of n into
+// one retained list — the kept form of a node's cut list.
+func (e *Enumerator) copyKept(kept []Cut, n int32) []Cut {
+	out := e.allocCuts(len(kept) + 1)
+	out = append(out, kept...)
+	return append(out, trivialCut(n))
 }
 
 // trivialTable is the projection of a single leaf: variable 0 padded to
@@ -155,51 +159,48 @@ func trivialCut(n int32) Cut {
 	return Cut{sig: 1 << (uint32(n) & 63), leaves: [4]int32{n}, n: 1, Table: trivialTable}
 }
 
-// Enumerate computes priority cuts for every node of g. The result is
-// indexed by node; PIs and the constant node get their trivial cut only.
-func Enumerate(g *aig.AIG, p Params) [][]Cut {
-	cuts := make([][]Cut, g.NumNodes())
-	EnumerateArena(g, p, cuts, new(Arena), new(Scratch))
-	return cuts
-}
-
-// EnumerateArena is Enumerate with caller-owned storage: kept cuts go to
-// a, working buffers come from s, and the per-node lists are written into
-// cuts (length g.NumNodes()). Reusing all three across calls makes
-// enumeration allocation-free in the steady state.
-func EnumerateArena(g *aig.AIG, p Params, cuts [][]Cut, a *Arena, s *Scratch) {
+// checkParams panics on a budget enumeration does not support.
+func checkParams(p Params) {
 	if p.K < 2 || p.K > 4 {
 		panic("cut: K must be in [2,4]")
 	}
 	if p.MaxCuts < 1 {
 		panic("cut: MaxCuts must be positive")
 	}
-	seed(g, cuts, a)
+}
+
+// Enumerate computes priority cuts for every node of g. The result is
+// indexed by node; PIs and the constant node get their trivial cut only.
+func (e *Enumerator) Enumerate(g *aig.AIG, p Params) [][]Cut {
+	checkParams(p)
+	e.reset(g.NumNodes(), 1)
+	cuts := e.lists[0]
+	e.seed(g, cuts)
 	for i := int(g.FirstAnd()); i < g.NumNodes(); i++ {
 		n := int32(i)
 		f0, f1 := g.Fanins(n)
 		c0 := cuts[f0.Node()]
 		c1 := cuts[f1.Node()]
-		s.merged = s.merged[:0]
+		e.merged = e.merged[:0]
 		for x := range c0 {
 			for y := range c1 {
 				if c, ok := merge(&c0[x], &c1[y], p.K, f0.IsCompl(), f1.IsCompl()); ok {
-					s.merged = append(s.merged, c)
+					e.merged = append(e.merged, c)
 				}
 			}
 		}
-		s.keep = filter(s.merged, p.MaxCuts, s.keep[:0])
-		cuts[n] = a.copyKept(s.keep, n)
+		e.keep = filter(e.merged, p.MaxCuts, e.keep[:0])
+		cuts[n] = e.copyKept(e.keep, n)
 	}
+	return cuts
 }
 
 // seed fills the constant node's and the PIs' cut lists in cuts, the
-// base case of enumeration. cuts must have length g.NumNodes(). List
-// storage comes from a.
-func seed(g *aig.AIG, cuts [][]Cut, a *Arena) {
-	cuts[0] = append(a.allocCuts(1), Cut{}) // constant false
+// base case of enumeration.
+func (e *Enumerator) seed(g *aig.AIG, cuts [][]Cut) {
+	cuts[0] = append(e.allocCuts(1), Cut{}) // constant false
 	for i := 1; i <= g.NumPIs(); i++ {
-		cuts[i] = append(a.allocCuts(1), trivialCut(int32(i)))
+		cuts[i] = append(e.allocCuts(1), trivialCut(int32(i)))
 	}
 }
 
@@ -235,65 +236,47 @@ type taggedCut struct {
 //
 // Both params must share K; MaxCuts may differ arbitrarily (neither
 // needs to contain the other for correctness).
-func EnumerateDual(g *aig.AIG, pLow, pHigh Params) (low, high [][]Cut) {
-	low = make([][]Cut, g.NumNodes())
-	high = make([][]Cut, g.NumNodes())
-	EnumerateDualArena(g, pLow, pHigh, low, high, new(Arena), new(Scratch))
-	return low, high
-}
-
-// EnumerateDualArena is EnumerateDual with caller-owned storage: the
-// kept lists are written into low and high (each of length g.NumNodes())
-// with all retained slices carved from a; see EnumerateArena.
-func EnumerateDualArena(g *aig.AIG, pLow, pHigh Params, low, high [][]Cut, a *Arena, s *Scratch) {
-	if cap(s.isPrefix) < g.NumNodes() {
-		s.isPrefix = make([]bool, g.NumNodes())
-	}
-	isPrefix := s.isPrefix[:g.NumNodes()]
-	seedDual(g, pLow, pHigh, low, high, isPrefix, a)
-	for i := int(g.FirstAnd()); i < g.NumNodes(); i++ {
-		dualNode(g, pLow, pHigh, low, high, isPrefix, int32(i), a, s)
-	}
-}
-
-// seedDual validates a dual-enumeration parameter pair and seeds the
-// base case: the constant node's and the PIs' entries of both lists
-// (list storage from a) plus the corresponding isPrefix entries.
-// isPrefix[n] records that low[n] minus its trivial cut is a prefix of
-// high[n] — true for almost every node (both filters walk the same
-// sorted candidates, the low one just stops earlier), and the ticket to
-// building a node's tagged fanin union without any leaf scanning; PIs
-// and the constant hold trivially (identical single-cut lists). low,
-// high, and isPrefix must all have length g.NumNodes().
-func seedDual(g *aig.AIG, pLow, pHigh Params, low, high [][]Cut, isPrefix []bool, a *Arena) {
+func (e *Enumerator) EnumerateDual(g *aig.AIG, pLow, pHigh Params) (low, high [][]Cut) {
 	if pLow.K != pHigh.K {
 		panic("cut: EnumerateDual requires equal K")
 	}
-	if pLow.K < 2 || pLow.K > 4 {
-		panic("cut: K must be in [2,4]")
+	checkParams(pLow)
+	checkParams(pHigh)
+	n := g.NumNodes()
+	e.reset(n, 2)
+	low, high = e.lists[0], e.lists[1]
+	e.seed(g, low)
+	e.seed(g, high)
+	// isPrefix[n] records that low[n] minus its trivial cut is a prefix
+	// of high[n] — true for almost every node (both filters walk the
+	// same sorted candidates, the low one just stops earlier), and the
+	// ticket to building a node's tagged fanin union without any leaf
+	// scanning; PIs and the constant hold trivially (identical
+	// single-cut lists).
+	if cap(e.isPrefix) < n {
+		e.isPrefix = make([]bool, n)
 	}
-	if pLow.MaxCuts < 1 || pHigh.MaxCuts < 1 {
-		panic("cut: MaxCuts must be positive")
+	e.isPrefix = e.isPrefix[:n]
+	for i := range e.isPrefix {
+		e.isPrefix[i] = i < int(g.FirstAnd())
 	}
-	seed(g, low, a)
-	seed(g, high, a)
-	for i := range isPrefix {
-		isPrefix[i] = i < int(g.FirstAnd())
+	for i := int(g.FirstAnd()); i < n; i++ {
+		e.dualNode(g, pLow, pHigh, low, high, int32(i))
 	}
+	return low, high
 }
 
 // dualNode runs the dual-budget merge for one AND node n, reading only
 // the fanins' entries of low/high/isPrefix and writing only node n's.
-// Kept cuts go to a, working buffers come from s.
-func dualNode(g *aig.AIG, pLow, pHigh Params, low, high [][]Cut, isPrefix []bool, n int32, a *Arena, s *Scratch) {
+func (e *Enumerator) dualNode(g *aig.AIG, pLow, pHigh Params, low, high [][]Cut, n int32) {
 	f0, f1 := g.Fanins(n)
-	s.u0 = unionCuts(low[f0.Node()], high[f0.Node()], isPrefix[f0.Node()], s.u0[:0])
-	s.u1 = unionCuts(low[f1.Node()], high[f1.Node()], isPrefix[f1.Node()], s.u1[:0])
-	s.poolLow, s.poolHigh = s.poolLow[:0], s.poolHigh[:0]
-	for i := range s.u0 {
-		ta := &s.u0[i]
-		for j := range s.u1 {
-			tb := &s.u1[j]
+	e.u0 = unionCuts(low[f0.Node()], high[f0.Node()], e.isPrefix[f0.Node()], e.u0[:0])
+	e.u1 = unionCuts(low[f1.Node()], high[f1.Node()], e.isPrefix[f1.Node()], e.u1[:0])
+	e.poolLow, e.poolHigh = e.poolLow[:0], e.poolHigh[:0]
+	for i := range e.u0 {
+		ta := &e.u0[i]
+		for j := range e.u1 {
+			tb := &e.u1[j]
 			toLow := ta.inLow && tb.inLow
 			toHigh := ta.inHigh && tb.inHigh
 			if !toLow && !toHigh {
@@ -304,18 +287,18 @@ func dualNode(g *aig.AIG, pLow, pHigh Params, low, high [][]Cut, isPrefix []bool
 				continue
 			}
 			if toLow {
-				s.poolLow = append(s.poolLow, c)
+				e.poolLow = append(e.poolLow, c)
 			}
 			if toHigh {
-				s.poolHigh = append(s.poolHigh, c)
+				e.poolHigh = append(e.poolHigh, c)
 			}
 		}
 	}
-	s.keep = filter(s.poolLow, pLow.MaxCuts, s.keep[:0])
-	low[n] = a.copyKept(s.keep, n)
-	s.keep = filter(s.poolHigh, pHigh.MaxCuts, s.keep[:0])
-	high[n] = a.copyKept(s.keep, n)
-	isPrefix[n] = cutsArePrefix(low[n], high[n])
+	e.keep = filter(e.poolLow, pLow.MaxCuts, e.keep[:0])
+	low[n] = e.copyKept(e.keep, n)
+	e.keep = filter(e.poolHigh, pHigh.MaxCuts, e.keep[:0])
+	high[n] = e.copyKept(e.keep, n)
+	e.isPrefix[n] = cutsArePrefix(low[n], high[n])
 }
 
 // cutsArePrefix reports whether lo minus its trailing trivial cut is a

@@ -15,6 +15,10 @@ import (
 	"aigtimer/internal/truth"
 )
 
+// enumerate is Enumerate on a new Enumerator, so every call's lists are
+// its own.
+func enumerate(g *aig.AIG, p Params) [][]Cut { return new(Enumerator).Enumerate(g, p) }
+
 // buildSmall returns f = (a·b)·(c+d) with intermediate literals.
 func buildSmall() (*aig.AIG, aig.Lit, aig.Lit, aig.Lit) {
 	b := aig.NewBuilder(4)
@@ -27,7 +31,7 @@ func buildSmall() (*aig.AIG, aig.Lit, aig.Lit, aig.Lit) {
 
 func TestEnumerateSmall(t *testing.T) {
 	g, n1, n2, n3 := buildSmall()
-	cuts := Enumerate(g, DefaultParams)
+	cuts := enumerate(g, DefaultParams)
 
 	// Every node must include its trivial cut.
 	for n := int32(1); n < int32(g.NumNodes()); n++ {
@@ -88,7 +92,7 @@ func TestCutFunctionsMatchSimulation(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomAIG(rng, 4+rng.Intn(5), 10+rng.Intn(50))
-		cuts := Enumerate(g, DefaultParams)
+		cuts := enumerate(g, DefaultParams)
 		pats := aig.ExhaustivePatterns(g.NumPIs())
 		res := g.Simulate(pats)
 		nBits := 1 << g.NumPIs()
@@ -144,7 +148,7 @@ func TestCutSizesRespectK(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomAIG(rng, 8, 80)
 	for k := 2; k <= 4; k++ {
-		cuts := Enumerate(g, Params{K: k, MaxCuts: 6})
+		cuts := enumerate(g, Params{K: k, MaxCuts: 6})
 		for n := range cuts {
 			if len(cuts[n]) > 7 { // MaxCuts + trivial
 				t.Fatalf("k=%d node %d has %d cuts", k, n, len(cuts[n]))
@@ -161,7 +165,7 @@ func TestCutSizesRespectK(t *testing.T) {
 func TestNoDominatedCuts(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomAIG(rng, 6, 60)
-	cuts := Enumerate(g, DefaultParams)
+	cuts := enumerate(g, DefaultParams)
 	for n := range cuts {
 		cs := cuts[n]
 		for i := range cs {
@@ -306,7 +310,7 @@ func TestEnumerateParamsValidation(t *testing.T) {
 					t.Errorf("Enumerate(%+v) should panic", p)
 				}
 			}()
-			Enumerate(g, p)
+			enumerate(g, p)
 		}()
 	}
 }
@@ -354,8 +358,11 @@ func sameCutLists(t *testing.T, tag string, a, b [][]Cut) {
 // shared dual-effort enumeration: for random graphs and several budget
 // pairs, both returned cut sets must equal independent Enumerate runs
 // bit for bit (signoff's dual-effort mapping reuse is built on exactly
-// this).
+// this). The dual pass runs on one Enumerator reused across every graph
+// and budget pair, so recycled storage is checked too; the references
+// are fresh.
 func TestEnumerateDualMatchesIndependent(t *testing.T) {
+	var warm Enumerator
 	for seed := int64(1); seed <= 6; seed++ {
 		g := randDualAIG(seed, 6, 120)
 		for _, pair := range []struct{ lo, hi int }{
@@ -366,9 +373,9 @@ func TestEnumerateDualMatchesIndependent(t *testing.T) {
 		} {
 			pLow := Params{K: 4, MaxCuts: pair.lo}
 			pHigh := Params{K: 4, MaxCuts: pair.hi}
-			low, high := EnumerateDual(g, pLow, pHigh)
-			sameCutLists(t, "low", Enumerate(g, pLow), low)
-			sameCutLists(t, "high", Enumerate(g, pHigh), high)
+			low, high := warm.EnumerateDual(g, pLow, pHigh)
+			sameCutLists(t, "low", enumerate(g, pLow), low)
+			sameCutLists(t, "high", enumerate(g, pHigh), high)
 		}
 	}
 }
@@ -381,13 +388,13 @@ func BenchmarkEnumerateDual(b *testing.B) {
 	pHigh := Params{K: 4, MaxCuts: 24}
 	b.Run("dual", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			EnumerateDual(g, pLow, pHigh)
+			new(Enumerator).EnumerateDual(g, pLow, pHigh)
 		}
 	})
 	b.Run("independent", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Enumerate(g, pLow)
-			Enumerate(g, pHigh)
+			enumerate(g, pLow)
+			enumerate(g, pHigh)
 		}
 	})
 }
@@ -449,9 +456,9 @@ func TestEnumerateGoldenDigest(t *testing.T) {
 	for _, d := range bench.Suite() {
 		g := d.Build()
 		for _, p := range []Params{{4, 8}, {4, 24}, {3, 5}, {2, 3}} {
-			hashCuts(h, Enumerate(g, p))
+			hashCuts(h, enumerate(g, p))
 		}
-		low, high := EnumerateDual(g, Params{4, 8}, Params{4, 24})
+		low, high := new(Enumerator).EnumerateDual(g, Params{4, 8}, Params{4, 24})
 		hashCuts(h, low)
 		hashCuts(h, high)
 	}

@@ -38,7 +38,7 @@ type GenParams struct {
 	Seed        int64         //
 	RestartProb float64       // probability of restarting the walk from g0
 	Workers     int           // labeling parallelism; 0 = GOMAXPROCS
-	Lib         *cell.Library // labels come from signoff.Evaluate over this library
+	Lib         *cell.Library // labels come from signoff evaluation over this library
 }
 
 // DefaultGenParams generates n variants with sensible settings.
@@ -122,7 +122,8 @@ func generate(name string, g0 *aig.AIG, p GenParams) ([]Sample, []*aig.AIG, erro
 		add(cur)
 	}
 
-	// Parallel labeling.
+	// Parallel labeling, every label from one pool.
+	var pool signoff.Pool
 	samples := make([]Sample, len(variants))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
@@ -135,7 +136,7 @@ func generate(name string, g0 *aig.AIG, p GenParams) ([]Sample, []*aig.AIG, erro
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			g := variants[i]
-			r, err := signoff.Evaluate(g, p.Lib)
+			r, st, err := pool.Evaluate(g, p.Lib)
 			if err != nil {
 				mu.Lock()
 				if firstErr == nil {
@@ -152,6 +153,7 @@ func generate(name string, g0 *aig.AIG, p GenParams) ([]Sample, []*aig.AIG, erro
 				Ands:     g.NumAnds(),
 				Levels:   g.MaxLevel(),
 			}
+			st.Release()
 		}(i)
 	}
 	wg.Wait()

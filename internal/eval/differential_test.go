@@ -49,14 +49,14 @@ func walkSteps(t *testing.T, full int) int {
 	return full
 }
 
-// freshSignoff is the ground-truth reference: every call is an
-// unpooled signoff.Evaluate, with flows.GroundTruth's metric convention.
+// freshSignoff is the ground-truth reference: every call evaluates from
+// a new zero signoff.Pool, with flows.GroundTruth's metric convention.
 type freshSignoff struct{ lib *cell.Library }
 
 func (freshSignoff) Name() string { return "fresh-signoff" }
 
 func (f freshSignoff) Evaluate(g *aig.AIG) eval.Metrics {
-	r, err := signoff.Evaluate(g, f.lib)
+	r, _, err := new(signoff.Pool).Evaluate(g, f.lib)
 	if err != nil {
 		return eval.Metrics{DelayPS: 1e12, AreaUM2: 1e12}
 	}

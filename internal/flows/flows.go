@@ -2,7 +2,6 @@ package flows
 
 import (
 	"fmt"
-	"sync"
 
 	"aigtimer/internal/aig"
 	"aigtimer/internal/anneal"
@@ -61,15 +60,8 @@ type GroundTruth struct {
 	Workers int
 
 	// pool recycles evaluation storage across evaluations (see
-	// signoff.Pool); built lazily so the zero value still works.
-	poolOnce sync.Once
-	pool     *signoff.Pool
-}
-
-// statePool returns the evaluator's state pool, creating it on first use.
-func (e *GroundTruth) statePool() *signoff.Pool {
-	e.poolOnce.Do(func() { e.pool = signoff.NewPool() })
-	return e.pool
+	// signoff.Pool).
+	pool signoff.Pool
 }
 
 // NewGroundTruth returns a ground-truth evaluator over the library.
@@ -84,7 +76,7 @@ func (*GroundTruth) Name() string { return "ground-truth" }
 // storage taken from the evaluator's pool and handed back once the
 // metrics are read.
 func (e *GroundTruth) Evaluate(g *aig.AIG) anneal.Metrics {
-	r, st, err := e.statePool().EvaluateState(g, e.Lib)
+	r, st, err := e.pool.Evaluate(g, e.Lib)
 	if err != nil {
 		// Unmatchable graphs cannot occur with the built-in library; make
 		// such a candidate maximally unattractive rather than failing the

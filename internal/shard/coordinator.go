@@ -423,8 +423,8 @@ func Run(bases []*aig.AIG, cfg RunConfig, jobs []JobSpec, opts Options) ([]JobRe
 	workers := make([]*wireWorker, len(conns))
 	for i, wc := range conns {
 		workers[i] = newWireWorker(wc.name, wc.rwc, opts.JobTimeout)
-		s.attach(workers[i])
 	}
+	s.attach(workers...)
 	results, st, err := s.wait()
 	// Wind the connections down (the polite byes release sent, drained,
 	// and flushed) and settle the whole-connection byte totals.

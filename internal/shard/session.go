@@ -510,21 +510,38 @@ func (s *session) flushStore() {
 	}
 }
 
-// attach admits a worker: it is sent the session preamble (config +
+// attach admits workers: each is sent the session preamble (config +
 // every base, one flush) followed by the accumulated merged seeds per
 // entry — the full warm start a late joiner needs — and a drive
-// goroutine starts pulling jobs for it. Returns false when the session
-// already finished or has no job left to resolve (the hub then returns
-// the worker to its idle pool untouched). The second case covers the
-// moment between the last job's completion and the session's finish:
-// admitting a worker then would only send it the preamble and release
-// it again, and the hub would re-admit it until the finish lands.
-func (s *session) attach(w *wireWorker) bool {
+// goroutine starts pulling jobs for it. Every worker joins the schedule
+// before any of their drive goroutines starts, so a worker lost on its
+// first job is never mistaken for the last one alive while the others
+// are still being attached. Returns false when the session already
+// finished or has no job left to resolve (the hub then returns the
+// worker to its idle pool untouched). The second case covers the moment
+// between the last job's completion and the session's finish: admitting
+// a worker then would only send it the preamble and release it again,
+// and the hub would re-admit it until the finish lands.
+func (s *session) attach(ws ...*wireWorker) bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.finished || s.sched.drained() {
-		s.mu.Unlock()
 		return false
 	}
+	sws := make([]*sessionWorker, len(ws))
+	for i, w := range ws {
+		sws[i] = s.admit(w)
+	}
+	for _, sw := range sws {
+		s.driveWG.Add(1)
+		go s.drive(sw)
+	}
+	return true
+}
+
+// admit registers w with the session and the schedule and queues its
+// warm start. The caller holds s.mu.
+func (s *session) admit(w *wireWorker) *sessionWorker {
 	sw := &sessionWorker{
 		id: s.nextID, w: w,
 		seen:    make([]map[eval.CacheKey]bool, len(s.cfg.Entries)),
@@ -565,10 +582,7 @@ func (s *session) attach(w *wireWorker) bool {
 			w.enqueueSeed(payload)
 		}
 	}
-	s.driveWG.Add(1)
-	go s.drive(sw)
-	s.mu.Unlock()
-	return true
+	return sw
 }
 
 // detach removes a worker from the session's push set and settles its

@@ -8,25 +8,25 @@ import (
 )
 
 // TestPooledFullEvalZeroAllocs pins the zero-allocation contract of
-// the pooled full evaluation: once the pool's arena, mapping and STA
-// scratches, and result carcasses are warm, a full EvaluateState +
-// Release cycle allocates nothing.
+// the pooled full evaluation: once the pool's state (enumerator,
+// mapper, netlists and STA results) is warm, a full Evaluate + Release
+// cycle allocates nothing.
 func TestPooledFullEvalZeroAllocs(t *testing.T) {
 	lib := cell.Builtin()
 	rng := rand.New(rand.NewSource(21))
 	g := randomAIG(rng, 8, 300, 5)
-	pool := NewPool()
+	var pool Pool
 	// Warm: two passes so every carcass in the freelist cycle has
 	// reached its high-water mark.
 	for i := 0; i < 2; i++ {
-		_, st, err := pool.EvaluateState(g, lib)
+		_, st, err := pool.Evaluate(g, lib)
 		if err != nil {
 			t.Fatal(err)
 		}
 		st.Release()
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		_, st, err := pool.EvaluateState(g, lib)
+		_, st, err := pool.Evaluate(g, lib)
 		if err != nil {
 			t.Fatal(err)
 		}

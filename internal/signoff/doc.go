@@ -17,15 +17,17 @@
 //
 // # Contract
 //
-// Evaluate is deterministic: structurally equal AIGs produce identical
-// results, on any machine — the foundation of the evaluation layer's
-// memoization, of cross-process cache-record merging, and of the
-// distributed sweep's byte-identical result guarantee.
+// Pool.Evaluate is the one way to score a graph. It is deterministic:
+// structurally equal AIGs produce identical results, on any machine —
+// the foundation of the evaluation layer's memoization, of
+// cross-process cache-record merging, and of the distributed sweep's
+// byte-identical result guarantee.
 //
-// A Pool evaluates the same pipeline from recycled storage:
-// Pool.EvaluateState returns the result together with the EvalState
-// that holds it, and releasing the state hands its arenas, mapping
-// states, netlists, and STA results to the pool's next evaluation. The
-// pooled result is bit-identical to Evaluate's; only where the storage
-// comes from differs.
+// Each evaluation runs in an EvalState drawn from the pool. The state
+// owns the cut enumerator and mapper the pipeline runs, and the
+// netlists and STA results of both efforts; Evaluate returns it with
+// the result, and releasing it hands all of that storage to the pool's
+// next evaluation. Recycling changes only where the storage comes
+// from: an evaluation from a warm pool is bit-identical to one from a
+// new zero Pool.
 package signoff

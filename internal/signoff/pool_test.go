@@ -97,16 +97,14 @@ func mustEqualStates(t *testing.T, ctx string, want, got *EvalState) {
 				}
 			}
 		}
-		mustEqualNetlists(t, ctx, want.maps[e].Netlist(), got.maps[e].Netlist())
+		mustEqualNetlists(t, ctx, want.nls[e], got.nls[e])
 	}
 }
 
-// freshState evaluates g into unpooled storage, the reference a pooled
-// evaluation must reproduce.
+// freshState evaluates g from a new zero Pool, the reference a
+// recycled evaluation must reproduce.
 func freshState(g *aig.AIG, lib *cell.Library) (Result, *EvalState, error) {
-	st := &EvalState{}
-	r, err := evaluateInto(g, lib, st, &evalScratch{})
-	return r, st, err
+	return new(Pool).Evaluate(g, lib)
 }
 
 // FuzzPooledDelta feeds fuzz-chosen graph shapes and seeds through one
@@ -123,7 +121,7 @@ func FuzzPooledDelta(f *testing.F) {
 	f.Add(int64(1234), uint8(2), uint8(15), uint8(1))
 	f.Add(int64(20), uint8(8), uint8(107), uint8(2))
 	lib := cell.Builtin()
-	pool := NewPool()
+	var pool Pool
 	f.Fuzz(func(t *testing.T, seed int64, pis, ands, pos uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		// Clamp into randomAIG's supported range (its PO picker reaches
@@ -133,7 +131,7 @@ func FuzzPooledDelta(f *testing.F) {
 		if err != nil {
 			t.Skip() // unmatchable graphs are not this fuzzer's subject
 		}
-		gotR, st, err := pool.EvaluateState(g, lib)
+		gotR, st, err := pool.Evaluate(g, lib)
 		if err != nil {
 			t.Fatalf("pooled evaluation errored where a fresh one succeeded: %v", err)
 		}
@@ -143,7 +141,7 @@ func FuzzPooledDelta(f *testing.F) {
 		for step := 0; step < 2; step++ {
 			next, _ := aig.Rebase(cur, mutate(cur, rng))
 			wantR, wantSt, err1 := freshState(next, lib)
-			gotR, gotSt, err2 := pool.EvaluateState(next, lib)
+			gotR, gotSt, err2 := pool.Evaluate(next, lib)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("step %d: error mismatch: fresh %v pooled %v", step, err1, err2)
 			}

@@ -17,40 +17,35 @@ type Result struct {
 	Corner  string // governing corner name
 }
 
-// highEffort is the second mapping configuration.
-var highEffort = techmap.Params{
-	Cut:           cut.Params{K: 4, MaxCuts: 24},
-	NominalLoadFF: 6.0,
-	AreaRecovery:  true,
+// effort is one mapping configuration: the priority-cut budget its
+// cuts are enumerated at, and the mapper's parameters.
+type effort struct {
+	cuts cut.Params
+	tm   techmap.Params
 }
 
 // efforts lists the mapping configurations one evaluation runs, in
-// reporting order (the first wins delay/area ties).
-var efforts = [2]techmap.Params{techmap.DefaultParams, highEffort}
-
-// Evaluate maps g onto lib and returns the signoff metrics. It
-// allocates fresh storage per call; Pool.EvaluateState computes the
-// same result from recycled storage.
-func Evaluate(g *aig.AIG, lib *cell.Library) (Result, error) {
-	return evaluateInto(g, lib, &EvalState{}, &evalScratch{})
+// reporting order (the first wins delay/area ties): the default effort,
+// then a high effort with a wider priority-cut budget and a heavier
+// nominal load. Both share K, so one dual enumeration serves both.
+var efforts = [2]effort{
+	{cut.DefaultParams, techmap.DefaultParams},
+	{cut.Params{K: 4, MaxCuts: 24}, techmap.Params{NominalLoadFF: 6.0, AreaRecovery: true}},
 }
 
 // EvalState is the storage of one pooled signoff evaluation: the cut
-// lists, mapping states, netlists, and multi-corner STA of both effort
-// levels. The Result a pooled evaluation returns points into it (its
-// Netlist is one of the state's), so the state stays live until
-// Release hands it back for the pool's next evaluation to cannibalize.
+// enumerator and mapper it runs, and the netlists and multi-corner STA
+// results of both effort levels. The Result an evaluation returns
+// points into it (its Netlist is one of the state's), so the state
+// stays live until Release hands it back for the pool's next
+// evaluation to recycle.
 type EvalState struct {
-	maps [2]*techmap.State
-	srs  [2]*sta.SignoffResult
+	enum   cut.Enumerator
+	mapper techmap.Mapper
+	nls    [2]*netlist.Netlist
+	srs    [2]*sta.SignoffResult
 
-	// arena backs the cut lists of both efforts; cutbufs are the
-	// per-effort cut tables enumeration writes into. Both are
-	// reset/regrown at the start of each evaluation into this carcass.
-	arena   cut.Arena
-	cutbufs [2][][]cut.Cut
-
-	pool     *Pool // owning pool; nil for unpooled states
+	pool     *Pool // owning pool
 	released bool
 }
 
@@ -65,46 +60,31 @@ func pick(best Result, i int, nl *netlist.Netlist, sr *sta.SignoffResult) Result
 	return best
 }
 
-// growCutLists returns b resized to n entries, all nil.
-func growCutLists(b [][]cut.Cut, n int) [][]cut.Cut {
-	if cap(b) < n {
-		return make([][]cut.Cut, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = nil
-	}
-	return b
-}
-
-// evaluateInto is the evaluation body shared by the plain and pooled
-// entry points: it rebuilds st (a fresh or recycled carcass) as the
-// evaluation of g, drawing retained storage from st's own arena and
-// carcasses and working buffers from sc.
+// evaluate rebuilds st as the evaluation of g, every buffer drawn from
+// st's own enumerator, mapper, netlists and STA results.
 //
 // Both mapping efforts share one cut enumeration: the default-effort
 // cut sets (MaxCuts 8) are selected from the same pairwise merge work
 // the high-effort pass (MaxCuts 24) performs, through
-// cut.EnumerateDual, whose per-effort output is bit-identical to two
-// independent enumerations — so the shared pass changes evaluation
-// cost, never the mapping (asserted by TestEvaluateStateMatchesPerEffortMapping).
-func evaluateInto(g *aig.AIG, lib *cell.Library, st *EvalState, sc *evalScratch) (Result, error) {
-	st.arena.Reset()
-	n := g.NumNodes()
-	st.cutbufs[0] = growCutLists(st.cutbufs[0], n)
-	st.cutbufs[1] = growCutLists(st.cutbufs[1], n)
-	cut.EnumerateDualArena(g, efforts[0].Cut, efforts[1].Cut, st.cutbufs[0], st.cutbufs[1], &st.arena, &sc.cuts)
+// cut.Enumerator.EnumerateDual, whose per-effort output is bit-identical
+// to two independent enumerations — so the shared pass changes
+// evaluation cost, never the mapping (asserted by
+// TestEvaluateStateMatchesPerEffortMapping).
+func (st *EvalState) evaluate(g *aig.AIG, lib *cell.Library) (Result, error) {
+	var lists [2][][]cut.Cut
+	lists[0], lists[1] = st.enum.EnumerateDual(g, efforts[0].cuts, efforts[1].cuts)
 	best := Result{}
-	for i, mp := range efforts {
-		nl, ms, err := techmap.MapStateWithCutsInto(g, lib, mp, st.cutbufs[i], st.maps[i], &sc.tm)
+	for i, e := range efforts {
+		nl, err := st.mapper.Map(g, lib, e.tm, lists[i], st.nls[i])
 		if err != nil {
 			return Result{}, err
 		}
-		sr, err := sta.SignoffInto(nl, sta.SignoffParams{}, st.srs[i])
+		st.nls[i] = nl
+		sr, err := sta.Signoff(nl, sta.SignoffParams{}, st.srs[i])
 		if err != nil {
 			return Result{}, err
 		}
-		st.maps[i], st.srs[i] = ms, sr
+		st.srs[i] = sr
 		best = pick(best, i, nl, sr)
 	}
 	return best, nil

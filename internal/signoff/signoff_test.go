@@ -34,16 +34,16 @@ func TestEvaluateBeatsOrMatchesSingleEffort(t *testing.T) {
 	lib := cell.Builtin()
 	for i := 0; i < 8; i++ {
 		g := randomAIG(rng, 8, 150, 4)
-		r, err := Evaluate(g, lib)
+		r, _, err := freshState(g, lib)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Single default-effort pipeline for comparison.
-		nl, err := techmap.Map(g, lib, techmap.DefaultParams)
+		nl, err := new(techmap.Mapper).Map(g, lib, techmap.DefaultParams, new(cut.Enumerator).Enumerate(g, cut.DefaultParams), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr, err := sta.Signoff(nl, sta.SignoffParams{})
+		sr, err := sta.Signoff(nl, sta.SignoffParams{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,11 +57,11 @@ func TestEvaluateDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	lib := cell.Builtin()
 	g := randomAIG(rng, 8, 120, 4)
-	r1, err := Evaluate(g, lib)
+	r1, _, err := freshState(g, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Evaluate(g, lib)
+	r2, _, err := freshState(g, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestEvaluatePreservesFunction(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	lib := cell.Builtin()
 	g := randomAIG(rng, 6, 80, 3)
-	r, err := Evaluate(g, lib)
+	r, _, err := freshState(g, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,18 +110,18 @@ func TestEvaluateBatchMatchesSequential(t *testing.T) {
 	want := make([]Result, len(gs))
 	for i := range gs {
 		gs[i] = randomAIG(rng, 7, 100, 3)
-		r, err := Evaluate(gs[i], lib)
+		r, _, err := freshState(gs[i], lib)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = r
 	}
-	pool := NewPool()
+	var pool Pool
 	for _, workers := range []int{0, 1, 3, 16} {
 		rs := make([]Result, len(gs))
 		errs := make([]error, len(gs))
 		eval.ForEach(len(gs), workers, func(i int) {
-			r, st, err := pool.EvaluateState(gs[i], lib)
+			r, st, err := pool.Evaluate(gs[i], lib)
 			if err == nil {
 				r.Netlist = nil // recycled by Release; only the metrics are compared
 				st.Release()
@@ -140,38 +140,41 @@ func TestEvaluateBatchMatchesSequential(t *testing.T) {
 }
 
 // TestEvaluateStateMatchesPerEffortMapping asserts the dual-effort cut
-// reuse is invisible: Pool.EvaluateState (one shared cut.EnumerateDual
-// pass) must produce the same metrics, the same governing corner, and
-// gate-for-gate the same netlist as mapping each effort with its own
-// independent enumeration (techmap.Map) and timing it.
+// reuse is invisible: Pool.Evaluate (one shared EnumerateDual pass)
+// must produce the same metrics, the same governing corner, and
+// gate-for-gate the same netlist as mapping each effort over its own
+// independent enumeration, with a new Mapper, and timing it.
 func TestEvaluateStateMatchesPerEffortMapping(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	lib := cell.Builtin()
-	efforts := []techmap.Params{
-		techmap.DefaultParams,
-		{Cut: cut.Params{K: 4, MaxCuts: 24}, NominalLoadFF: 6.0, AreaRecovery: true},
+	efforts := []struct {
+		cuts cut.Params
+		tm   techmap.Params
+	}{
+		{cut.DefaultParams, techmap.DefaultParams},
+		{cut.Params{K: 4, MaxCuts: 24}, techmap.Params{NominalLoadFF: 6.0, AreaRecovery: true}},
 	}
-	pool := NewPool()
+	var pool Pool
 	for i := 0; i < 6; i++ {
 		g := randomAIG(rng, 8, 160, 4)
-		got, st, err := pool.EvaluateState(g, lib)
+		got, st, err := pool.Evaluate(g, lib)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := Result{}
-		for ei, mp := range efforts {
-			nl, err := techmap.Map(g, lib, mp)
+		for ei, e := range efforts {
+			nl, err := new(techmap.Mapper).Map(g, lib, e.tm, new(cut.Enumerator).Enumerate(g, e.cuts), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sr, err := sta.Signoff(nl, sta.SignoffParams{})
+			sr, err := sta.Signoff(nl, sta.SignoffParams{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want = pick(want, ei, nl, sr)
 			// Each effort's mapping inside the state must match too, not
 			// only the one that won.
-			stNl := st.maps[ei].Netlist()
+			stNl := st.nls[ei]
 			if len(stNl.Gates) != len(nl.Gates) {
 				t.Fatalf("graph %d effort %d: %d vs %d gates", i, ei, len(stNl.Gates), len(nl.Gates))
 			}

@@ -6,13 +6,14 @@ import (
 
 	"aigtimer/internal/aig"
 	"aigtimer/internal/cell"
+	"aigtimer/internal/cut"
 	"aigtimer/internal/sta"
 	"aigtimer/internal/techmap"
 )
 
 // TestSignoffIntoZeroAllocs guards the recycled signoff path: with a
-// dead result carcass to analyze into, a steady-state SignoffInto must
-// not touch the heap.
+// dead result carcass to analyze into, a steady-state Signoff must not
+// touch the heap.
 func TestSignoffIntoZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	b := aig.NewBuilder(6)
@@ -29,28 +30,28 @@ func TestSignoffIntoZeroAllocs(t *testing.T) {
 	b.AddPO(lits[len(lits)-5])
 	g := b.Build().Compact()
 
-	nl, err := techmap.Map(g, cell.Builtin(), techmap.DefaultParams)
+	nl, err := new(techmap.Mapper).Map(g, cell.Builtin(), techmap.DefaultParams, new(cut.Enumerator).Enumerate(g, cut.DefaultParams), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := sta.SignoffParams{}
-	prev, err := sta.Signoff(nl, p)
+	prev, err := sta.Signoff(nl, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spare, err := sta.Signoff(nl, p)
+	spare, err := sta.Signoff(nl, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(50, func() {
-		r, err := sta.SignoffInto(nl, p, spare)
+		r, err := sta.Signoff(nl, p, spare)
 		if err != nil {
 			t.Fatal(err)
 		}
 		prev, spare = r, prev
 	})
 	if avg != 0 {
-		t.Fatalf("SignoffInto allocates %.1f objects per run, want 0", avg)
+		t.Fatalf("Signoff allocates %.1f objects per run, want 0", avg)
 	}
 	if prev.WorstDelayPS <= 0 {
 		t.Fatal("degenerate analysis")

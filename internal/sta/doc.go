@@ -22,7 +22,9 @@
 //
 // Both analyzers are deterministic functions of (netlist, parameters):
 // equal inputs time identically, the property the evaluation layer's
-// memoization and the distributed sweep's merges rely on. SignoffInto
-// analyzes into a dead result's storage, so a retained pipeline times
-// without allocating; its result is bit-identical to Signoff's.
+// memoization and the distributed sweep's merges rely on. Signoff
+// analyzes into a dead result's storage when the caller passes one, so
+// a retained pipeline times without allocating; a recycled result is
+// bit-identical to a fresh one. STA keeps no scratch between calls, so
+// no analyzer type is needed.
 package sta

@@ -55,17 +55,13 @@ type SignoffResult struct {
 	LoadsFF []float64
 }
 
-// Signoff runs slew-propagating NLDM STA at every corner.
-func Signoff(nl *netlist.Netlist, p SignoffParams) (*SignoffResult, error) {
-	return SignoffInto(nl, p, nil)
-}
-
-// SignoffInto is Signoff recycling a dead result's storage (the per-net
-// and per-corner slices are reused in place; nil allocates fresh). The
-// returned result is bit-identical to Signoff's: recycled slices are
-// zeroed exactly like fresh allocations. The caller must guarantee
-// nothing references recycle anymore.
-func SignoffInto(nl *netlist.Netlist, p SignoffParams, recycle *SignoffResult) (*SignoffResult, error) {
+// Signoff runs slew-propagating NLDM STA at every corner, into a dead
+// result's storage: the per-net and per-corner slices of recycle are
+// reused in place, and a nil recycle allocates fresh. A recycled result
+// is bit-identical to a fresh one, because recycled slices are zeroed
+// exactly like fresh allocations. The caller must guarantee nothing
+// references recycle anymore.
+func Signoff(nl *netlist.Netlist, p SignoffParams, recycle *SignoffResult) (*SignoffResult, error) {
 	if p.Corners == nil {
 		p.Corners = cell.SignoffCorners
 	}

@@ -6,12 +6,11 @@ import (
 
 	"aigtimer/internal/cell"
 	"aigtimer/internal/netlist"
-	"aigtimer/internal/techmap"
 )
 
 func TestSignoffCornersOrdered(t *testing.T) {
 	nl := chainNetlist(4)
-	r, err := Signoff(nl, SignoffParams{})
+	r, err := Signoff(nl, SignoffParams{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +45,7 @@ func TestSignoffSlewPropagationIncreasesDelay(t *testing.T) {
 	// must exceed the slew-less linear-model delay on a deep chain.
 	nl := chainNetlist(6)
 	lin := Analyze(nl)
-	r, err := Signoff(nl, SignoffParams{Corners: []cell.Corner{{Name: "TT", Scale: 1}}})
+	r, err := Signoff(nl, SignoffParams{Corners: []cell.Corner{{Name: "TT", Scale: 1}}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +60,11 @@ func TestSignoffSlewPropagationIncreasesDelay(t *testing.T) {
 
 func TestSignoffInputSlewMatters(t *testing.T) {
 	nl := chainNetlist(2)
-	fast, err := Signoff(nl, SignoffParams{InputSlewPS: 5})
+	fast, err := Signoff(nl, SignoffParams{InputSlewPS: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := Signoff(nl, SignoffParams{InputSlewPS: 300})
+	slow, err := Signoff(nl, SignoffParams{InputSlewPS: 300}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +77,11 @@ func TestSignoffOnMappedDesign(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	lib := cell.Builtin()
 	g := randomAIG(rng, 8, 120, 4)
-	nl, err := techmap.Map(g, lib, techmap.DefaultParams)
+	nl, err := mapDefault(g, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Signoff(nl, SignoffParams{})
+	r, err := Signoff(nl, SignoffParams{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +104,7 @@ func TestSignoffRejectsUncharacterizedCell(t *testing.T) {
 	bare := &cell.Cell{Name: "RAW", NumInputs: 1, Function: 0x1, AreaUM2: 1}
 	b := netlist.NewBuilder(lib, 1)
 	b.AddPO(b.AddGate(bare, b.PINet(0)))
-	if _, err := Signoff(b.Build(), SignoffParams{}); err == nil {
+	if _, err := Signoff(b.Build(), SignoffParams{}, nil); err == nil {
 		t.Fatal("uncharacterized cell accepted")
 	}
 }

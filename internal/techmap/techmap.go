@@ -14,11 +14,6 @@ import (
 // Params configures mapping. The zero value of a field selects the
 // DefaultParams value for that field.
 type Params struct {
-	// Cut bounds the priority-cut enumeration feeding match selection
-	// (cut width K <= 4, cuts retained per node). Wider budgets find
-	// better matches at roughly quadratic enumeration cost — the knob
-	// signoff's high-effort second pass turns up.
-	Cut cut.Params
 	// NominalLoadFF is the output load (fF) assumed while ranking
 	// matches and sizing gates; the real per-net load is only known
 	// after emission, when STA measures it.
@@ -32,7 +27,6 @@ type Params struct {
 
 // DefaultParams is a sensible delay-oriented configuration.
 var DefaultParams = Params{
-	Cut:           cut.Params{K: 4, MaxCuts: 8},
 	NominalLoadFF: 4.0,
 	AreaRecovery:  true,
 }
@@ -80,42 +74,28 @@ type markItem struct {
 	ph int
 }
 
-// Scratch holds every per-call working buffer of the mapping pipeline —
-// match selection state, area-recovery requirements, and the emit memo —
-// reused across calls so a retained evaluation pipeline performs no
-// steady-state allocations while mapping. A Scratch serves one mapping
-// at a time.
-type Scratch struct {
+// Mapper maps AIGs onto a library. It owns every per-call buffer of
+// the mapping pipeline (the implementation table, match-selection
+// state, area-recovery requirements and the emit memo) and reuses them
+// across calls, so a warm Mapper maps without allocating. The zero
+// Mapper is ready to use; it serves one mapping at a time.
+type Mapper struct {
+	// The mapping in flight.
+	g    *aig.AIG
+	lib  *cell.Library
+	p    Params
+	cuts [][]cut.Cut
+
+	// impls holds the chosen implementation of both phases of every
+	// node: selectImpls fills it and area recovery resizes its gates in
+	// place.
+	impls  [][2]impl
 	direct [][2]impl
 	used   [][2]bool
 	req    [][2]float64
 	stack  []markItem
 	memo   [2][]netlist.NetID
 	cands  []impl
-	// m is the pipeline's mapper for the in-flight call. It lives here
-	// rather than on the caller's stack because its address flows into
-	// the emitter and would otherwise escape — one heap allocation per
-	// mapping on an otherwise allocation-free path.
-	m mapper
-}
-
-// State is the storage one mapping leaves behind: the per-node
-// implementation table and the emitted netlist. MapStateWithCutsInto
-// builds a new mapping inside a dead State's storage instead of
-// allocating afresh; the caller owns the guarantee that nothing
-// references the dead State (or its netlist) any more.
-type State struct {
-	impls [][2]impl
-	nl    *netlist.Netlist
-}
-
-// Netlist returns the mapped netlist (identical to Map's result).
-func (s *State) Netlist() *netlist.Netlist { return s.nl }
-
-// mapper resets sc.m for a new mapping call and returns it.
-func (sc *Scratch) mapper() *mapper {
-	sc.m = mapper{}
-	return &sc.m
 }
 
 // growImpls returns b resized to n, contents unspecified.
@@ -126,101 +106,40 @@ func growImpls(b [][2]impl, n int) [][2]impl {
 	return b[:n]
 }
 
-type mapper struct {
-	g    *aig.AIG
-	lib  *cell.Library
-	p    Params
-	cuts [][]cut.Cut
-	// impls holds the chosen implementation of both phases of every
-	// node: selectImpls fills it and area recovery resizes its gates in
-	// place.
-	impls [][2]impl
-	sc    *Scratch
-}
-
-// Map maps the AIG onto the library and returns the gate-level netlist.
-func Map(g *aig.AIG, lib *cell.Library, p Params) (*netlist.Netlist, error) {
-	m, err := runMapper(g, lib, p, nil, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return emitMapped(m, nil), nil
-}
-
-// MapStateWithCutsInto maps g like Map, over a precomputed cut set —
-// one priority-cut list per node, exactly what cut.Enumerate(g, p.Cut)
-// returns — building the result inside dead's storage and drawing
-// working buffers from sc (either may be nil to allocate fresh). It
-// exists for callers that enumerate cuts for several mapping efforts in
-// one shared pass (cut.EnumerateDual, used by signoff's dual-effort
-// evaluation): the caller owns the guarantee that cuts matches p.Cut,
-// and the netlist is bit-identical to Map(g, lib, p) whenever it does.
-// The caller must also guarantee that nothing references dead any more.
-func MapStateWithCutsInto(g *aig.AIG, lib *cell.Library, p Params, cuts [][]cut.Cut, dead *State, sc *Scratch) (*netlist.Netlist, *State, error) {
+// Map maps g onto lib over cuts, one priority-cut list per node as
+// cut.Enumerator returns them, and builds the netlist into recycle's
+// storage (nil builds a fresh one). It maps exactly the cut lists it is
+// given, so the netlist is a deterministic function of (g, lib, p,
+// cuts). The caller must guarantee that nothing references recycle any
+// more.
+func (m *Mapper) Map(g *aig.AIG, lib *cell.Library, p Params, cuts [][]cut.Cut, recycle *netlist.Netlist) (*netlist.Netlist, error) {
 	if len(cuts) != g.NumNodes() {
-		return nil, nil, fmt.Errorf("techmap: cut set covers %d nodes, graph has %d", len(cuts), g.NumNodes())
-	}
-	m, err := runMapper(g, lib, p, cuts, dead, sc)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := dead
-	if s == nil {
-		s = &State{}
-	}
-	nl := emitMapped(m, s.nl)
-	*s = State{impls: m.impls, nl: nl}
-	return nl, s, nil
-}
-
-// runMapper normalizes the parameters, enumerates cuts (unless the
-// caller precomputed them), and selects implementations — the shared
-// front half of Map and MapStateWithCutsInto. The impls buffer is
-// recycled from dead and working buffers come from sc; either may be
-// nil for fresh allocation. The returned mapper lives inside sc and is
-// valid until sc's next mapping call.
-func runMapper(g *aig.AIG, lib *cell.Library, p Params, cuts [][]cut.Cut, dead *State, sc *Scratch) (*mapper, error) {
-	if p.Cut.K == 0 {
-		p.Cut = DefaultParams.Cut
+		return nil, fmt.Errorf("techmap: cut set covers %d nodes, graph has %d", len(cuts), g.NumNodes())
 	}
 	if p.NominalLoadFF == 0 {
 		p.NominalLoadFF = DefaultParams.NominalLoadFF
 	}
-	if cuts == nil {
-		cuts = cut.Enumerate(g, p.Cut)
+	m.g, m.lib, m.p, m.cuts = g, lib, p, cuts
+	m.impls = growImpls(m.impls, g.NumNodes())
+	m.direct = growImpls(m.direct, g.NumNodes())
+	if err := m.selectImpls(); err != nil {
+		return nil, err
 	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	m := sc.mapper()
-	m.g, m.lib, m.p, m.cuts, m.sc = g, lib, p, cuts, sc
-	var implsBuf [][2]impl
-	if dead != nil {
-		implsBuf = dead.impls
-	}
-	m.impls = growImpls(implsBuf, g.NumNodes())
-	sc.direct = growImpls(sc.direct, g.NumNodes())
-	return m, m.selectImpls()
-}
-
-// emitMapped runs the global tail of mapping (area recovery, emission)
-// into nlRecycle's storage (nil builds fresh).
-func emitMapped(m *mapper, nlRecycle *netlist.Netlist) *netlist.Netlist {
-	if m.p.AreaRecovery {
+	if p.AreaRecovery {
 		m.recoverArea()
 	}
-	return m.emit(nlRecycle)
+	return m.emit(recycle), nil
 }
 
 // invDelay returns the nominal delay of the shared inverter.
-func (m *mapper) invDelay() float64 {
+func (m *Mapper) invDelay() float64 {
 	return m.lib.Inverter().DelayPS(m.p.NominalLoadFF)
 }
 
 // arrivalOf returns the arrival time of (node, phase) under the chosen
 // implementations, deriving the complement phase through an inverter
 // when necessary.
-func (m *mapper) arrivalOf(n int32, ph int) float64 {
+func (m *Mapper) arrivalOf(n int32, ph int) float64 {
 	if !m.g.IsAnd(n) {
 		// PIs and constants arrive at t=0; a PI's complement costs an
 		// inverter, tie cells are free in either phase.
@@ -234,7 +153,7 @@ func (m *mapper) arrivalOf(n int32, ph int) float64 {
 
 // selectImpls chooses the best implementation for both phases of every
 // AND node, in topological order.
-func (m *mapper) selectImpls() error {
+func (m *Mapper) selectImpls() error {
 	for i := int(m.g.FirstAnd()); i < m.g.NumNodes(); i++ {
 		if err := m.selectNode(int32(i)); err != nil {
 			return err
@@ -244,9 +163,9 @@ func (m *mapper) selectImpls() error {
 }
 
 // selectNode chooses the best implementation for both phases of the AND
-// node n, writing m.sc.direct[n] and m.impls[n] and reading only the
+// node n, writing m.direct[n] and m.impls[n] and reading only the
 // impls of nodes inside n's cuts' leaf sets (all strictly below n).
-func (m *mapper) selectNode(n int32) error {
+func (m *Mapper) selectNode(n int32) error {
 	for ph := pos; ph <= neg; ph++ {
 		best := impl{kind: kindNone, arrival: math.Inf(1)}
 		for ci := range m.cuts[n] {
@@ -264,13 +183,13 @@ func (m *mapper) selectNode(n int32) error {
 				}
 			}
 		}
-		m.sc.direct[n][ph] = best
+		m.direct[n][ph] = best
 	}
 	// Relax with the inverter alternative: phase ph via INV over the
 	// direct impl of the opposite phase.
 	for ph := pos; ph <= neg; ph++ {
-		best := m.sc.direct[n][ph]
-		other := m.sc.direct[n][1-ph]
+		best := m.direct[n][ph]
+		other := m.direct[n][1-ph]
 		if other.kind != kindNone {
 			cand := impl{
 				kind:    kindInv,
@@ -291,17 +210,17 @@ func (m *mapper) selectNode(n int32) error {
 
 // cutCandidates yields all realizations of the table tbl over cut c —
 // tie cells for constants, wires for projections, and library matches —
-// in the Scratch candidate buffer (valid until the next call).
-func (m *mapper) cutCandidates(c *cut.Cut, ci int, tbl uint16) []impl {
-	out := m.sc.cands[:0]
+// in the Mapper's candidate buffer (valid until the next call).
+func (m *Mapper) cutCandidates(c *cut.Cut, ci int, tbl uint16) []impl {
+	out := m.cands[:0]
 	switch tbl {
 	case 0:
 		out = append(out, impl{kind: kindTie, tieVal: false, area: m.lib.Tie(false).AreaUM2})
-		m.sc.cands = out
+		m.cands = out
 		return out
 	case 0xFFFF:
 		out = append(out, impl{kind: kindTie, tieVal: true, area: m.lib.Tie(true).AreaUM2})
-		m.sc.cands = out
+		m.cands = out
 		return out
 	}
 	for j, leaf := range c.Leaves() {
@@ -321,12 +240,12 @@ func (m *mapper) cutCandidates(c *cut.Cut, ci int, tbl uint16) []impl {
 	for _, match := range m.lib.Matches(tbl, c.Size()) {
 		out = append(out, m.evalMatch(c, ci, match))
 	}
-	m.sc.cands = out
+	m.cands = out
 	return out
 }
 
 // evalMatch scores a cut/cell pairing under the nominal-load delay model.
-func (m *mapper) evalMatch(c *cut.Cut, cutIdx int, match cell.Match) impl {
+func (m *Mapper) evalMatch(c *cut.Cut, cutIdx int, match cell.Match) impl {
 	d := match.Cell.DelayPS(m.p.NominalLoadFF)
 	arr := 0.0
 	for j := 0; j < match.Cell.NumInputs; j++ {
@@ -364,17 +283,17 @@ func better(a, b impl) bool {
 
 // markUsed flags the (node, phase) pairs reachable from the POs through
 // the chosen implementations.
-func (m *mapper) markUsed() {
-	m.sc.used = m.sc.used[:0]
-	if cap(m.sc.used) < m.g.NumNodes() {
-		m.sc.used = make([][2]bool, m.g.NumNodes())
+func (m *Mapper) markUsed() {
+	m.used = m.used[:0]
+	if cap(m.used) < m.g.NumNodes() {
+		m.used = make([][2]bool, m.g.NumNodes())
 	}
-	m.sc.used = m.sc.used[:m.g.NumNodes()]
-	for i := range m.sc.used {
-		m.sc.used[i] = [2]bool{}
+	m.used = m.used[:m.g.NumNodes()]
+	for i := range m.used {
+		m.used[i] = [2]bool{}
 	}
-	used := m.sc.used
-	stack := m.sc.stack[:0]
+	used := m.used
+	stack := m.stack[:0]
 	push := func(n int32, ph int) {
 		if !m.g.IsAnd(n) {
 			return
@@ -407,7 +326,7 @@ func (m *mapper) markUsed() {
 			}
 		}
 	}
-	m.sc.stack = stack
+	m.stack = stack
 }
 
 func phaseOf(l aig.Lit) int {
@@ -422,14 +341,14 @@ func phaseOf(l aig.Lit) int {
 // identical pin wiring that still meets the required time is selected.
 // Because only the cell choice changes (never the structure), the total
 // area is monotonically non-increasing.
-func (m *mapper) recoverArea() {
+func (m *Mapper) recoverArea() {
 	m.markUsed()
-	used := m.sc.used
-	if cap(m.sc.req) < m.g.NumNodes() {
-		m.sc.req = make([][2]float64, m.g.NumNodes())
+	used := m.used
+	if cap(m.req) < m.g.NumNodes() {
+		m.req = make([][2]float64, m.g.NumNodes())
 	}
-	m.sc.req = m.sc.req[:m.g.NumNodes()]
-	req := m.sc.req
+	m.req = m.req[:m.g.NumNodes()]
+	req := m.req
 	for i := range req {
 		req[i][pos] = math.Inf(1)
 		req[i][neg] = math.Inf(1)
@@ -518,15 +437,15 @@ func lower(dst *float64, v float64) {
 
 // emit materializes the chosen implementations as a netlist built into
 // nlRecycle's storage (nil builds fresh). The (node, phase) -> net memo
-// lives in the Scratch and is valid until its next use.
-func (m *mapper) emit(nlRecycle *netlist.Netlist) *netlist.Netlist {
+// lives in the Mapper and is valid until its next use.
+func (m *Mapper) emit(nlRecycle *netlist.Netlist) *netlist.Netlist {
 	for ph := 0; ph < 2; ph++ {
-		if cap(m.sc.memo[ph]) < m.g.NumNodes() {
-			m.sc.memo[ph] = make([]netlist.NetID, m.g.NumNodes())
+		if cap(m.memo[ph]) < m.g.NumNodes() {
+			m.memo[ph] = make([]netlist.NetID, m.g.NumNodes())
 		}
-		m.sc.memo[ph] = m.sc.memo[ph][:m.g.NumNodes()]
-		for i := range m.sc.memo[ph] {
-			m.sc.memo[ph][i] = -1
+		m.memo[ph] = m.memo[ph][:m.g.NumNodes()]
+		for i := range m.memo[ph] {
+			m.memo[ph][i] = -1
 		}
 	}
 	// A method-based emitter rather than recursive closures: a closure
@@ -542,14 +461,14 @@ func (m *mapper) emit(nlRecycle *netlist.Netlist) *netlist.Netlist {
 // emitter carries the in-progress emission state through need's
 // recursion.
 type emitter struct {
-	m  *mapper
+	m  *Mapper
 	nb netlist.Builder
 }
 
 // need returns the net realizing (node, phase), emitting it on first use.
 func (e *emitter) need(n int32, ph int) netlist.NetID {
 	m := e.m
-	if net := m.sc.memo[ph][n]; net >= 0 {
+	if net := m.memo[ph][n]; net >= 0 {
 		return net
 	}
 	var net netlist.NetID
@@ -587,6 +506,6 @@ func (e *emitter) need(n int32, ph int) netlist.NetID {
 			panic("techmap: emitting unimplemented node")
 		}
 	}
-	m.sc.memo[ph][n] = net
+	m.memo[ph][n] = net
 	return net
 }

@@ -8,6 +8,7 @@ import (
 	"aigtimer/internal/aig"
 	"aigtimer/internal/cell"
 	"aigtimer/internal/cut"
+	"aigtimer/internal/netlist"
 	"aigtimer/internal/sta"
 )
 
@@ -26,6 +27,12 @@ func randomAIG(rng *rand.Rand, numPIs, numAnds, numPOs int) *aig.AIG {
 		b.AddPO(lits[len(lits)-1-rng.Intn(len(lits))].NotIf(rng.Intn(2) == 0))
 	}
 	return b.Build()
+}
+
+// mapFresh maps g at p over cuts enumerated at cp, with a new Mapper
+// and a new cut.Enumerator.
+func mapFresh(g *aig.AIG, lib *cell.Library, p Params, cp cut.Params) (*netlist.Netlist, error) {
+	return new(Mapper).Map(g, lib, p, new(cut.Enumerator).Enumerate(g, cp), nil)
 }
 
 // equivalentMapped exhaustively compares AIG and netlist functions.
@@ -64,7 +71,7 @@ func TestMapSimpleFunctions(t *testing.T) {
 	b.AddPO(and.Not())
 	g := b.Build()
 
-	nl, err := Map(g, lib, DefaultParams)
+	nl, err := mapFresh(g, lib, DefaultParams, cut.DefaultParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +93,7 @@ func TestMapConstantsAndPassthrough(t *testing.T) {
 	b.AddPO(b.PI(0))
 	b.AddPO(b.PI(1).Not())
 	g := b.Build()
-	nl, err := Map(g, lib, DefaultParams)
+	nl, err := mapFresh(g, lib, DefaultParams, cut.DefaultParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +111,7 @@ func TestPropertyMappingPreservesFunction(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomAIG(rng, 3+rng.Intn(6), 5+rng.Intn(60), 1+rng.Intn(5))
-		nl, err := Map(g, lib, DefaultParams)
+		nl, err := mapFresh(g, lib, DefaultParams, cut.DefaultParams)
 		if err != nil {
 			return false
 		}
@@ -125,11 +132,11 @@ func TestAreaRecoveryDoesNotHurtDelayMuch(t *testing.T) {
 		pArea := DefaultParams
 		pArea.AreaRecovery = true
 
-		nlD, err := Map(g, lib, pDelay)
+		nlD, err := mapFresh(g, lib, pDelay, cut.DefaultParams)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nlA, err := Map(g, lib, pArea)
+		nlA, err := mapFresh(g, lib, pArea, cut.DefaultParams)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +160,7 @@ func TestMapperUsesComplexCells(t *testing.T) {
 	lib := cell.Builtin()
 	rng := rand.New(rand.NewSource(23))
 	g := randomAIG(rng, 8, 200, 6)
-	nl, err := Map(g, lib, DefaultParams)
+	nl, err := mapFresh(g, lib, DefaultParams, cut.DefaultParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +186,7 @@ func TestMapParamsDefaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	g := randomAIG(rng, 5, 30, 3)
 	// Zero-valued params should be filled with defaults.
-	nl, err := Map(g, lib, Params{})
+	nl, err := mapFresh(g, lib, Params{}, cut.DefaultParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +199,7 @@ func TestMapSmallCutBudget(t *testing.T) {
 	lib := cell.Builtin()
 	rng := rand.New(rand.NewSource(31))
 	g := randomAIG(rng, 6, 80, 4)
-	p := DefaultParams
-	p.Cut = cut.Params{K: 2, MaxCuts: 2}
-	nl, err := Map(g, lib, p)
+	nl, err := mapFresh(g, lib, DefaultParams, cut.Params{K: 2, MaxCuts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

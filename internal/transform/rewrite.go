@@ -26,7 +26,7 @@ func RewriteZ(g *aig.AIG, rng *rand.Rand) *aig.AIG {
 func rewriteImpl(g *aig.AIG, rng *rand.Rand, minGain int) *aig.AIG {
 	ms := getMoveScratch()
 	defer putMoveScratch(ms)
-	cuts := ms.enumerate(g, cut.Params{K: 4, MaxCuts: 8})
+	cuts := ms.enum.Enumerate(g, cut.Params{K: 4, MaxCuts: 8})
 	fo := g.FanoutCounts()
 	sav := newSavings(g)
 	r := newRebuilder(g)
@@ -73,7 +73,7 @@ func Expand(g *aig.AIG, rng *rand.Rand) *aig.AIG {
 	const prob = 0.2
 	ms := getMoveScratch()
 	defer putMoveScratch(ms)
-	cuts := ms.enumerate(g, cut.Params{K: 4, MaxCuts: 8})
+	cuts := ms.enum.Enumerate(g, cut.Params{K: 4, MaxCuts: 8})
 	r := newRebuilder(g)
 	var options []cut.Cut
 	var ins []aig.Lit
