@@ -14,8 +14,9 @@
 //	BenchmarkTable4/*                per-iteration evaluation cost of the
 //	                                 three flows (Table IV columns)
 //	BenchmarkFig5/sweep-point        one annealing run of the Fig. 5 sweep
-//	BenchmarkRecipeApply             one pass of the 103-recipe move
-//	                                 catalog over EX08
+//	BenchmarkRecipeApply/*           one pass of the 103-recipe move
+//	                                 catalog over EX54, EX08 and a
+//	                                 16-bit multiplier
 //	BenchmarkAblation/*              design-choice ablations from DESIGN.md
 package aigtimer_test
 
@@ -307,28 +308,47 @@ func BenchmarkAnneal(b *testing.B) {
 // recipeSink keeps BenchmarkRecipeApply's results live.
 var recipeSink *aig.AIG
 
-// BenchmarkRecipeApply measures the move layer alone: one op applies
-// each of the 103 catalog recipes to EX08 with ApplyTracked, every one
-// from the same fixed seed. A first pass fills the process-wide
-// synthesis-program caches before timing, as a long annealing run has.
+// BenchmarkRecipeApply measures the move layer alone over a size
+// ladder: one op applies each of the 103 catalog recipes to the design
+// with ApplyTracked, every one from the same fixed seed. The rungs are
+// EX54 (211 ANDs), EX08 (507) and bench.Multiplier(16) (2,784). A first
+// pass fills the process-wide synthesis-program caches and warms the
+// pooled movers before timing, as a long annealing run has.
 func BenchmarkRecipeApply(b *testing.B) {
-	d, err := bench.ByName("EX08")
+	rungs := []struct {
+		name string
+		g    func() *aig.AIG
+	}{
+		{"EX54", func() *aig.AIG { return mustDesign(b, "EX54") }},
+		{"EX08", func() *aig.AIG { return mustDesign(b, "EX08") }},
+		{"mult16", func() *aig.AIG { return bench.Multiplier(16) }},
+	}
+	recipes := transform.Recipes()
+	for _, rung := range rungs {
+		b.Run(rung.name, func(b *testing.B) {
+			g := rung.g()
+			pass := func() {
+				for _, r := range recipes {
+					recipeSink, _ = r.ApplyTracked(g, rand.New(rand.NewSource(1)))
+				}
+			}
+			pass()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pass()
+			}
+		})
+	}
+}
+
+// mustDesign builds the named suite design.
+func mustDesign(b *testing.B, name string) *aig.AIG {
+	d, err := bench.ByName(name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := d.Build()
-	recipes := transform.Recipes()
-	pass := func() {
-		for _, r := range recipes {
-			recipeSink, _ = r.ApplyTracked(g, rand.New(rand.NewSource(1)))
-		}
-	}
-	pass()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pass()
-	}
+	return d.Build()
 }
 
 // BenchmarkSignoffEval measures one pooled full signoff evaluation of

@@ -120,30 +120,106 @@ func (g *AIG) Fanins(n int32) (Lit, Lit) {
 func (g *AIG) FirstAnd() int32 { return int32(g.numPIs + 1) }
 
 // Builder incrementally constructs an AIG with structural hashing.
-// The zero value is not usable; call NewBuilder.
+// NewBuilder returns one ready to build; the zero value is ready for
+// Reset, Compact and Rebase.
+//
+// A Builder keeps its storage across graphs: Reset, Compact and Rebase
+// reuse the node array, the strash table and the per-node scratch of
+// earlier calls, so a caller that holds a Builder, as the transform
+// layer's movers do, rebuilds graph after graph without allocating.
+// Each of them costs time in proportion to the graph it works on, not
+// to the largest graph the storage has held.
 type Builder struct {
-	g      AIG
-	strash map[uint64]int32
-	levels []int32 // incremental per-node levels
+	g AIG // the graph under construction; And keeps g.levels current
+
+	// strash is an open-addressed table of the AND nodes by fanin
+	// pair: a power-of-two number of slots probed linearly, at most
+	// half full. A zero key marks an empty slot (no stored pair has
+	// fanin1 below 2).
+	keys  []uint64
+	vals  []int32
+	shift uint // 64 - log2(len(keys)): strashSlot keeps the top bits
+	used  int
+
+	// scratch of Compact and Rebase, indexed by the node numbers of the
+	// graph they read
+	remap []Lit
+	mark  []bool
+	match []int32
+	owner []int32
 }
 
 // NewBuilder returns a builder for an AIG with numPIs primary inputs.
 func NewBuilder(numPIs int) *Builder {
-	b := &Builder{
-		strash: make(map[uint64]int32),
-	}
-	b.g.numPIs = numPIs
-	b.g.nodes = make([]node, numPIs+1, numPIs+17)
-	for i := range b.g.nodes {
-		b.g.nodes[i] = node{noFanin, noFanin}
-	}
-	b.levels = make([]int32, numPIs+1, numPIs+17)
+	b := new(Builder)
+	b.Reset(numPIs, 0)
 	return b
 }
 
+// Reset starts a new graph of numPIs primary inputs in b's retained
+// storage, with the strash table sized for about ands AND nodes (it
+// grows past that as needed). A graph returned by Graph or Compact
+// before is overwritten.
+func (b *Builder) Reset(numPIs, ands int) {
+	n := numPIs + 1
+	nodes := b.g.nodes[:0]
+	if cap(nodes) < n+ands {
+		nodes = make([]node, 0, n+ands)
+	}
+	levels := b.g.levels[:0]
+	if cap(levels) < n+ands {
+		levels = make([]int32, 0, n+ands)
+	}
+	nodes = nodes[:n]
+	for i := range nodes {
+		nodes[i] = node{noFanin, noFanin}
+	}
+	levels = levels[:n]
+	clear(levels)
+	b.g = AIG{nodes: nodes, numPIs: numPIs, pos: b.g.pos[:0], levels: levels, fanouts: b.g.fanouts[:0]}
+	b.resizeStrash(ands)
+}
+
+// resizeStrash empties the strash table and sizes it for ands nodes:
+// the smallest power of two of at least 16 slots and twice ands.
+func (b *Builder) resizeStrash(ands int) {
+	size, lg := 16, uint(4)
+	for size < 2*ands {
+		size <<= 1
+		lg++
+	}
+	if cap(b.keys) < size {
+		b.keys = make([]uint64, size)
+		b.vals = make([]int32, size)
+	} else {
+		b.keys = b.keys[:size]
+		b.vals = b.vals[:size]
+		clear(b.keys)
+	}
+	b.shift = 64 - lg
+	b.used = 0
+}
+
+// strashSlot returns the slot holding key, or the empty slot where it
+// belongs.
+func (b *Builder) strashSlot(key uint64) int {
+	mask := len(b.keys) - 1
+	i := int((key * 0x9E3779B97F4A7C15) >> b.shift)
+	for b.keys[i] != 0 && b.keys[i] != key {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// Graph returns the graph built so far. It belongs to b: it stays valid
+// until b's next Reset, Compact or Build, and later And and AddPO calls
+// extend it. Its level cache is kept current by And, so Levels costs
+// nothing.
+func (b *Builder) Graph() *AIG { return &b.g }
+
 // LevelOf returns the logic level of a literal's node in the AIG under
 // construction (PIs and the constant are level 0).
-func (b *Builder) LevelOf(l Lit) int32 { return b.levels[l.Node()] }
+func (b *Builder) LevelOf(l Lit) int32 { return b.g.levels[l.Node()] }
 
 // PI returns the literal of the i-th primary input.
 func (b *Builder) PI(i int) Lit { return b.g.PI(i) }
@@ -153,8 +229,6 @@ func (b *Builder) NumPIs() int { return b.g.numPIs }
 
 // NumAnds returns the number of AND nodes created so far.
 func (b *Builder) NumAnds() int { return b.g.NumAnds() }
-
-func strashKey(f0, f1 Lit) uint64 { return uint64(f0)<<32 | uint64(f1) }
 
 // And returns a literal for the conjunction of a and b, reusing an existing
 // node when one computes the same function structurally and simplifying
@@ -176,22 +250,36 @@ func (b *Builder) And(a, c Lit) Lit {
 	case a == c.Not():
 		return ConstFalse
 	}
-	key := strashKey(a, c)
-	if n, ok := b.strash[key]; ok {
-		return MakeLit(n, false)
+	key := uint64(a)<<32 | uint64(c)
+	i := b.strashSlot(key)
+	if b.keys[i] == key {
+		return MakeLit(b.vals[i], false)
 	}
-	n := int32(len(b.g.nodes))
-	b.g.nodes = append(b.g.nodes, node{a, c})
-	b.strash[key] = n
-	lv := b.levels[a.Node()]
-	if l1 := b.levels[c.Node()]; l1 > lv {
-		lv = l1
+	g := &b.g
+	n := int32(len(g.nodes))
+	g.nodes = append(g.nodes, node{a, c})
+	g.levels = append(g.levels, max(g.levels[a.Node()], g.levels[c.Node()])+1)
+	g.pairs = nil
+	b.keys[i] = key
+	b.vals[i] = n
+	if b.used++; 2*b.used > len(b.keys) {
+		b.rehash()
 	}
-	b.levels = append(b.levels, lv+1)
-	b.g.levels = nil
-	b.g.fanouts = nil
-	b.g.pairs = nil
 	return MakeLit(n, false)
+}
+
+// rehash doubles the strash table and re-enters every AND node; each
+// node is in the table exactly once, so the node array is the source.
+func (b *Builder) rehash() {
+	b.resizeStrash(len(b.keys))
+	for x := b.g.FirstAnd(); x < int32(len(b.g.nodes)); x++ {
+		nd := b.g.nodes[x]
+		key := uint64(nd.fanin0)<<32 | uint64(nd.fanin1)
+		i := b.strashSlot(key)
+		b.keys[i] = key
+		b.vals[i] = x
+	}
+	b.used = b.g.NumAnds()
 }
 
 // Or returns a literal for the disjunction of a and b.
@@ -244,14 +332,16 @@ func (b *Builder) OrN(ls ...Lit) Lit {
 // AddPO registers l as the next primary output and returns its index.
 func (b *Builder) AddPO(l Lit) int {
 	b.g.pos = append(b.g.pos, l)
+	b.g.fanouts = b.g.fanouts[:0]
 	return len(b.g.pos) - 1
 }
 
-// Build finalizes and returns the AIG. The builder must not be used
-// afterwards.
+// Build finalizes and returns the AIG, which takes the builder's node
+// storage with it: b keeps only its strash table and scratch, and must
+// be Reset before it builds again.
 func (b *Builder) Build() *AIG {
 	g := b.g
-	b.strash = nil
+	b.g = AIG{}
 	return &g
 }
 
@@ -269,21 +359,26 @@ func (g *AIG) Copy() *AIG {
 // and an AND node is one more than the maximum of its fanin levels. The
 // returned slice is cached; callers must not modify it.
 func (g *AIG) Levels() []int32 {
-	if g.levels != nil {
+	if len(g.levels) == len(g.nodes) {
 		return g.levels
 	}
-	lv := make([]int32, len(g.nodes))
+	lv := resize(g.levels, len(g.nodes))
+	clear(lv[:g.numPIs+1])
 	for i := g.numPIs + 1; i < len(g.nodes); i++ {
 		nd := g.nodes[i]
-		l0 := lv[nd.fanin0.Node()]
-		l1 := lv[nd.fanin1.Node()]
-		if l0 < l1 {
-			l0 = l1
-		}
-		lv[i] = l0 + 1
+		lv[i] = max(lv[nd.fanin0.Node()], lv[nd.fanin1.Node()]) + 1
 	}
 	g.levels = lv
 	return lv
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough. Its contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // MaxLevel returns the number of AIG levels over all primary outputs (the
@@ -304,10 +399,11 @@ func (g *AIG) MaxLevel() int32 {
 // occurrences as a fanin of an AND node plus occurrences as a PO driver.
 // The returned slice is cached; callers must not modify it.
 func (g *AIG) FanoutCounts() []int32 {
-	if g.fanouts != nil {
+	if len(g.fanouts) == len(g.nodes) {
 		return g.fanouts
 	}
-	fo := make([]int32, len(g.nodes))
+	fo := resize(g.fanouts, len(g.nodes))
+	clear(fo)
 	for i := g.numPIs + 1; i < len(g.nodes); i++ {
 		nd := g.nodes[i]
 		fo[nd.fanin0.Node()]++
@@ -324,55 +420,51 @@ func (g *AIG) FanoutCounts() []int32 {
 // reachable from the primary outputs, rebuilt with structural hashing
 // (so duplicate or trivially reducible structure is also removed).
 func (g *AIG) Compact() *AIG {
-	nb := NewBuilder(g.numPIs)
-	m := make([]Lit, len(g.nodes))
-	for i := range m {
-		m[i] = noFanin
-	}
+	var b Builder
+	b.Compact(g)
+	return b.Build()
+}
+
+// Compact resets b to the compaction of g (see AIG.Compact) and returns
+// it as b's graph, valid as Graph's is. g must not be b's own graph.
+func (b *Builder) Compact(g *AIG) *AIG {
+	b.mark = g.markReachable(b.mark)
+	m := resize(b.remap, len(g.nodes))
+	b.remap = m
+	b.Reset(g.numPIs, g.NumAnds())
 	m[0] = ConstFalse
 	for i := 1; i <= g.numPIs; i++ {
-		m[i] = nb.PI(i - 1)
+		m[i] = b.PI(i - 1)
 	}
-	mark := g.reachable()
 	for i := g.numPIs + 1; i < len(g.nodes); i++ {
-		if !mark[i] {
+		if !b.mark[i] {
 			continue
 		}
 		nd := g.nodes[i]
 		f0 := m[nd.fanin0.Node()].NotIf(nd.fanin0.IsCompl())
 		f1 := m[nd.fanin1.Node()].NotIf(nd.fanin1.IsCompl())
-		m[i] = nb.And(f0, f1)
+		m[i] = b.And(f0, f1)
 	}
 	for _, po := range g.pos {
-		nb.AddPO(m[po.Node()].NotIf(po.IsCompl()))
+		b.AddPO(m[po.Node()].NotIf(po.IsCompl()))
 	}
-	return nb.Build()
+	return &b.g
 }
 
-// reachable marks all nodes in the transitive fanin of any PO.
-func (g *AIG) reachable() []bool {
-	mark := make([]bool, len(g.nodes))
-	var stack []int32
+// markReachable marks, in mark's storage, the nodes in the transitive
+// fanin of any PO. Topological order lets one backward pass settle
+// every node: its fanouts all come after it.
+func (g *AIG) markReachable(mark []bool) []bool {
+	mark = resize(mark, len(g.nodes))
+	clear(mark)
 	for _, po := range g.pos {
-		n := po.Node()
-		if !mark[n] {
-			mark[n] = true
-			stack = append(stack, n)
-		}
+		mark[po.Node()] = true
 	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if !g.IsAnd(n) {
-			continue
-		}
-		nd := g.nodes[n]
-		for _, f := range [2]Lit{nd.fanin0, nd.fanin1} {
-			fn := f.Node()
-			if !mark[fn] {
-				mark[fn] = true
-				stack = append(stack, fn)
-			}
+	for i := len(g.nodes) - 1; i > g.numPIs; i-- {
+		if mark[i] {
+			nd := g.nodes[i]
+			mark[nd.fanin0.Node()] = true
+			mark[nd.fanin1.Node()] = true
 		}
 	}
 	return mark
@@ -380,7 +472,7 @@ func (g *AIG) reachable() []bool {
 
 // DanglingCount returns the number of AND nodes not reachable from any PO.
 func (g *AIG) DanglingCount() int {
-	mark := g.reachable()
+	mark := g.markReachable(nil)
 	n := 0
 	for i := g.numPIs + 1; i < len(g.nodes); i++ {
 		if !mark[i] {

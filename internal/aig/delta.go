@@ -1,9 +1,6 @@
 package aig
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Delta records how a derived AIG ("next") structurally relates to the
 // AIG it was produced from ("prev"): which nodes are shared and which
@@ -142,8 +139,10 @@ func (g *AIG) PairIndex() map[uint64]int32 {
 
 // Rebase renumbers next into the canonical delta-friendly form relative
 // to prev and returns the rebased graph together with its Delta. Both
-// inputs are left untouched; the result is a pure renumbering of next
-// (functionally identical, same AND/level counts).
+// inputs are left untouched, and so is b's graph: Rebase only uses b's
+// scratch, so a warm Builder allocates nothing but the result. The
+// result is a pure renumbering of next (functionally identical, same
+// AND/level counts).
 //
 // Matching is structural: a next node matches a prev node when its
 // fanin pair, translated through already-matched fanins, is a fanin
@@ -153,7 +152,7 @@ func (g *AIG) PairIndex() map[uint64]int32 {
 // original relative order. Both segments respect topological order
 // because a matched node's fanins are matched and a dirty node's fanins
 // precede it in next.
-func Rebase(prev, next *AIG) (*AIG, *Delta) {
+func (b *Builder) Rebase(prev, next *AIG) (*AIG, *Delta) {
 	if prev.numPIs != next.numPIs {
 		// Not comparable; return an all-dirty self-delta-free copy.
 		g := next.Copy()
@@ -164,49 +163,52 @@ func Rebase(prev, next *AIG) (*AIG, *Delta) {
 	// rebase against a shared base for one build.
 	pairs := prev.PairIndex()
 	numNodes := next.NumNodes()
-	match := make([]int32, numNodes) // next node -> prev node, -1 = dirty
-	for i := range match {
-		match[i] = -1
-	}
 	first := int(next.FirstAnd())
+	// match maps a next node to its prev node, -1 if dirty; owner maps a
+	// claimed prev node back to its next node, 0 if unclaimed.
+	match := resize(b.match, numNodes)
+	owner := resize(b.owner, prev.NumNodes())
+	b.match, b.owner = match, owner
+	clear(owner)
 	for i := 0; i < first; i++ {
 		match[i] = int32(i) // constant + PIs
 	}
-	taken := make(map[int32]bool, numNodes) // prev nodes already claimed
-	var matched, dirty []int32
+	matched := 0
 	for i := first; i < numNodes; i++ {
+		match[i] = -1
 		nd := next.nodes[i]
 		m0 := match[nd.fanin0.Node()]
 		m1 := match[nd.fanin1.Node()]
 		if m0 >= 0 && m1 >= 0 {
 			t0 := MakeLit(m0, nd.fanin0.IsCompl())
 			t1 := MakeLit(m1, nd.fanin1.IsCompl())
-			if p, ok := pairs[pairKeyNorm(t0, t1)]; ok && !taken[p] {
-				taken[p] = true
+			if p, ok := pairs[pairKeyNorm(t0, t1)]; ok && owner[p] == 0 {
+				owner[p] = int32(i)
 				match[i] = p
-				matched = append(matched, int32(i))
-				continue
+				matched++
 			}
 		}
-		dirty = append(dirty, int32(i))
 	}
-	// Order the matched segment by prev index (monotone translation).
-	sort.Slice(matched, func(a, b int) bool { return match[matched[a]] < match[matched[b]] })
 
-	perm := make([]int32, numNodes) // next node -> rebased node
-	for i := 0; i < first; i++ {
-		perm[i] = int32(i)
-	}
-	matchedPrev := make([]int32, len(matched))
+	// perm maps a next node to its rebased node: the matched segment in
+	// prev order (the monotone translation), then the dirty nodes in
+	// next's order. It takes over match's storage: the matched entries
+	// are overwritten first, leaving the dirty ones at -1.
+	perm := match
+	matchedPrev := make([]int32, 0, matched)
 	pos := int32(first)
-	for i, n := range matched {
-		perm[n] = pos
-		matchedPrev[i] = match[n]
-		pos++
+	for p := prev.FirstAnd(); p < int32(prev.NumNodes()); p++ {
+		if n := owner[p]; n != 0 {
+			perm[n] = pos
+			matchedPrev = append(matchedPrev, p)
+			pos++
+		}
 	}
-	for _, n := range dirty {
-		perm[n] = pos
-		pos++
+	for i := first; i < numNodes; i++ {
+		if perm[i] < 0 {
+			perm[i] = pos
+			pos++
+		}
 	}
 	mapLit := func(l Lit) Lit { return MakeLit(perm[l.Node()], l.IsCompl()) }
 

@@ -41,7 +41,7 @@ func equivalentGraphs(t *testing.T, a, b *AIG) {
 func TestRebaseIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := deltaRandomAIG(rng, 6, 80, 4)
-	r, d := Rebase(g, g)
+	r, d := new(Builder).Rebase(g, g)
 	if d.NumDirty() != 0 {
 		t.Fatalf("self-rebase has %d dirty nodes", d.NumDirty())
 	}
@@ -78,7 +78,7 @@ func TestRebaseDisjointCones(t *testing.T) {
 	}
 	prev := build(false)
 	next := build(true)
-	r, d := Rebase(prev, next)
+	r, d := new(Builder).Rebase(prev, next)
 	if err := d.Validate(prev, r); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -123,7 +123,7 @@ func TestRebaseRandomized(t *testing.T) {
 		}
 		next := nb.Build().Compact()
 
-		r, d := Rebase(prev, next)
+		r, d := new(Builder).Rebase(prev, next)
 		if err := d.Validate(prev, r); err != nil {
 			t.Fatalf("trial %d: Validate: %v", trial, err)
 		}
@@ -167,7 +167,7 @@ func TestRebaseDirtySuffixIsTFOClosed(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		prev := deltaRandomAIG(rng, 5, 40+rng.Intn(40), 2)
 		next := deltaRandomAIG(rng, 5, 40+rng.Intn(40), 2)
-		r, d := Rebase(prev, next)
+		r, d := new(Builder).Rebase(prev, next)
 		if err := d.Validate(prev, r); err != nil {
 			t.Fatalf("trial %d: Validate: %v", trial, err)
 		}

@@ -17,7 +17,7 @@ import (
 // translated through the references emitted so far, is a strashed pair
 // of the base) or the explicit fanin literals. Matching is the same
 // greedy strash-lookup Rebase performs — for a graph produced by
-// Rebase(base, g) the back-referenced set is exactly the Delta's matched
+// b.Rebase(base, g) the back-referenced set is exactly the Delta's matched
 // prefix — but unlike Rebase the encoder never reorders: DecodeDelta
 // reconstructs the node array bit-for-bit (same node order, same fanin
 // literal order, same PO list), which is what lets the shard layer prove

@@ -91,7 +91,7 @@ func TestDeltaWireRoundTripExact(t *testing.T) {
 func TestDeltaWirePreservesOrder(t *testing.T) {
 	base := randomDAG(2, 6, 80, 3)
 	g := mutate(base, 7, 8)
-	rb, d := Rebase(base, g)
+	rb, d := new(Builder).Rebase(base, g)
 	for _, c := range []*AIG{g, rb} {
 		data, err := EncodeDelta(base, c)
 		if err != nil {

@@ -26,6 +26,17 @@
 // FanoutCounts, PairIndex) must be warmed before concurrent use, as the
 // annealer and sweep drivers do.
 //
+// A Builder keeps its storage from graph to graph. Its strash table is
+// open-addressed (flat key and node arrays, a power-of-two size, linear
+// probing) and sized from the graph about to be built. Reset starts a
+// new graph in the retained storage, Compact rebuilds a graph's
+// reachable part into it, and Rebase (see Deltas) uses its scratch; each
+// costs time in proportion to the graph in hand. Graph exposes the graph
+// under construction without copying, with its level cache kept current
+// by And. The transform layer's movers hold two Builders and run every
+// step of a recipe through them, so only a recipe's final graph is
+// allocated.
+//
 // StructuralEqual is the identity predicate of the evaluation layer:
 // graphs equal under it (same node array, same fanin order, same POs) are
 // indistinguishable to every deterministic downstream pipeline, so their
@@ -40,10 +51,11 @@
 //
 // # Deltas
 //
-// Rebase renumbers a derived graph into the canonical delta-friendly
-// form relative to a base — a matched prefix (shared structure, sorted
-// by base index, so the translation is monotone) followed by a
-// TFO-closed dirty suffix — and returns the Delta between the two;
+// Builder.Rebase renumbers a derived graph into the canonical
+// delta-friendly form relative to a base — a matched prefix (shared
+// structure, sorted by base index, so the translation is monotone)
+// followed by a TFO-closed dirty suffix — and returns the Delta between
+// the two;
 // Delta.Validate checks such a record against a pair of graphs. The
 // annealer rebases every ground-truth move against its parent
 // (transform.Recipe.ApplyTracked), so the rebased node order is part of

@@ -208,7 +208,11 @@ func TestHubChaosTwoClients(t *testing.T) {
 }
 
 // bigAIG builds a deterministic random AIG large enough that leaking
-// one per session would dominate heap noise.
+// one per session would dominate heap noise. Each AND draws its fanins
+// from the 64 literals made just before it, so nearly all of them stay
+// in the outputs' cones (about 48k of 60k survive Compact; uniform
+// draws from every earlier literal kept only 1,436), and a constant
+// result is dropped so it cannot spread through that window.
 func bigAIG(seed int64, ands int) *aig.AIG {
 	rng := rand.New(rand.NewSource(seed))
 	b := aig.NewBuilder(16)
@@ -216,10 +220,13 @@ func bigAIG(seed int64, ands int) *aig.AIG {
 	for i := 0; i < 16; i++ {
 		lits = append(lits, b.PI(i))
 	}
+	recent := func() aig.Lit {
+		return lits[len(lits)-1-rng.Intn(min(len(lits), 64))].NotIf(rng.Intn(2) == 0)
+	}
 	for len(lits) < ands+16 {
-		a := lits[rng.Intn(len(lits))].NotIf(rng.Intn(2) == 0)
-		c := lits[rng.Intn(len(lits))].NotIf(rng.Intn(2) == 0)
-		lits = append(lits, b.And(a, c))
+		if l := b.And(recent(), recent()); !l.IsConst() {
+			lits = append(lits, l)
+		}
 	}
 	for i := 0; i < 8; i++ {
 		b.AddPO(lits[len(lits)-1-rng.Intn(64)])
@@ -249,6 +256,10 @@ func TestHubWorkerHeapStableAcrossSessions(t *testing.T) {
 	const sessions = 10
 	const warmup = 2 // let pools and lazily built state reach steady state
 	heapAfter := func() int64 {
+		// The second GC empties the sync.Pool victim caches, which the
+		// first only fills: move scratch sized by the 60k-node bases
+		// would otherwise still count.
+		runtime.GC()
 		runtime.GC()
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
@@ -272,8 +283,8 @@ func TestHubWorkerHeapStableAcrossSessions(t *testing.T) {
 		}
 	}
 	final := heapAfter()
-	// Each leaked session would retain its 60k-node base plus warmed
-	// indices (several MB); 8 post-warmup sessions put a leak far above
+	// Each leaked session would retain its ~48k-AND base plus warmed
+	// indices (about 2 MB); 8 post-warmup sessions put a leak far above
 	// this margin.
 	const margin = 8 << 20
 	if grown := final - baseline; grown > margin {

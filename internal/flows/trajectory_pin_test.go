@@ -11,7 +11,7 @@ import (
 	"aigtimer/internal/cell"
 )
 
-// Ground-truth moves are rebased against their parent (aig.Rebase, via
+// Ground-truth moves are rebased against their parent (aig.Builder.Rebase, via
 // transform.Recipe.ApplyTracked), and the rebased node order is part of
 // every ground-truth trajectory: it is an input to later moves and to
 // the mapper's cut order. These pins catch a change

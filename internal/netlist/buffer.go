@@ -16,7 +16,7 @@ func (nl *Netlist) InsertBuffers(maxFanout int) (*Netlist, error) {
 	if buf == nil {
 		return nil, fmt.Errorf("netlist: library %s has no buffer cell", nl.Lib.Name)
 	}
-	nb := NewBuilder(nl.Lib, nl.NumPIs)
+	nb := MakeBuilder(nl.Lib, nl.NumPIs, nil)
 
 	// Total taps per original net, known up front so the last slot of a
 	// distribution net is spent on a buffer only when more taps follow.

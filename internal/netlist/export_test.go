@@ -11,7 +11,7 @@ import (
 // wideNetlist builds one inverter driving n sink inverters.
 func wideNetlist(n int) *Netlist {
 	lib := cell.Builtin()
-	b := NewBuilder(lib, 1)
+	b := MakeBuilder(lib, 1, nil)
 	src := b.AddGate(lib.Inverter(), b.PINet(0))
 	for i := 0; i < n; i++ {
 		b.AddPO(b.AddGate(lib.Inverter(), src))
@@ -47,7 +47,7 @@ func TestInsertBuffersBoundsFanout(t *testing.T) {
 
 func TestInsertBuffersNoopOnLowFanout(t *testing.T) {
 	lib := cell.Builtin()
-	b := NewBuilder(lib, 2)
+	b := MakeBuilder(lib, 2, nil)
 	n := b.AddGate(lib.CellByName("NAND2_X1"), b.PINet(0), b.PINet(1))
 	b.AddPO(n)
 	nl := b.Build()
@@ -71,7 +71,7 @@ func TestInsertBuffersValidation(t *testing.T) {
 func TestInsertBuffersRandomEquivalence(t *testing.T) {
 	lib := cell.Builtin()
 	rng := rand.New(rand.NewSource(3))
-	b := NewBuilder(lib, 4)
+	b := MakeBuilder(lib, 4, nil)
 	nets := []NetID{b.PINet(0), b.PINet(1), b.PINet(2), b.PINet(3)}
 	for i := 0; i < 40; i++ {
 		c := lib.CellByName("NAND2_X1")
@@ -106,7 +106,7 @@ func TestInsertBuffersRandomEquivalence(t *testing.T) {
 
 func TestWriteVerilog(t *testing.T) {
 	lib := cell.Builtin()
-	b := NewBuilder(lib, 2)
+	b := MakeBuilder(lib, 2, nil)
 	nand := b.AddGate(lib.CellByName("NAND2_X1"), b.PINet(0), b.PINet(1))
 	inv := b.AddGate(lib.Inverter(), nand)
 	b.AddPO(inv)

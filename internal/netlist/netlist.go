@@ -36,7 +36,7 @@ type Netlist struct {
 
 	// inBlocks is the arena backing every Gate.Inputs slice; block-based
 	// so growth never moves pins out from under earlier gates. Recycled
-	// wholesale by NewBuilderReuse.
+	// wholesale by MakeBuilder.
 	inBlocks [][]NetID
 	inActive int
 
@@ -54,25 +54,14 @@ type Builder struct {
 	n *Netlist
 }
 
-// NewBuilder returns a netlist builder over the given library.
-func NewBuilder(lib *cell.Library, numPIs int) *Builder {
-	return NewBuilderReuse(lib, numPIs, nil)
-}
-
-// NewBuilderReuse is NewBuilder recycling a dead netlist's storage; see
-// MakeBuilder.
-func NewBuilderReuse(lib *cell.Library, numPIs int, recycle *Netlist) *Builder {
-	b := MakeBuilder(lib, numPIs, recycle)
-	return &b
-}
-
-// MakeBuilder is NewBuilderReuse returning the builder by value, for
-// hot paths that keep it on the stack: the gate and PO slices, the
-// input-pin arena, and the fanout bookkeeping of the recycled netlist
-// are reused in place, so building into a warm carcass performs no
-// steady-state allocations. The caller must guarantee nothing references
-// recycle anymore — Build hands back the same *Netlist with entirely
-// new contents. A nil recycle allocates a fresh netlist.
+// MakeBuilder returns a netlist builder over the given library, by
+// value so hot paths keep it on the stack. A nil recycle allocates a
+// fresh netlist. Otherwise the builder recycles that dead netlist's
+// storage: the gate and PO slices, the input-pin arena, and the fanout
+// bookkeeping are reused in place, so building into a warm carcass
+// performs no steady-state allocations. The caller must guarantee
+// nothing references recycle anymore — Build hands back the same
+// *Netlist with entirely new contents.
 func MakeBuilder(lib *cell.Library, numPIs int, recycle *Netlist) Builder {
 	n := recycle
 	if n == nil {

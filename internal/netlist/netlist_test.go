@@ -8,7 +8,7 @@ import (
 
 func TestBuilderAndQueries(t *testing.T) {
 	lib := cell.Builtin()
-	b := NewBuilder(lib, 2)
+	b := MakeBuilder(lib, 2, nil)
 	nand := b.AddGate(lib.CellByName("NAND2_X1"), b.PINet(0), b.PINet(1))
 	inv := b.AddGate(lib.Inverter(), nand)
 	b.AddPO(inv)
@@ -39,7 +39,7 @@ func TestBuilderAndQueries(t *testing.T) {
 
 func TestLoadModel(t *testing.T) {
 	lib := cell.Builtin()
-	b := NewBuilder(lib, 1)
+	b := MakeBuilder(lib, 1, nil)
 	inv1 := b.AddGate(lib.Inverter(), b.PINet(0))
 	// inv1 feeds two inverters and one PO.
 	b.AddGate(lib.Inverter(), inv1)
@@ -55,7 +55,7 @@ func TestLoadModel(t *testing.T) {
 
 func TestEvalNandInv(t *testing.T) {
 	lib := cell.Builtin()
-	b := NewBuilder(lib, 2)
+	b := MakeBuilder(lib, 2, nil)
 	nand := b.AddGate(lib.CellByName("NAND2_X1"), b.PINet(0), b.PINet(1))
 	and := b.AddGate(lib.Inverter(), nand)
 	b.AddPO(and)
@@ -72,7 +72,7 @@ func TestEvalNandInv(t *testing.T) {
 
 func TestEvalMultiInputCells(t *testing.T) {
 	lib := cell.Builtin()
-	b := NewBuilder(lib, 3)
+	b := MakeBuilder(lib, 3, nil)
 	aoi := b.AddGate(lib.CellByName("AOI21_X1"), b.PINet(0), b.PINet(1), b.PINet(2))
 	b.AddPO(aoi)
 	nl := b.Build()
@@ -87,7 +87,7 @@ func TestEvalMultiInputCells(t *testing.T) {
 
 func TestLogicDepth(t *testing.T) {
 	lib := cell.Builtin()
-	b := NewBuilder(lib, 2)
+	b := MakeBuilder(lib, 2, nil)
 	n := b.AddGate(lib.CellByName("NAND2_X1"), b.PINet(0), b.PINet(1))
 	n = b.AddGate(lib.Inverter(), n)
 	n = b.AddGate(lib.Inverter(), n)
@@ -101,7 +101,7 @@ func TestLogicDepth(t *testing.T) {
 
 func TestBuilderPanics(t *testing.T) {
 	lib := cell.Builtin()
-	b := NewBuilder(lib, 1)
+	b := MakeBuilder(lib, 1, nil)
 	mustPanic(t, func() { b.PINet(1) })
 	mustPanic(t, func() { b.AddGate(lib.Inverter(), NetID(5)) })
 	mustPanic(t, func() { b.AddGate(lib.Inverter()) })

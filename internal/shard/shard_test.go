@@ -12,7 +12,9 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"aigtimer/internal/aig"
 	"aigtimer/internal/anneal"
@@ -350,6 +352,24 @@ func TestWorkerKilledMidSweepRetriesElsewhere(t *testing.T) {
 
 	dying, healthy := newFakeRunner(), newFakeRunner()
 	dying.killAfter = 1 // complete one job, die during the second
+	// The healthy worker holds its first job until the dying worker has
+	// begun its second; otherwise it could take every remaining job
+	// first, and the dying worker would never reach the job it dies in.
+	secondBegun := make(chan struct{})
+	var dyingRuns, healthyRuns atomic.Int32
+	dying.onRun = func(JobSpec) {
+		if dyingRuns.Add(1) == 2 {
+			close(secondBegun)
+		}
+	}
+	healthy.onRun = func(JobSpec) {
+		if healthyRuns.Add(1) == 1 {
+			select {
+			case <-secondBegun:
+			case <-time.After(10 * time.Second): // the assertions below report it
+			}
+		}
+	}
 	conns, wait := startWorkers([]*fakeRunner{dying, healthy})
 	dying.killConn = conns[0]
 

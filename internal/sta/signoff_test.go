@@ -102,7 +102,7 @@ func TestSignoffOnMappedDesign(t *testing.T) {
 func TestSignoffRejectsUncharacterizedCell(t *testing.T) {
 	lib := cell.Builtin()
 	bare := &cell.Cell{Name: "RAW", NumInputs: 1, Function: 0x1, AreaUM2: 1}
-	b := netlist.NewBuilder(lib, 1)
+	b := netlist.MakeBuilder(lib, 1, nil)
 	b.AddPO(b.AddGate(bare, b.PINet(0)))
 	if _, err := Signoff(b.Build(), SignoffParams{}, nil); err == nil {
 		t.Fatal("uncharacterized cell accepted")

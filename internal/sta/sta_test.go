@@ -21,7 +21,7 @@ func mapDefault(g *aig.AIG, lib *cell.Library) (*netlist.Netlist, error) {
 // chainNetlist builds PI -> INV -> INV -> ... -> PO.
 func chainNetlist(n int) *netlist.Netlist {
 	lib := cell.Builtin()
-	b := netlist.NewBuilder(lib, 1)
+	b := netlist.MakeBuilder(lib, 1, nil)
 	net := b.PINet(0)
 	for i := 0; i < n; i++ {
 		net = b.AddGate(lib.Inverter(), net)
@@ -61,7 +61,7 @@ func TestFanoutIncreasesDelay(t *testing.T) {
 	lib := cell.Builtin()
 	// One NAND2 driving k inverters; more fanout -> more load -> slower.
 	build := func(k int) *netlist.Netlist {
-		b := netlist.NewBuilder(lib, 2)
+		b := netlist.MakeBuilder(lib, 2, nil)
 		n := b.AddGate(lib.CellByName("NAND2_X1"), b.PINet(0), b.PINet(1))
 		for i := 0; i < k; i++ {
 			b.AddPO(b.AddGate(lib.Inverter(), n))

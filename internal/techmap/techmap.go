@@ -11,12 +11,14 @@ import (
 	"aigtimer/internal/truth"
 )
 
-// Params configures mapping. The zero value of a field selects the
-// DefaultParams value for that field.
+// Params configures mapping. A zero NominalLoadFF selects the
+// DefaultParams load; a zero AreaRecovery (false) switches area
+// recovery off, unlike DefaultParams.
 type Params struct {
 	// NominalLoadFF is the output load (fF) assumed while ranking
 	// matches and sizing gates; the real per-net load is only known
-	// after emission, when STA measures it.
+	// after emission, when STA measures it. Zero selects
+	// DefaultParams.NominalLoadFF.
 	NominalLoadFF float64
 	// AreaRecovery enables the required-time sizing pass: off-critical
 	// gates are downsized to the cheapest drive strength that still

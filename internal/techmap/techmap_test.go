@@ -185,13 +185,35 @@ func TestMapParamsDefaults(t *testing.T) {
 	lib := cell.Builtin()
 	rng := rand.New(rand.NewSource(29))
 	g := randomAIG(rng, 5, 30, 3)
-	// Zero-valued params should be filled with defaults.
 	nl, err := mapFresh(g, lib, Params{}, cut.DefaultParams)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !equivalentMapped(t, g, nl.Eval) {
 		t.Fatal("default-params mapping wrong")
+	}
+	// A zero NominalLoadFF selects the default load; a zero AreaRecovery
+	// leaves recovery off. The graph is large enough for recovery to
+	// change the area.
+	big := randomAIG(rand.New(rand.NewSource(30)), 8, 200, 4)
+	area := func(p Params) float64 {
+		t.Helper()
+		nl, err := mapFresh(big, lib, p, cut.DefaultParams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nl.AreaUM2()
+	}
+	zero, load := area(Params{}), area(Params{NominalLoadFF: DefaultParams.NominalLoadFF})
+	if zero != load {
+		t.Errorf("Params{} maps to %.2f um2, {NominalLoadFF: %v} to %.2f", zero, DefaultParams.NominalLoadFF, load)
+	}
+	rec, def := area(Params{AreaRecovery: true}), area(DefaultParams)
+	if rec != def {
+		t.Errorf("{AreaRecovery: true} maps to %.2f um2, DefaultParams to %.2f", rec, def)
+	}
+	if zero == def {
+		t.Errorf("area recovery changed nothing (%.2f um2): the graph no longer tells the settings apart", zero)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // two shallowest (a Huffman-style reduction). It is the analogue of ABC's
 // "balance" command and is the primary level-reducing transform.
 func Balance(g *aig.AIG, rng *rand.Rand) *aig.AIG {
-	return balanceImpl(g, rng, false)
+	return applyOne("b", g, rng)
 }
 
 // BalanceRandom rebuilds AND trees with random association instead of
@@ -21,68 +21,82 @@ func Balance(g *aig.AIG, rng *rand.Rand) *aig.AIG {
 // level and sharing structure, providing diversity moves for annealing
 // (the structural analogue of exploring a different ABC script ordering).
 func BalanceRandom(g *aig.AIG, rng *rand.Rand) *aig.AIG {
-	return balanceImpl(g, rng, true)
+	return applyOne("br", g, rng)
 }
 
-func balanceImpl(g *aig.AIG, rng *rand.Rand, randomize bool) *aig.AIG {
-	fo := g.FanoutCounts()
-	r := newRebuilder(g)
-	done := make([]bool, g.NumNodes())
-
-	var build func(n int32)
-	build = func(n int32) {
-		if done[n] || !g.IsAnd(n) {
-			return
-		}
-		done[n] = true
-		// Map every conjunct in place (recursively balancing sub-trees).
-		lits := collectConjuncts(g, n, fo)
-		for i, c := range lits {
-			build(c.Node())
-			lits[i] = r.lit(c)
-		}
-		if randomize {
-			rng.Shuffle(len(lits), func(i, j int) { lits[i], lits[j] = lits[j], lits[i] })
-			out := lits[0]
-			for _, l := range lits[1:] {
-				out = r.nb.And(out, l)
-			}
-			r.m[n] = out
-			return
-		}
-		// Min-depth pairing: repeatedly combine the two shallowest.
-		for len(lits) > 1 {
-			slices.SortStableFunc(lits, func(a, b aig.Lit) int {
-				return cmp.Compare(r.nb.LevelOf(a), r.nb.LevelOf(b))
-			})
-			lits[1] = r.nb.And(lits[0], lits[1])
-			lits = lits[1:]
-		}
-		r.m[n] = lits[0]
+func (m *mover) balance(g *aig.AIG, rng *rand.Rand, randomize bool) *aig.AIG {
+	m.done = grow(m.done, g.NumNodes())
+	clear(m.done)
+	m.lits = m.lits[:0]
+	b := balancer{m: m, g: g, r: m.rebuild(g), fo: g.FanoutCounts(), rng: rng, randomize: randomize}
+	for n := g.FirstAnd(); n < int32(g.NumNodes()); n++ {
+		b.build(n)
 	}
-
-	g.TopoForEachAnd(func(n int32, f0, f1 aig.Lit) { build(n) })
-	return r.finish()
+	return m.finish()
 }
 
-// collectConjuncts gathers the leaves of the AND tree rooted at n:
-// fanin edges are followed while they are non-complemented references to
-// single-fanout AND nodes (the classic balance decomposition boundary).
-func collectConjuncts(g *aig.AIG, n int32, fanouts []int32) []aig.Lit {
-	var out []aig.Lit
-	var visit func(l aig.Lit)
-	visit = func(l aig.Lit) {
-		nn := l.Node()
-		if !l.IsCompl() && g.IsAnd(nn) && fanouts[nn] == 1 {
-			f0, f1 := g.Fanins(nn)
-			visit(f0)
-			visit(f1)
-			return
-		}
-		out = append(out, l)
+// balancer is one balance pass; its recursion keeps each tree's
+// conjuncts on the mover's lits stack.
+type balancer struct {
+	m         *mover
+	g         *aig.AIG
+	r         *rebuilder
+	fo        []int32
+	rng       *rand.Rand
+	randomize bool
+}
+
+func (b *balancer) build(n int32) {
+	m, r := b.m, b.r
+	if m.done[n] || !b.g.IsAnd(n) {
+		return
 	}
-	f0, f1 := g.Fanins(n)
-	visit(f0)
-	visit(f1)
-	return out
+	m.done[n] = true
+	// Map every conjunct in place (recursively balancing sub-trees).
+	// The recursion pushes above end and pops back, but may move the
+	// stack, so it is indexed afresh.
+	start := len(m.lits)
+	f0, f1 := b.g.Fanins(n)
+	b.conjuncts(f0)
+	b.conjuncts(f1)
+	end := len(m.lits)
+	for i := start; i < end; i++ {
+		c := m.lits[i]
+		b.build(c.Node())
+		m.lits[i] = r.lit(c)
+	}
+	lits := m.lits[start:end]
+	m.lits = m.lits[:start]
+	if b.randomize {
+		b.rng.Shuffle(len(lits), func(i, j int) { lits[i], lits[j] = lits[j], lits[i] })
+		out := lits[0]
+		for _, l := range lits[1:] {
+			out = r.nb.And(out, l)
+		}
+		r.m[n] = out
+		return
+	}
+	// Min-depth pairing: repeatedly combine the two shallowest.
+	for len(lits) > 1 {
+		slices.SortStableFunc(lits, func(a, b aig.Lit) int {
+			return cmp.Compare(r.nb.LevelOf(a), r.nb.LevelOf(b))
+		})
+		lits[1] = r.nb.And(lits[0], lits[1])
+		lits = lits[1:]
+	}
+	r.m[n] = lits[0]
+}
+
+// conjuncts pushes the leaves of the AND tree under l: fanin edges are
+// followed while they are non-complemented references to single-fanout
+// AND nodes (the classic balance decomposition boundary).
+func (b *balancer) conjuncts(l aig.Lit) {
+	nn := l.Node()
+	if !l.IsCompl() && b.g.IsAnd(nn) && b.fo[nn] == 1 {
+		f0, f1 := b.g.Fanins(nn)
+		b.conjuncts(f0)
+		b.conjuncts(f1)
+		return
+	}
+	b.m.lits = append(b.m.lits, l)
 }

@@ -30,10 +30,23 @@
 //
 // Recipes are named compositions of transforms — the annealer's move
 // catalog. Recipe.Apply produces the derived graph; Recipe.ApplyTracked
-// additionally rebases the result against its input (aig.Rebase).
+// additionally rebases the result against its input
+// (aig.Builder.Rebase).
 // Rebasing is a pure renumbering, so the function and the node and level
 // counts are the same either way, but the node order is not: it is an
 // input to every later move and to the ground-truth mapper's cut order,
 // so every ground-truth trajectory depends on which of the two produced
 // its candidates.
+//
+// # Storage
+//
+// A recipe application runs on one pooled mover, the layer's single
+// scratch-owning entry point: each step rebuilds its input into one
+// retained aig.Builder and compacts that into a second, where the next
+// step reads it, and every per-node table, buffer, signature map and
+// the exact verifier's memo are reused from step to step. Only the
+// final graph is allocated — a copy for Apply, the rebased graph and
+// its Delta for ApplyTracked — so a warm mover allocates nothing else
+// except a synthesis program the process-wide caches do not hold yet.
+// A catalog Func is a one-step application on a pooled mover.
 package transform

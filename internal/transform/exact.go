@@ -2,7 +2,7 @@ package transform
 
 import (
 	"math/bits"
-	"sync"
+	"slices"
 
 	"aigtimer/internal/aig"
 )
@@ -26,105 +26,74 @@ const exactVerifyMaxSupport = 12
 // verWords is the table width, in 64-bit words, at the support bound.
 const verWords = 1 << (exactVerifyMaxSupport - 6)
 
-// verScratch is the reusable working state of a verifier: the support
-// masks, the PI-to-variable map, and a flat epoch-stamped truth-table memo
-// (one slot of the current call's word count per node, replacing the old
-// per-call map[int32]truth.TT). Pooled so the annealing inner loop pays
-// no steady-state allocation for exact checks.
-type verScratch struct {
-	sup    []uint64
+// verifier performs exact cone comparisons over bounded supports. A
+// mover holds one and binds it to each graph it verifies on; its
+// storage — the support masks, the PI-to-variable map and an
+// epoch-stamped truth-table memo — is reused from graph to graph. The
+// memo holds the tables of the current comparison's cones only, so it
+// grows with the largest cone compared, not with the graph.
+type verifier struct {
+	g      *aig.AIG
+	sup    []uint64 // per node, the primary inputs in its transitive fanin
 	vm     [64]int
-	memoW  []uint64 // NumNodes × wpk words, slot i starting at i*wpk
-	memoEp []uint32 // per-node epoch stamp validating memoW slots
+	wpk    int      // words per table in the current comparison
+	tables []uint64 // the current comparison's tables, wpk words each
+	slot   []int32  // per node, the index of its table (valid if memoEp)
+	memoEp []uint32 // per-node epoch stamp validating slot
 	epoch  uint32
 }
 
-var verScratchPool = sync.Pool{New: func() any { return new(verScratch) }}
-
-// verifier performs exact cone comparisons over bounded supports.
-type verifier struct {
-	g *aig.AIG
-	s *verScratch
-}
-
-func newVerifier(g *aig.AIG) *verifier {
-	s := verScratchPool.Get().(*verScratch)
-	piSupports(g, s)
-	return &verifier{g: g, s: s}
-}
-
-// release returns the verifier's scratch to the shared pool. Safe on nil.
-func (v *verifier) release() {
-	if v == nil {
-		return
-	}
-	s := v.s
-	v.s = nil
-	verScratchPool.Put(s)
-}
-
-// piSupports fills s.sup with, per node, the bitmask of primary inputs in
-// its transitive fanin. Panics when the design has more than 64 inputs
-// (far beyond the paper's suite).
-func piSupports(g *aig.AIG, s *verScratch) {
+// bind points v at g and computes g's PI supports. Panics when the
+// design has more than 64 inputs (far beyond the paper's suite).
+func (v *verifier) bind(g *aig.AIG) *verifier {
 	if g.NumPIs() > 64 {
-		panic("transform: piSupports supports at most 64 PIs")
+		panic("transform: verifier supports at most 64 PIs")
 	}
-	s.sup = growUint64(s.sup, g.NumNodes())
-	sup := s.sup
+	v.g = g
+	sup := grow(v.sup, g.NumNodes())
+	v.sup = sup
 	sup[0] = 0
 	for i := 1; i <= g.NumPIs(); i++ {
 		sup[i] = 1 << (i - 1)
 	}
-	g.TopoForEachAnd(func(n int32, f0, f1 aig.Lit) {
+	for n := g.FirstAnd(); n < int32(g.NumNodes()); n++ {
+		f0, f1 := g.Fanins(n)
 		sup[n] = sup[f0.Node()] | sup[f1.Node()]
-	})
-}
-
-// growUint64 returns b resized to n elements, reusing capacity. Contents
-// are unspecified.
-func growUint64(b []uint64, n int) []uint64 {
-	if cap(b) < n {
-		return make([]uint64, n)
 	}
-	return b[:n]
+	return v
 }
 
-// beginEval prepares the memo for one exact comparison over k variables
-// and returns the per-node slot width in words. Tables with k < 6
-// variables still use one word with the value replicated (the same
-// invariant truth.TT maintains), so all comparisons are plain word
-// equality.
-func (v *verifier) beginEval(k int) int {
-	wpk := 1
+// beginEval empties the memo for one exact comparison over k
+// variables. Tables with k < 6 variables still use one word with the
+// value replicated (the same invariant truth.TT maintains), so all
+// comparisons are plain word equality.
+func (v *verifier) beginEval(k int) {
+	v.wpk = 1
 	if k > 6 {
-		wpk = 1 << (k - 6)
+		v.wpk = 1 << (k - 6)
 	}
-	s := v.s
-	need := v.g.NumNodes() * wpk
-	if cap(s.memoW) < need {
-		s.memoW = make([]uint64, need)
-	} else {
-		s.memoW = s.memoW[:need]
+	v.tables = v.tables[:0]
+	if len(v.memoEp) < v.g.NumNodes() {
+		v.memoEp = make([]uint32, v.g.NumNodes())
+		v.slot = make([]int32, v.g.NumNodes())
+		v.epoch = 0
 	}
-	if len(s.memoEp) < v.g.NumNodes() {
-		s.memoEp = make([]uint32, v.g.NumNodes())
-		s.epoch = 0
+	v.epoch++
+	if v.epoch == 0 { // epoch counter wrapped: invalidate all stamps
+		clear(v.memoEp)
+		v.epoch = 1
 	}
-	s.epoch++
-	if s.epoch == 0 { // epoch counter wrapped: invalidate all stamps
-		clear(s.memoEp)
-		s.epoch = 1
-	}
-	return wpk
 }
+
+// table returns the memo's i-th table.
+func (v *verifier) table(i int) []uint64 { return v.tables[i*v.wpk : (i+1)*v.wpk] }
 
 // varMap assigns truth-table variable positions to the PIs in mask.
 func (v *verifier) varMap(mask uint64) int {
 	k := 0
 	for pi := 0; pi < 64; pi++ {
 		if mask>>pi&1 == 1 {
-			v.s.vm[pi] = k
+			v.vm[pi] = k
 			k++
 		}
 	}
@@ -161,27 +130,28 @@ func varFill(dst []uint64, x int) {
 	}
 }
 
-// coneTT evaluates node n's function into its memo slot and returns the
-// slot. AND nodes fuse the fanin complements into the conjunction, so a
-// cone evaluation performs zero allocations and writes each word exactly
-// once.
-func (v *verifier) coneTT(n int32, wpk int) []uint64 {
-	s := v.s
-	slot := s.memoW[int(n)*wpk : int(n)*wpk+wpk]
-	if s.memoEp[n] == s.epoch {
-		return slot
+// coneTT evaluates node n's function into the memo and returns its
+// table's index. AND nodes fuse the fanin complements into the
+// conjunction, so a cone evaluation writes each word exactly once and,
+// once the memo has grown to the cone, allocates nothing.
+func (v *verifier) coneTT(n int32) int {
+	if v.memoEp[n] == v.epoch {
+		return int(v.slot[n])
 	}
+	var i0, i1 int
+	var f0, f1 aig.Lit
+	isAnd := v.g.IsAnd(n)
+	if isAnd {
+		f0, f1 = v.g.Fanins(n)
+		i0 = v.coneTT(f0.Node())
+		i1 = v.coneTT(f1.Node())
+	}
+	i := len(v.tables) / v.wpk
+	v.tables = slices.Grow(v.tables, v.wpk)[:len(v.tables)+v.wpk]
+	t := v.table(i)
 	switch {
-	case n == 0:
-		for i := range slot {
-			slot[i] = 0
-		}
-	case v.g.IsPI(n):
-		varFill(slot, s.vm[n-1])
-	default:
-		f0, f1 := v.g.Fanins(n)
-		t0 := v.coneTT(f0.Node(), wpk)
-		t1 := v.coneTT(f1.Node(), wpk)
+	case isAnd:
+		t0, t1 := v.table(i0), v.table(i1)
 		var m0, m1 uint64
 		if f0.IsCompl() {
 			m0 = ^uint64(0)
@@ -189,12 +159,17 @@ func (v *verifier) coneTT(n int32, wpk int) []uint64 {
 		if f1.IsCompl() {
 			m1 = ^uint64(0)
 		}
-		for i := range slot {
-			slot[i] = (t0[i] ^ m0) & (t1[i] ^ m1)
+		for w := range t {
+			t[w] = (t0[w] ^ m0) & (t1[w] ^ m1)
 		}
+	case n == 0:
+		clear(t)
+	default:
+		varFill(t, v.vm[n-1])
 	}
-	s.memoEp[n] = s.epoch
-	return slot
+	v.memoEp[n] = v.epoch
+	v.slot[n] = int32(i)
+	return i
 }
 
 // verifiable reports whether the union support of the given nodes is
@@ -203,7 +178,7 @@ func (v *verifier) coneTT(n int32, wpk int) []uint64 {
 func (v *verifier) verifiable(nodes ...int32) bool {
 	var mask uint64
 	for _, n := range nodes {
-		mask |= v.s.sup[n]
+		mask |= v.sup[n]
 	}
 	return bits.OnesCount64(mask) <= exactVerifyMaxSupport
 }
@@ -212,14 +187,14 @@ func (v *verifier) verifiable(nodes ...int32) bool {
 // return is false when the union support is too large to verify, in which
 // case the caller must not merge.
 func (v *verifier) equal(a, b int32, compl bool) (eq, verified bool) {
-	mask := v.s.sup[a] | v.s.sup[b]
+	mask := v.sup[a] | v.sup[b]
 	if bits.OnesCount64(mask) > exactVerifyMaxSupport {
 		return false, false
 	}
-	k := v.varMap(mask)
-	wpk := v.beginEval(k)
-	ta := v.coneTT(a, wpk)
-	tb := v.coneTT(b, wpk)
+	v.beginEval(v.varMap(mask))
+	ia := v.coneTT(a)
+	ib := v.coneTT(b)
+	ta, tb := v.table(ia), v.table(ib)
 	var mc uint64
 	if compl {
 		mc = ^uint64(0)
@@ -235,15 +210,15 @@ func (v *verifier) equal(a, b int32, compl bool) (eq, verified bool) {
 // andEquals proves n == outC ^ ((d0^i0) · (d1^i1)) exactly, with the same
 // support bound.
 func (v *verifier) andEquals(n, d0, d1 int32, i0, i1, outC bool) (eq, verified bool) {
-	mask := v.s.sup[n] | v.s.sup[d0] | v.s.sup[d1]
+	mask := v.sup[n] | v.sup[d0] | v.sup[d1]
 	if bits.OnesCount64(mask) > exactVerifyMaxSupport {
 		return false, false
 	}
-	k := v.varMap(mask)
-	wpk := v.beginEval(k)
-	tn := v.coneTT(n, wpk)
-	t0 := v.coneTT(d0, wpk)
-	t1 := v.coneTT(d1, wpk)
+	v.beginEval(v.varMap(mask))
+	xn := v.coneTT(n)
+	x0 := v.coneTT(d0)
+	x1 := v.coneTT(d1)
+	tn, t0, t1 := v.table(xn), v.table(x0), v.table(x1)
 	var m0, m1, mo uint64
 	if i0 {
 		m0 = ^uint64(0)

@@ -15,65 +15,65 @@ import (
 // union support exceeds 16 inputs are conservatively skipped). All merges
 // are therefore exact; no SAT solver is needed.
 func MergeEquiv(g *aig.AIG, rng *rand.Rand) *aig.AIG {
-	ms := getMoveScratch()
-	defer putMoveScratch(ms)
+	return applyOne("fr", g, rng)
+}
+
+func (m *mover) mergeEquiv(g *aig.AIG, rng *rand.Rand) *aig.AIG {
 	var res *aig.SimResult
-	sim := ms.simulator(g)
+	sim := m.simulator(g)
 	exhaustive := g.NumPIs() <= 14
 	if exhaustive {
 		res = sim.SimulateWords(exhaustivePatterns(g.NumPIs()), aig.ExhaustiveWords(g.NumPIs()))
 	} else {
-		simRng := rand.New(rand.NewSource(rng.Int63()))
-		res = sim.SimulateWords(aig.RandomPatterns(g.NumPIs(), 256, simRng), 256)
+		res = sim.SimulateWords(m.randomPatterns(g.NumPIs(), 256, rng.Int63()), 256)
 	}
 	var ver *verifier
 	if !exhaustive {
-		ver = newVerifier(g)
-	}
-	defer ver.release()
-
-	type class struct {
-		rep      int32
-		repPhase bool // canonical phase of representative
-	}
-	classes := make(map[uint64]class)
-	canonKey := func(n int32) (uint64, bool) {
-		v := res.Values[n]
-		phase := v[0]&1 == 1 // complement so bit 0 is always 0
-		const prime = 1099511628211
-		h := uint64(14695981039346656037)
-		for _, w := range v {
-			if phase {
-				w = ^w
-			}
-			h ^= w
-			h *= prime
-		}
-		return h, phase
+		ver = m.ver.bind(g)
 	}
 
-	r := newRebuilder(g)
-	g.TopoForEachAnd(func(n int32, f0, f1 aig.Lit) {
-		key, phase := canonKey(n)
-		if cl, ok := classes[key]; ok && sameFunction(res, n, cl.rep, phase != cl.repPhase) {
+	classes := m.resetSigs(g.NumNodes())
+	r := m.rebuild(g)
+	for n := g.FirstAnd(); n < int32(g.NumNodes()); n++ {
+		f0, f1 := g.Fanins(n)
+		key, phase := canonSig(res, n)
+		cl, ok := classes[key]
+		if ok && sameFunction(res, n, cl.rep, phase != cl.phase) {
 			// Exhaustive simulation is itself a proof; otherwise demand an
 			// exact cone check before merging.
 			merge := exhaustive
 			if !merge {
-				eq, verified := ver.equal(n, cl.rep, phase != cl.repPhase)
+				eq, verified := ver.equal(n, cl.rep, phase != cl.phase)
 				merge = verified && eq
 			}
 			if merge {
-				r.m[n] = r.m[cl.rep].NotIf(phase != cl.repPhase)
-				return
+				r.m[n] = r.m[cl.rep].NotIf(phase != cl.phase)
+				continue
 			}
 		}
-		if _, ok := classes[key]; !ok {
-			classes[key] = class{rep: n, repPhase: phase}
+		if !ok {
+			classes[key] = sigClass{rep: n, phase: phase}
 		}
 		r.copyNode(n, f0, f1)
-	})
-	return r.finish()
+	}
+	return m.finish()
+}
+
+// canonSig hashes node n's simulated words in the phase whose first bit
+// is 0, and returns that phase: complementary functions share a key.
+func canonSig(res *aig.SimResult, n int32) (uint64, bool) {
+	v := res.Values[n]
+	phase := v[0]&1 == 1
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, w := range v {
+		if phase {
+			w = ^w
+		}
+		h ^= w
+		h *= prime
+	}
+	return h, phase
 }
 
 // sameFunction verifies word-for-word that nodes a and b simulate

@@ -18,30 +18,29 @@ type Recipe struct {
 	Steps []string // catalog names
 }
 
-// Apply runs the recipe's steps in order.
+// Apply runs the recipe's steps in order. The intermediate graphs live
+// in a pooled mover's storage; only the result is allocated.
 func (r Recipe) Apply(g *aig.AIG, rng *rand.Rand) *aig.AIG {
-	for _, s := range r.Steps {
-		fn, ok := Named(s)
-		if !ok {
-			panic(fmt.Sprintf("transform: recipe %s references unknown step %q", r.Name, s))
-		}
-		g = fn(g, rng)
-	}
-	return g
+	m := moverPool.Get().(*mover)
+	defer moverPool.Put(m)
+	return m.apply(r, g, rng)
 }
 
 // ApplyTracked runs the recipe like Apply and rebases the result
-// against g (aig.Rebase): its AND nodes split into a prefix shared with
-// g, in g's order, and a dirty suffix — the cone the recipe actually
-// touched plus its transitive fanout — which the returned Delta
-// describes. The annealer applies every ground-truth move this way.
-// Rebasing stays although nothing evaluates the delta any more, because
-// the rebased node order is an input to every later move and to the
-// mapper's cut order: every recorded ground-truth trajectory, and the
-// EX08 fixed point, was produced with rebased candidates, and Apply's
-// order scores differently.
+// against g (aig.Builder.Rebase): its AND nodes split into a prefix
+// shared with g, in g's order, and a dirty suffix — the cone the recipe
+// actually touched plus its transitive fanout — which the returned
+// Delta describes. The annealer applies every ground-truth move this
+// way. Rebasing stays although nothing evaluates the delta any more,
+// because the rebased node order is an input to every later move and to
+// the mapper's cut order: every recorded ground-truth trajectory, and
+// the EX08 fixed point, was produced with rebased candidates, and
+// Apply's order scores differently. The rebased graph and its Delta are
+// all it allocates.
 func (r Recipe) ApplyTracked(g *aig.AIG, rng *rand.Rand) (*aig.AIG, *aig.Delta) {
-	return aig.Rebase(g, r.Apply(g, rng))
+	m := moverPool.Get().(*mover)
+	defer moverPool.Put(m)
+	return m.applyTracked(r, g, rng)
 }
 
 // String renders the recipe as "name: step; step; ...".

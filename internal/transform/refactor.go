@@ -2,6 +2,7 @@ package transform
 
 import (
 	"math/rand"
+	"slices"
 
 	"aigtimer/internal/aig"
 	"aigtimer/internal/truth"
@@ -16,25 +17,23 @@ const refactorMaxLeaves = 8
 // node-count reductions. It is the analogue of ABC's "refactor" and
 // reduces structures that 4-cut rewriting cannot see.
 func Refactor(g *aig.AIG, rng *rand.Rand) *aig.AIG {
-	return refactorImpl(g, rng, 1)
+	return applyOne("rf", g, rng)
 }
 
 // RefactorZ is Refactor accepting zero-cost replacements (ABC's
 // "refactor -z").
 func RefactorZ(g *aig.AIG, rng *rand.Rand) *aig.AIG {
-	return refactorImpl(g, rng, 0)
+	return applyOne("rfz", g, rng)
 }
 
-func refactorImpl(g *aig.AIG, rng *rand.Rand, minGain int) *aig.AIG {
-	ms := getMoveScratch()
-	defer putMoveScratch(ms)
+func (m *mover) refactor(g *aig.AIG, minGain int) *aig.AIG {
 	fo := g.FanoutCounts()
-	r := newRebuilder(g)
-	sav := newSavings(g)
-	mffcHint := mffcLowerBound(g, fo)
-	isRoot := refactorRoots(g, fo)
-	var ins []aig.Lit
-	g.TopoForEachAnd(func(n int32, f0, f1 aig.Lit) {
+	r := m.rebuild(g)
+	sav := m.sav.bind(g)
+	mffcHint := m.mffcLowerBound(g, fo)
+	isRoot := m.refactorRoots(g, fo)
+	for n := g.FirstAnd(); n < int32(g.NumNodes()); n++ {
+		f0, f1 := g.Fanins(n)
 		// Prefilter: resynthesis is only attempted at cone boundaries
 		// (shared nodes and PO drivers — interior fanout-free nodes are
 		// covered by their root's cone) whose fanout-free closure is big
@@ -42,17 +41,17 @@ func refactorImpl(g *aig.AIG, rng *rand.Rand, minGain int) *aig.AIG {
 		// evaluation on the vast majority of nodes.
 		if !isRoot[n] || int(mffcHint[n]) < 2-minGain {
 			r.copyNode(n, f0, f1)
-			return
+			continue
 		}
-		leaves := reconvCut(g, n, refactorMaxLeaves, fo)
+		leaves := m.reconvCut(g, n, refactorMaxLeaves, fo)
 		if len(leaves) < 3 || len(leaves) > refactorMaxLeaves {
 			r.copyNode(n, f0, f1)
-			return
+			continue
 		}
-		tt, ok := coneFunction(g, n, leaves, &ms.cone)
+		tt, ok := coneFunction(g, n, leaves, &m.cone)
 		if !ok {
 			r.copyNode(n, f0, f1)
-			return
+			continue
 		}
 		saved := sav.compute(n, leaves, fo)
 		// An AIG whose output depends on s inputs has at least s-1 ANDs,
@@ -60,17 +59,17 @@ func refactorImpl(g *aig.AIG, rng *rand.Rand, minGain int) *aig.AIG {
 		// failing this bound fails the exact test below: skip synthesis.
 		if saved-max(supportSize(tt)-1, 0) < minGain {
 			r.copyNode(n, f0, f1)
-			return
+			continue
 		}
 		prog := coneProg(tt)
 		if saved-prog.cost() < minGain {
 			r.copyNode(n, f0, f1)
-			return
+			continue
 		}
-		ins = r.mapLeaves(leaves, ins)
-		r.m[n] = prog.replay(r.nb, ins)
-	})
-	return r.finish()
+		m.ins = r.mapLeaves(leaves, m.ins)
+		r.m[n] = prog.replay(r.nb, m.ins)
+	}
+	return m.finish()
 }
 
 // supportSize counts the variables tt depends on.
@@ -84,14 +83,17 @@ func supportSize(tt truth.TT) int {
 	return s
 }
 
-// mffcLowerBound computes a fast per-node lower bound on the MFFC size:
-// 1 + the bound of every fanout-1 AND fanin (the fanout-free chain
-// closure). Nodes whose bound is already large are the profitable
-// refactoring roots; the prefilter trades a few missed reconvergent
-// opportunities for skipping the expensive cone evaluation on most nodes.
-func mffcLowerBound(g *aig.AIG, fanouts []int32) []int32 {
-	lb := make([]int32, g.NumNodes())
-	g.TopoForEachAnd(func(n int32, f0, f1 aig.Lit) {
+// mffcLowerBound computes, in m's storage, a fast per-node lower bound
+// on the MFFC size: 1 + the bound of every fanout-1 AND fanin (the
+// fanout-free chain closure). Nodes whose bound is already large are
+// the profitable refactoring roots; the prefilter trades a few missed
+// reconvergent opportunities for skipping the expensive cone evaluation
+// on most nodes.
+func (m *mover) mffcLowerBound(g *aig.AIG, fanouts []int32) []int32 {
+	lb := grow(m.mffc, g.NumNodes())
+	m.mffc = lb
+	for n := g.FirstAnd(); n < int32(g.NumNodes()); n++ {
+		f0, f1 := g.Fanins(n)
 		v := int32(1)
 		for _, f := range [2]aig.Lit{f0, f1} {
 			fn := f.Node()
@@ -100,14 +102,16 @@ func mffcLowerBound(g *aig.AIG, fanouts []int32) []int32 {
 			}
 		}
 		lb[n] = v
-	})
+	}
 	return lb
 }
 
-// refactorRoots marks cone boundaries: nodes with shared fanout or
-// driving a primary output.
-func refactorRoots(g *aig.AIG, fanouts []int32) []bool {
-	isRoot := make([]bool, g.NumNodes())
+// refactorRoots marks, in m's storage, the cone boundaries: nodes with
+// shared fanout or driving a primary output.
+func (m *mover) refactorRoots(g *aig.AIG, fanouts []int32) []bool {
+	isRoot := grow(m.isRoot, g.NumNodes())
+	m.isRoot = isRoot
+	clear(isRoot)
 	for n := g.FirstAnd(); n < int32(g.NumNodes()); n++ {
 		if fanouts[n] != 1 {
 			isRoot[n] = true
@@ -121,25 +125,11 @@ func refactorRoots(g *aig.AIG, fanouts []int32) []bool {
 
 // reconvCut grows a cut from n's fanins, greedily expanding the leaf whose
 // replacement by its own fanins increases the leaf count least (preferring
-// reconvergence). Expansion stops at the leaf budget.
-func reconvCut(g *aig.AIG, n int32, maxLeaves int, fanouts []int32) []int32 {
+// reconvergence). Expansion stops at the leaf budget. The cut lives in
+// m's storage until the next call.
+func (m *mover) reconvCut(g *aig.AIG, n int32, maxLeaves int, fanouts []int32) []int32 {
 	f0, f1 := g.Fanins(n)
-	leaves := make([]int32, 0, maxLeaves+1)
-	contains := func(x int32) bool {
-		for _, l := range leaves {
-			if l == x {
-				return true
-			}
-		}
-		return false
-	}
-	add := func(x int32) {
-		if !contains(x) {
-			leaves = append(leaves, x)
-		}
-	}
-	add(f0.Node())
-	add(f1.Node())
+	leaves := addLeaf(addLeaf(m.leaves[:0], f0.Node()), f1.Node())
 	// Bound the internal cone so per-node refactoring stays cheap.
 	for expansions := 0; expansions < 20; expansions++ {
 		best := -1
@@ -150,10 +140,10 @@ func reconvCut(g *aig.AIG, n int32, maxLeaves int, fanouts []int32) []int32 {
 			}
 			lf0, lf1 := g.Fanins(l)
 			delta := -1
-			if !contains(lf0.Node()) {
+			if !slices.Contains(leaves, lf0.Node()) {
 				delta++
 			}
-			if !contains(lf1.Node()) && lf0.Node() != lf1.Node() {
+			if !slices.Contains(leaves, lf1.Node()) && lf0.Node() != lf1.Node() {
 				delta++
 			}
 			if delta < bestDelta {
@@ -168,11 +158,19 @@ func reconvCut(g *aig.AIG, n int32, maxLeaves int, fanouts []int32) []int32 {
 		lf0, lf1 := g.Fanins(l)
 		leaves[best] = leaves[len(leaves)-1]
 		leaves = leaves[:len(leaves)-1]
-		add(lf0.Node())
-		add(lf1.Node())
+		leaves = addLeaf(addLeaf(leaves, lf0.Node()), lf1.Node())
 	}
 	sortAsc(leaves)
+	m.leaves = leaves
 	return leaves
+}
+
+// addLeaf appends x to leaves unless it is there already.
+func addLeaf(leaves []int32, x int32) []int32 {
+	if slices.Contains(leaves, x) {
+		return leaves
+	}
+	return append(leaves, x)
 }
 
 func sortAsc(s []int32) {

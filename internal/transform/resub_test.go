@@ -56,7 +56,7 @@ func TestVerifierEqual(t *testing.T) {
 	b.AddPO(xor2)
 	b.AddPO(xnor)
 	g := b.Build()
-	v := newVerifier(g)
+	v := new(verifier).bind(g)
 
 	// The verifier compares NODE functions; literals may carry a
 	// complement bit (Or returns a complemented NAND node), so the
@@ -87,7 +87,7 @@ func TestVerifierAndEquals(t *testing.T) {
 	b.AddPO(n)
 	b.AddPO(d1)
 	g := b.Build()
-	v := newVerifier(g)
+	v := new(verifier).bind(g)
 	eq, verified := v.andEquals(n.Node(), d0.Node(), d1.Node(), false, false, false)
 	if !verified || !eq {
 		t.Fatalf("x·y·z == (x·y)(y·z) not proven: eq=%v verified=%v", eq, verified)
@@ -113,7 +113,7 @@ func TestVerifierSupportBound(t *testing.T) {
 	b.AddPO(a)
 	b.AddPO(c)
 	g := b.Build()
-	v := newVerifier(g)
+	v := new(verifier).bind(g)
 	_, verified := v.equal(a.Node(), c.Node(), false)
 	if verified {
 		t.Fatalf("20-input union support verified despite bound %d", exactVerifyMaxSupport)
@@ -126,9 +126,7 @@ func TestPISupports(t *testing.T) {
 	n2 := b.And(n1, b.PI(2))
 	b.AddPO(n2)
 	g := b.Build()
-	var s verScratch
-	piSupports(g, &s)
-	sup := s.sup
+	sup := new(verifier).bind(g).sup
 	if sup[n1.Node()] != 0b011 || sup[n2.Node()] != 0b111 {
 		t.Fatalf("supports wrong: %b %b", sup[n1.Node()], sup[n2.Node()])
 	}

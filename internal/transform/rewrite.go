@@ -13,27 +13,24 @@ import (
 // strictly reduces the node count (accounting for the maximum fanout-free
 // cone the replacement frees). This is the analogue of ABC's "rewrite".
 func Rewrite(g *aig.AIG, rng *rand.Rand) *aig.AIG {
-	return rewriteImpl(g, rng, 1)
+	return applyOne("rw", g, rng)
 }
 
 // RewriteZ is Rewrite with zero-cost replacements allowed (ABC's
 // "rewrite -z"): structural changes that keep the node count are also
 // accepted, which perturbs structure and unlocks later reductions.
 func RewriteZ(g *aig.AIG, rng *rand.Rand) *aig.AIG {
-	return rewriteImpl(g, rng, 0)
+	return applyOne("rwz", g, rng)
 }
 
-func rewriteImpl(g *aig.AIG, rng *rand.Rand, minGain int) *aig.AIG {
-	ms := getMoveScratch()
-	defer putMoveScratch(ms)
-	cuts := ms.enum.Enumerate(g, cut.Params{K: 4, MaxCuts: 8})
+func (m *mover) rewrite(g *aig.AIG, rng *rand.Rand, minGain int) *aig.AIG {
+	cuts := m.enum.Enumerate(g, cut.Params{K: 4, MaxCuts: 8})
 	fo := g.FanoutCounts()
-	sav := newSavings(g)
-	r := newRebuilder(g)
-	var best []cut.Cut // all candidates tied at the best gain
-	var ins []aig.Lit
-	g.TopoForEachAnd(func(n int32, f0, f1 aig.Lit) {
-		best = best[:0]
+	sav := m.sav.bind(g)
+	r := m.rebuild(g)
+	for n := g.FirstAnd(); n < int32(g.NumNodes()); n++ {
+		f0, f1 := g.Fanins(n)
+		best := m.cuts[:0] // all candidates tied at the best gain
 		bestGain := minGain - 1
 		for i := range cuts[n] {
 			c := &cuts[n][i]
@@ -51,15 +48,16 @@ func rewriteImpl(g *aig.AIG, rng *rand.Rand, minGain int) *aig.AIG {
 				best = append(best, *c)
 			}
 		}
+		m.cuts = best
 		if bestGain < minGain || len(best) == 0 {
 			r.copyNode(n, f0, f1)
-			return
+			continue
 		}
 		chosen := &best[rng.Intn(len(best))]
-		ins = r.mapLeaves(chosen.Leaves(), ins)
-		r.m[n] = cutProg(chosen.Table, chosen.Size()).replay(r.nb, ins)
-	})
-	return r.finish()
+		m.ins = r.mapLeaves(chosen.Leaves(), m.ins)
+		r.m[n] = cutProg(chosen.Table, chosen.Size()).replay(r.nb, m.ins)
+	}
+	return m.finish()
 }
 
 // Expand is a deliberate de-optimization used as a diversity move: a
@@ -70,34 +68,36 @@ func rewriteImpl(g *aig.AIG, rng *rand.Rand, minGain int) *aig.AIG {
 // plays the role of the node-increasing members of the paper's 103
 // industry transformation combinations.
 func Expand(g *aig.AIG, rng *rand.Rand) *aig.AIG {
+	return applyOne("ex", g, rng)
+}
+
+func (m *mover) expand(g *aig.AIG, rng *rand.Rand) *aig.AIG {
 	const prob = 0.2
-	ms := getMoveScratch()
-	defer putMoveScratch(ms)
-	cuts := ms.enum.Enumerate(g, cut.Params{K: 4, MaxCuts: 8})
-	r := newRebuilder(g)
-	var options []cut.Cut
-	var ins []aig.Lit
-	g.TopoForEachAnd(func(n int32, f0, f1 aig.Lit) {
+	cuts := m.enum.Enumerate(g, cut.Params{K: 4, MaxCuts: 8})
+	r := m.rebuild(g)
+	for n := g.FirstAnd(); n < int32(g.NumNodes()); n++ {
+		f0, f1 := g.Fanins(n)
 		if rng.Float64() >= prob {
 			r.copyNode(n, f0, f1)
-			return
+			continue
 		}
 		// Pick a random non-trivial cut.
-		options = options[:0]
+		options := m.cuts[:0]
 		for i := range cuts[n] {
 			if c := &cuts[n][i]; !c.IsTrivial(n) && c.Size() >= 2 {
 				options = append(options, *c)
 			}
 		}
+		m.cuts = options
 		if len(options) == 0 {
 			r.copyNode(n, f0, f1)
-			return
+			continue
 		}
 		c := &options[rng.Intn(len(options))]
-		ins = r.mapLeaves(c.Leaves(), ins)
-		r.m[n] = flatProg(c.Table, c.Size()).replay(r.nb, ins)
-	})
-	return r.finish()
+		m.ins = r.mapLeaves(c.Leaves(), m.ins)
+		r.m[n] = flatProg(c.Table, c.Size()).replay(r.nb, m.ins)
+	}
+	return m.finish()
 }
 
 // flatSOP emits an unfactored two-level implementation: one AND chain per

@@ -15,46 +15,62 @@ type Transform struct {
 	Fn   Func
 }
 
-// Catalog lists the basic transforms in a stable order.
-func Catalog() []Transform {
-	return []Transform{
-		{"b", Balance},
-		{"br", BalanceRandom},
-		{"rw", Rewrite},
-		{"rwz", RewriteZ},
-		{"rf", Refactor},
-		{"rfz", RefactorZ},
-		{"rs", Resub},
-		{"rsz", ResubZ},
-		{"ex", Expand},
-		{"fr", MergeEquiv},
-	}
+// basics lists the basic transforms in catalog order, each as the step
+// a mover runs.
+var basics = [...]struct {
+	name string
+	step step
+}{
+	{"b", func(m *mover, g *aig.AIG, rng *rand.Rand) *aig.AIG { return m.balance(g, rng, false) }},
+	{"br", func(m *mover, g *aig.AIG, rng *rand.Rand) *aig.AIG { return m.balance(g, rng, true) }},
+	{"rw", func(m *mover, g *aig.AIG, rng *rand.Rand) *aig.AIG { return m.rewrite(g, rng, 1) }},
+	{"rwz", func(m *mover, g *aig.AIG, rng *rand.Rand) *aig.AIG { return m.rewrite(g, rng, 0) }},
+	{"rf", func(m *mover, g *aig.AIG, _ *rand.Rand) *aig.AIG { return m.refactor(g, 1) }},
+	{"rfz", func(m *mover, g *aig.AIG, _ *rand.Rand) *aig.AIG { return m.refactor(g, 0) }},
+	{"rs", func(m *mover, g *aig.AIG, rng *rand.Rand) *aig.AIG { return m.resub(g, rng, 1) }},
+	{"rsz", func(m *mover, g *aig.AIG, rng *rand.Rand) *aig.AIG { return m.resub(g, rng, 0) }},
+	{"ex", (*mover).expand},
+	{"fr", (*mover).mergeEquiv},
 }
 
-// byName resolves transform names; built once.
-var byName = func() map[string]Func {
-	m := make(map[string]Func)
-	for _, t := range Catalog() {
-		m[t.Name] = t.Fn
+// basicIndex returns the index in basics of the named transform, or -1.
+func basicIndex(name string) int {
+	for i := range basics {
+		if basics[i].name == name {
+			return i
+		}
 	}
-	return m
-}()
+	return -1
+}
 
-// rebuilder maps an old AIG into a new builder node by node.
+// Catalog lists the basic transforms in a stable order.
+func Catalog() []Transform {
+	out := make([]Transform, len(basics))
+	for i := range basics {
+		out[i] = Transform{basics[i].name, basicFunc(basics[i].name)}
+	}
+	return out
+}
+
+// Named returns the transform with the given catalog name.
+func Named(name string) (Func, bool) {
+	if basicIndex(name) < 0 {
+		return nil, false
+	}
+	return basicFunc(name), true
+}
+
+// basicFunc returns the named basic transform as a Func.
+func basicFunc(name string) Func {
+	return func(g *aig.AIG, rng *rand.Rand) *aig.AIG { return applyOne(name, g, rng) }
+}
+
+// rebuilder maps an old AIG into a new builder node by node; a mover
+// holds one and starts it with rebuild.
 type rebuilder struct {
 	g  *aig.AIG
 	nb *aig.Builder
 	m  []aig.Lit // old node index -> new literal (positive phase)
-}
-
-func newRebuilder(g *aig.AIG) *rebuilder {
-	r := &rebuilder{g: g, nb: aig.NewBuilder(g.NumPIs())}
-	r.m = make([]aig.Lit, g.NumNodes())
-	r.m[0] = aig.ConstFalse
-	for i := 1; i <= g.NumPIs(); i++ {
-		r.m[i] = r.nb.PI(i - 1)
-	}
-	return r
 }
 
 // lit maps an old literal to the new graph.
@@ -78,14 +94,6 @@ func (r *rebuilder) mapLeaves(leaves []int32, buf []aig.Lit) []aig.Lit {
 	return buf
 }
 
-// finish maps the POs and returns the compacted result.
-func (r *rebuilder) finish() *aig.AIG {
-	for _, po := range r.g.POs() {
-		r.nb.AddPO(r.lit(po))
-	}
-	return r.nb.Build().Compact()
-}
-
 // savings computes, allocation-free, the number of AND nodes that
 // disappear if a node's function is reimplemented over a cut: the maximum
 // fanout-free cone of the node restricted to the cut (the node itself plus
@@ -103,15 +111,19 @@ type savings struct {
 	cone   []int32
 }
 
-func newSavings(g *aig.AIG) *savings {
+// bind points s at g, restarting the epochs over its nodes.
+func (s *savings) bind(g *aig.AIG) *savings {
 	n := g.NumNodes()
-	return &savings{
-		g:      g,
-		leafEp: make([]int32, n),
-		coneEp: make([]int32, n),
-		uses:   make([]int32, n),
-		usesEp: make([]int32, n),
-	}
+	s.g = g
+	s.epoch = 0
+	s.leafEp = grow(s.leafEp, n)
+	s.coneEp = grow(s.coneEp, n)
+	s.uses = grow(s.uses, n)
+	s.usesEp = grow(s.usesEp, n)
+	clear(s.leafEp)
+	clear(s.coneEp)
+	clear(s.usesEp)
+	return s
 }
 
 func (s *savings) addUse(x int32, e int32) {
@@ -185,10 +197,4 @@ func sortDesc(s []int32) {
 // k-leaf cut function, served from the synthesis-program cache.
 func synthCost(table uint16, k int) int {
 	return cutProg(table, k).cost()
-}
-
-// Named returns the transform with the given catalog name.
-func Named(name string) (Func, bool) {
-	f, ok := byName[name]
-	return f, ok
 }

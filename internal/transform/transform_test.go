@@ -262,7 +262,7 @@ func TestConeSavingsSimple(t *testing.T) {
 	b.AddPO(n3)
 	g := b.Build()
 	fo := g.FanoutCounts()
-	if got := newSavings(g).compute(n3.Node(), []int32{1, 2, 3}, fo); got != 2 {
+	if got := new(savings).bind(g).compute(n3.Node(), []int32{1, 2, 3}, fo); got != 2 {
 		t.Errorf("coneSavings = %d, want 2", got)
 	}
 	// With n1 shared externally, only n3 is saved.
@@ -273,7 +273,7 @@ func TestConeSavingsSimple(t *testing.T) {
 	b2.AddPO(m1)
 	g2 := b2.Build()
 	fo2 := g2.FanoutCounts()
-	if got := newSavings(g2).compute(m3.Node(), []int32{1, 2, 3}, fo2); got != 1 {
+	if got := new(savings).bind(g2).compute(m3.Node(), []int32{1, 2, 3}, fo2); got != 1 {
 		t.Errorf("coneSavings shared = %d, want 1", got)
 	}
 }
