@@ -36,6 +36,15 @@ func randTable(rng *rand.Rand, n int) truth.TT {
 	return tt
 }
 
+// recordTT records the factored program of tt, or its flat two-level
+// program when flat is set.
+func recordTT(tt truth.TT, flat bool) *synthProg {
+	if flat {
+		return recordProg(tt, flatSOP)
+	}
+	return recordProg(tt, truth.SynthesizeTT)
+}
+
 // TestRefactorGateBound checks the bound refactor's gate relies on: a
 // table that depends on s variables costs at least s-1 ANDs.
 func TestRefactorGateBound(t *testing.T) {
