@@ -17,6 +17,9 @@
 //	BenchmarkRecipeApply/*           one pass of the 103-recipe move
 //	                                 catalog over EX54, EX08 and a
 //	                                 16-bit multiplier
+//	BenchmarkSignoffEval/*           one pooled signoff evaluation of
+//	                                 EX54, EX02, EX08 and a 16-bit
+//	                                 multiplier
 //	BenchmarkAblation/*              design-choice ablations from DESIGN.md
 package aigtimer_test
 
@@ -351,30 +354,44 @@ func mustDesign(b *testing.B, name string) *aig.AIG {
 	return d.Build()
 }
 
-// BenchmarkSignoffEval measures one pooled full signoff evaluation of
-// EX08 (shared dual-effort cut enumeration, two mappings, multi-corner
-// STA), warmed to the pool's allocation-free steady state first, so it
-// tracks both latency and that the steady state stays at 0 allocs/op.
+// BenchmarkSignoffEval measures one pooled full signoff evaluation
+// (shared dual-effort cut enumeration, two mappings, multi-corner STA)
+// over a size ladder: EX54 (211 ANDs), EX02 (599), EX08 (507) and
+// bench.Multiplier(16) (2,784). Each rung is warmed to the pool's
+// allocation-free steady state first, so it tracks both latency and
+// that the steady state stays at 0 allocs/op.
 func BenchmarkSignoffEval(b *testing.B) {
-	designs, _, _ := fixtures(b)
-	g := designs["EX08"]
-	lib := cell.Builtin()
-	var pool signoff.Pool
-	for i := 0; i < 2; i++ {
-		_, st, err := pool.Evaluate(g, lib)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st.Release()
+	rungs := []struct {
+		name string
+		g    func() *aig.AIG
+	}{
+		{"EX54", func() *aig.AIG { return mustDesign(b, "EX54") }},
+		{"EX02", func() *aig.AIG { return mustDesign(b, "EX02") }},
+		{"EX08", func() *aig.AIG { return mustDesign(b, "EX08") }},
+		{"mult16", func() *aig.AIG { return bench.Multiplier(16) }},
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, st, err := pool.Evaluate(g, lib)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st.Release()
+	lib := cell.Builtin()
+	for _, rung := range rungs {
+		b.Run(rung.name, func(b *testing.B) {
+			g := rung.g()
+			var pool signoff.Pool
+			for i := 0; i < 2; i++ {
+				_, st, err := pool.Evaluate(g, lib)
+				if err != nil {
+					b.Fatal(err)
+				}
+				st.Release()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, st, err := pool.Evaluate(g, lib)
+				if err != nil {
+					b.Fatal(err)
+				}
+				st.Release()
+			}
+		})
 	}
 }
 

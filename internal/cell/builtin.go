@@ -1,6 +1,9 @@
 package cell
 
-import "strings"
+import (
+	"strings"
+	"sync"
+)
 
 // builtinText is the repository's 130nm-class library, standing in for the
 // SkyWater 130 nm PDK used by the paper. Values are representative of a
@@ -59,17 +62,17 @@ cell AOI22_X1 inputs=4 func=0x0777 area=8.0 cap=1.7 intrinsic=33 drive=38
 cell OAI22_X1 inputs=4 func=0x111f area=8.0 cap=1.7 intrinsic=35 drive=38
 `
 
-var builtin *Library
-
-// Builtin returns the built-in 130nm-class library. The result is shared;
-// callers must treat it as read-only.
-func Builtin() *Library {
-	if builtin == nil {
-		lib, err := ParseLibrary(strings.NewReader(builtinText))
-		if err != nil {
-			panic("cell: builtin library invalid: " + err.Error())
-		}
-		builtin = lib
+// builtin parses builtinText once, on first use, however many
+// goroutines make that first call together.
+var builtin = sync.OnceValue(func() *Library {
+	lib, err := ParseLibrary(strings.NewReader(builtinText))
+	if err != nil {
+		panic("cell: builtin library invalid: " + err.Error())
 	}
-	return builtin
-}
+	return lib
+})
+
+// Builtin returns the built-in 130nm-class library. Every call returns
+// the same *Library, and concurrent first calls are safe. The result is
+// shared; callers must treat it as read-only.
+func Builtin() *Library { return builtin() }

@@ -70,13 +70,16 @@ type Library struct {
 	WireCapFF    float64 // added capacitance per fanout branch, fF
 	OutputLoadFF float64 // default load on primary outputs, fF
 
-	byName   map[string]*Cell
-	matches  map[uint16][]Match    // padded function -> realizations
-	byLeaves map[uint16][5][]Match // matches pre-filtered by leaf count
-	inv      *Cell                 // smallest inverter
-	buf      *Cell                 // smallest buffer
-	tie0     *Cell
-	tie1     *Cell
+	byName map[string]*Cell
+	// matchIdx maps every padded function to its entry in matchSets;
+	// entry 0 is the empty set of the functions no cell realizes.
+	// matchSets[i][nl] lists an entry's realizations within nl leaves.
+	matchIdx  []int32
+	matchSets [][5][]Match
+	inv       *Cell // smallest inverter
+	buf       *Cell // smallest buffer
+	tie0      *Cell
+	tie1      *Cell
 }
 
 // CellByName returns the named cell, or nil.
@@ -142,8 +145,12 @@ func (l *Library) finalize() error {
 // count, so when a function is realizable several ways by the same cell the
 // wiring with the fewest inversions is kept. The mapper charges an inverter
 // (or reuses the complement-phase signal) for every set PinInv bit.
+//
+// The result is a dense index over all 65,536 padded functions, so
+// Matches is two slice indexes on the mapper's hot path.
 func (l *Library) buildMatches() {
-	l.matches = make(map[uint16][]Match)
+	l.matchIdx = make([]int32, 1<<16)
+	var found [][]Match // found[i-1]: the realizations of index entry i
 	for _, c := range l.Cells {
 		k := c.NumInputs
 		if k == 0 || c.IsBuffer() || c.IsInverter() {
@@ -168,22 +175,26 @@ func (l *Library) buildMatches() {
 					return // same function via a different wiring; keep first
 				}
 				seen[g] = true
-				l.matches[g] = append(l.matches[g], Match{Cell: c, PinVar: pinVar, PinInv: inv})
+				i := l.matchIdx[g]
+				if i == 0 {
+					found = append(found, nil)
+					i = int32(len(found))
+					l.matchIdx[g] = i
+				}
+				found[i-1] = append(found[i-1], Match{Cell: c, PinVar: pinVar, PinInv: inv})
 			})
 		}
 	}
-	// Keep matches sorted by area so greedy consumers see cheap cells first.
-	for f := range l.matches {
-		ms := l.matches[f]
+	l.matchSets = make([][5][]Match, len(found)+1)
+	for x, ms := range found {
+		// Keep matches sorted by area so greedy consumers see cheap
+		// cells first.
 		sort.Slice(ms, func(i, j int) bool { return ms[i].Cell.AreaUM2 < ms[j].Cell.AreaUM2 })
-	}
-	// Pre-filter per leaf count so Matches is a pure map probe on the hot
-	// path. A match fits within numLeaves leaves iff every pin reads a
-	// variable below numLeaves; filtering preserves the area order.
-	l.byLeaves = make(map[uint16][5][]Match, len(l.matches))
-	for f, ms := range l.matches {
-		var per [5][]Match
-		for nl := 0; nl <= 4; nl++ {
+		// Pre-filter per leaf count. A match fits within nl leaves iff
+		// every pin reads a variable below nl; filtering preserves the
+		// area order.
+		set := &l.matchSets[x+1]
+		for nl := range set {
 			for _, m := range ms {
 				ok := true
 				for j := 0; j < m.Cell.NumInputs; j++ {
@@ -193,11 +204,10 @@ func (l *Library) buildMatches() {
 					}
 				}
 				if ok {
-					per[nl] = append(per[nl], m)
+					set[nl] = append(set[nl], m)
 				}
 			}
 		}
-		l.byLeaves[f] = per
 	}
 }
 
@@ -234,19 +244,18 @@ func forEachInjective(k int, f func(assign []int)) {
 }
 
 // Matches returns the realizations of the given padded cut function whose
-// pin assignments fall within numLeaves positions. The caller typically
-// queries both f and ^f and accounts for an output inverter on the latter.
-// The returned slice is shared and must not be mutated.
+// pin assignments fall within numLeaves positions, sorted by area. The
+// caller typically queries both f and ^f and accounts for an output
+// inverter on the latter. The returned slice belongs to the library and
+// must not be mutated; pointers into it stay valid as long as the
+// library does.
 func (l *Library) Matches(f uint16, numLeaves int) []Match {
 	if numLeaves < 0 {
 		return nil
 	}
-	if numLeaves > 4 {
-		numLeaves = 4
-	}
-	return l.byLeaves[f][numLeaves]
+	return l.matchSets[l.matchIdx[f]][min(numLeaves, 4)]
 }
 
 // NumMatchableFunctions returns the number of distinct padded functions the
 // library can realize directly (without output inversion).
-func (l *Library) NumMatchableFunctions() int { return len(l.matches) }
+func (l *Library) NumMatchableFunctions() int { return len(l.matchSets) - 1 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -73,11 +74,22 @@ func parseFloat(fields []string, lineNo int) (float64, error) {
 	if len(fields) != 2 {
 		return 0, fmt.Errorf("cell: line %d: %s wants one value", lineNo, fields[0])
 	}
-	v, err := strconv.ParseFloat(fields[1], 64)
-	if err != nil || v < 0 {
+	v, ok := parseNumber(fields[1], false)
+	if !ok {
 		return 0, fmt.Errorf("cell: line %d: bad value %q", lineNo, fields[1])
 	}
 	return v, nil
+}
+
+// parseNumber parses a finite, non-negative number, and a positive one
+// when positive is set. NaN and the infinities are refused: every
+// comparison with NaN is false, so a range check alone would let it in.
+func parseNumber(s string, positive bool) (float64, bool) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || positive && v == 0 {
+		return 0, false
+	}
+	return v, true
 }
 
 func parseCell(fields []string, lineNo int) (*Cell, error) {
@@ -110,26 +122,26 @@ func parseCell(fields []string, lineNo int) (*Cell, error) {
 			}
 			c.Function = uint16(f)
 		case "area":
-			v, err := strconv.ParseFloat(val, 64)
-			if err != nil || v <= 0 {
+			v, ok := parseNumber(val, true)
+			if !ok {
 				return nil, fmt.Errorf("cell: line %d: bad area %q", lineNo, val)
 			}
 			c.AreaUM2 = v
 		case "cap":
-			v, err := strconv.ParseFloat(val, 64)
-			if err != nil || v < 0 {
+			v, ok := parseNumber(val, false)
+			if !ok {
 				return nil, fmt.Errorf("cell: line %d: bad cap %q", lineNo, val)
 			}
 			c.InputCapFF = v
 		case "intrinsic":
-			v, err := strconv.ParseFloat(val, 64)
-			if err != nil || v < 0 {
+			v, ok := parseNumber(val, false)
+			if !ok {
 				return nil, fmt.Errorf("cell: line %d: bad intrinsic %q", lineNo, val)
 			}
 			c.IntrinsicPS = v
 		case "drive":
-			v, err := strconv.ParseFloat(val, 64)
-			if err != nil || v < 0 {
+			v, ok := parseNumber(val, false)
+			if !ok {
 				return nil, fmt.Errorf("cell: line %d: bad drive %q", lineNo, val)
 			}
 			c.DrivePSPerFF = v

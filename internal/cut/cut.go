@@ -24,7 +24,6 @@ package cut
 
 import (
 	"math/bits"
-	"slices"
 
 	"aigtimer/internal/aig"
 	"aigtimer/internal/truth"
@@ -441,32 +440,45 @@ func swapAdjacent(t uint16, q int) uint16 {
 	return t&m.keep | t&m.up<<m.shift | t&m.down>>m.shift
 }
 
-// compareCuts orders cuts by leaf count, then lexicographically by
-// leaves: a total order on distinct leaf sets.
-func compareCuts(a, b Cut) int {
-	if a.n != b.n {
-		return int(a.n) - int(b.n)
+// sortCuts sorts cs by leaf count, then lexicographically by leaves: a
+// total order on distinct leaf sets. A node's candidate pool is small
+// (about a dozen cuts on the suite designs, rarely more than 40), so an
+// insertion sort with the comparison inlined beats a general sort that
+// calls a comparator per step.
+func sortCuts(cs []Cut) {
+	for i := 1; i < len(cs); i++ {
+		c := cs[i]
+		j := i
+		for ; j > 0 && cutLess(&c, &cs[j-1]); j-- {
+			cs[j] = cs[j-1]
+		}
+		cs[j] = c
 	}
-	for i := 0; i < int(a.n); i++ {
+}
+
+// cutLess reports whether a sorts before b. Entries past the leaf count
+// are zero, so equal counts compare all four entries.
+func cutLess(a, b *Cut) bool {
+	if a.n != b.n {
+		return a.n < b.n
+	}
+	for i := range a.leaves {
 		if a.leaves[i] != b.leaves[i] {
-			if a.leaves[i] < b.leaves[i] {
-				return -1
-			}
-			return 1
+			return a.leaves[i] < b.leaves[i]
 		}
 	}
-	return 0
+	return false
 }
 
 // filter deduplicates, removes dominated cuts (a cut is dominated when a
 // strict subset of its leaves is also a cut), sorts by leaf count, and
 // keeps at most maxCuts, appending survivors to out. The sort order is
 // total on distinct leaf sets and cuts with equal leaves are identical
-// values, so the unstable sort cannot affect the selection, and equal
-// cuts end up adjacent: a duplicate is caught by comparing it with its
-// sorted predecessor alone.
+// values, so the sorted sequence does not depend on the sort algorithm,
+// and equal cuts end up adjacent: a duplicate is caught by comparing it
+// with its sorted predecessor alone.
 func filter(cs []Cut, maxCuts int, out []Cut) []Cut {
-	slices.SortFunc(cs, compareCuts)
+	sortCuts(cs)
 	for i := range cs {
 		c := &cs[i]
 		if i > 0 && sameLeaves(&cs[i-1], c) || dominated(out, c) {

@@ -50,16 +50,18 @@ const (
 	kindTie           // constant cut function
 )
 
-// impl is one realization of (node, phase).
+// impl is one realization of (node, phase). A gate's match points into
+// the library's read-only match lists, which live as long as the
+// Mapper's lib, so an impl stays small enough to copy freely.
 type impl struct {
-	kind      implKind
-	cutIdx    int
-	match     cell.Match
-	leaf      int32 // kindWire: aliased node
-	leafPhase int   // kindWire: aliased phase
-	tieVal    bool  // kindTie
+	match     *cell.Match // kindGate
 	arrival   float64
 	area      float64
+	cutIdx    int32 // kindGate: the cut in the node's list
+	leaf      int32 // kindWire: aliased node
+	kind      implKind
+	leafPhase uint8 // kindWire: aliased phase
+	tieVal    bool  // kindTie
 }
 
 // projections[j] is the padded table of "leaf j" as a function.
@@ -97,7 +99,6 @@ type Mapper struct {
 	req    [][2]float64
 	stack  []markItem
 	memo   [2][]netlist.NetID
-	cands  []impl
 }
 
 // growImpls returns b resized to n, contents unspecified.
@@ -167,9 +168,13 @@ func (m *Mapper) selectImpls() error {
 // selectNode chooses the best implementation for both phases of the AND
 // node n, writing m.direct[n] and m.impls[n] and reading only the
 // impls of nodes inside n's cuts' leaf sets (all strictly below n).
+// Candidates are scored one at a time into the running best, per phase
+// and per cut in list order, so better's first-wins tie-breaking
+// always sees the same sequence.
 func (m *Mapper) selectNode(n int32) error {
 	for ph := pos; ph <= neg; ph++ {
-		best := impl{kind: kindNone, arrival: math.Inf(1)}
+		best := &m.direct[n][ph]
+		*best = impl{kind: kindNone, arrival: math.Inf(1)}
 		for ci := range m.cuts[n] {
 			c := &m.cuts[n][ci]
 			if c.IsTrivial(n) || c.Size() == 0 {
@@ -179,26 +184,20 @@ func (m *Mapper) selectNode(n int32) error {
 			if ph == neg {
 				tbl = ^tbl
 			}
-			for _, cand := range m.cutCandidates(c, ci, tbl) {
-				if better(cand, best) {
-					best = cand
-				}
-			}
+			m.scoreCut(best, c, ci, tbl)
 		}
-		m.direct[n][ph] = best
 	}
 	// Relax with the inverter alternative: phase ph via INV over the
 	// direct impl of the opposite phase.
 	for ph := pos; ph <= neg; ph++ {
 		best := m.direct[n][ph]
-		other := m.direct[n][1-ph]
-		if other.kind != kindNone {
+		if other := &m.direct[n][1-ph]; other.kind != kindNone {
 			cand := impl{
 				kind:    kindInv,
 				arrival: other.arrival + m.invDelay(),
 				area:    m.lib.Inverter().AreaUM2,
 			}
-			if better(cand, best) {
+			if better(&cand, &best) {
 				best = cand
 			}
 		}
@@ -210,44 +209,38 @@ func (m *Mapper) selectNode(n int32) error {
 	return nil
 }
 
-// cutCandidates yields all realizations of the table tbl over cut c —
-// tie cells for constants, wires for projections, and library matches —
-// in the Mapper's candidate buffer (valid until the next call).
-func (m *Mapper) cutCandidates(c *cut.Cut, ci int, tbl uint16) []impl {
-	out := m.cands[:0]
-	switch tbl {
-	case 0:
-		out = append(out, impl{kind: kindTie, tieVal: false, area: m.lib.Tie(false).AreaUM2})
-		m.cands = out
-		return out
-	case 0xFFFF:
-		out = append(out, impl{kind: kindTie, tieVal: true, area: m.lib.Tie(true).AreaUM2})
-		m.cands = out
-		return out
+// scoreCut offers best every realization of the table tbl over cut c,
+// in order: a tie cell for a constant, wires for projections, then the
+// library's matches in Matches order.
+func (m *Mapper) scoreCut(best *impl, c *cut.Cut, ci int, tbl uint16) {
+	if tbl == 0 || tbl == 0xFFFF {
+		v := tbl != 0
+		offer(best, impl{kind: kindTie, tieVal: v, area: m.lib.Tie(v).AreaUM2})
+		return
 	}
 	for j, leaf := range c.Leaves() {
 		if tbl == projections[j] {
-			out = append(out, impl{
-				kind: kindWire, leaf: leaf, leafPhase: pos,
-				arrival: m.arrivalOf(leaf, pos),
-			})
+			offer(best, impl{kind: kindWire, leaf: leaf, leafPhase: pos, arrival: m.arrivalOf(leaf, pos)})
 		}
 		if tbl == ^projections[j] {
-			out = append(out, impl{
-				kind: kindWire, leaf: leaf, leafPhase: neg,
-				arrival: m.arrivalOf(leaf, neg),
-			})
+			offer(best, impl{kind: kindWire, leaf: leaf, leafPhase: neg, arrival: m.arrivalOf(leaf, neg)})
 		}
 	}
-	for _, match := range m.lib.Matches(tbl, c.Size()) {
-		out = append(out, m.evalMatch(c, ci, match))
+	ms := m.lib.Matches(tbl, c.Size())
+	for i := range ms {
+		offer(best, m.evalMatch(c, ci, &ms[i]))
 	}
-	m.cands = out
-	return out
+}
+
+// offer replaces best by cand when cand is better.
+func offer(best *impl, cand impl) {
+	if better(&cand, best) {
+		*best = cand
+	}
 }
 
 // evalMatch scores a cut/cell pairing under the nominal-load delay model.
-func (m *Mapper) evalMatch(c *cut.Cut, cutIdx int, match cell.Match) impl {
+func (m *Mapper) evalMatch(c *cut.Cut, cutIdx int, match *cell.Match) impl {
 	d := match.Cell.DelayPS(m.p.NominalLoadFF)
 	arr := 0.0
 	for j := 0; j < match.Cell.NumInputs; j++ {
@@ -262,7 +255,7 @@ func (m *Mapper) evalMatch(c *cut.Cut, cutIdx int, match cell.Match) impl {
 	}
 	return impl{
 		kind:    kindGate,
-		cutIdx:  cutIdx,
+		cutIdx:  int32(cutIdx),
 		match:   match,
 		arrival: arr + d,
 		area:    match.Cell.AreaUM2,
@@ -270,7 +263,7 @@ func (m *Mapper) evalMatch(c *cut.Cut, cutIdx int, match cell.Match) impl {
 }
 
 // better orders implementations by (arrival, area).
-func better(a, b impl) bool {
+func better(a, b *impl) bool {
 	if a.kind == kindNone {
 		return false
 	}
@@ -311,12 +304,12 @@ func (m *Mapper) markUsed() {
 	for len(stack) > 0 {
 		it := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		im := m.impls[it.n][it.ph]
+		im := &m.impls[it.n][it.ph]
 		switch im.kind {
 		case kindInv:
 			push(it.n, 1-it.ph)
 		case kindWire:
-			push(im.leaf, im.leafPhase)
+			push(im.leaf, int(im.leafPhase))
 		case kindGate:
 			c := &m.cuts[it.n][im.cutIdx]
 			for j := 0; j < im.match.Cell.NumInputs; j++ {
@@ -374,7 +367,7 @@ func (m *Mapper) recoverArea() {
 			if !used[n][ph] || math.IsInf(req[n][ph], 1) {
 				continue
 			}
-			im := m.impls[n][ph]
+			im := &m.impls[n][ph]
 			switch im.kind {
 			case kindInv:
 				lower(&req[n][1-ph], req[n][ph]-m.invDelay())
@@ -405,7 +398,7 @@ func (m *Mapper) recoverArea() {
 			if !used[n][ph] {
 				continue
 			}
-			im := m.impls[n][ph]
+			im := &m.impls[n][ph]
 			if im.kind != kindGate {
 				continue
 			}
@@ -415,12 +408,15 @@ func (m *Mapper) recoverArea() {
 			if ph == neg {
 				tbl = ^tbl
 			}
-			best := m.evalMatch(c, im.cutIdx, im.match) // refresh arrival
-			for _, match := range m.lib.Matches(tbl, c.Size()) {
+			ci := int(im.cutIdx)
+			best := m.evalMatch(c, ci, im.match) // refresh arrival
+			ms := m.lib.Matches(tbl, c.Size())
+			for i := range ms {
+				match := &ms[i]
 				if match.PinVar != im.match.PinVar || match.PinInv != im.match.PinInv {
 					continue
 				}
-				cand := m.evalMatch(c, im.cutIdx, match)
+				cand := m.evalMatch(c, ci, match)
 				if cand.arrival <= r && (cand.area < best.area ||
 					(cand.area == best.area && cand.arrival < best.arrival)) {
 					best = cand
@@ -484,12 +480,12 @@ func (e *emitter) need(n int32, ph int) netlist.NetID {
 			net = e.nb.AddGate(m.lib.Inverter(), e.nb.PINet(int(n)-1))
 		}
 	default:
-		im := m.impls[n][ph]
+		im := &m.impls[n][ph]
 		switch im.kind {
 		case kindInv:
 			net = e.nb.AddGate(m.lib.Inverter(), e.need(n, 1-ph))
 		case kindWire:
-			net = e.need(im.leaf, im.leafPhase)
+			net = e.need(im.leaf, int(im.leafPhase))
 		case kindTie:
 			net = e.nb.AddGate(m.lib.Tie(im.tieVal))
 		case kindGate:

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"aigtimer/internal/bench"
+	"aigtimer/internal/truth"
 )
 
 // Objects a warm mover allocates per recipe application: Apply's result
@@ -50,6 +51,32 @@ func TestMoverAllocatesOnlyTheResult(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(5, tracked); got != applyTrackedAllocs {
 			t.Errorf("%s: warm ApplyTracked allocates %v objects, want %d", name, got, applyTrackedAllocs)
+		}
+	}
+}
+
+// TestRecordingAllocatesOnlyTheProgram guards the cache-miss path of
+// synthesis: once a recorder has served tables of a width, recording
+// another table of that width allocates the program (its header and
+// its op list) and nothing else, for factored and flat synthesis.
+func TestRecordingAllocatesOnlyTheProgram(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var r recorder
+	for _, synth := range []synthFunc{factored, flatSOP} {
+		for n := 6; n <= 8; n++ {
+			tables := make([]truth.TT, 8)
+			for i := range tables {
+				tables[i] = freshTable(rng, n)
+				r.record(tables[i], synth)
+			}
+			i := 0
+			got := testing.AllocsPerRun(len(tables), func() {
+				r.record(tables[i%len(tables)], synth)
+				i++
+			})
+			if got != 2 {
+				t.Errorf("n=%d: recording on a warm recorder allocates %v objects, want 2", n, got)
+			}
 		}
 	}
 }

@@ -20,7 +20,8 @@ import (
 // step reads it there. Only the recipe's final graph is allocated: a
 // copy of out's graph for Apply, the rebased graph and its Delta for
 // ApplyTracked. A warm mover allocates nothing else, except a synthesis
-// program the process-wide caches do not hold yet.
+// program the process-wide caches do not hold yet, which it records in
+// its own retained scratch.
 //
 // Every table is sized to the graph in hand when a step starts, so a
 // mover that once served a large design spends no more time on a small
@@ -33,6 +34,7 @@ type mover struct {
 	sim      *aig.Simulator
 	ver      verifier
 	cone     coneScratch
+	rec      recorder // records synthesis programs the caches miss
 
 	// per-node tables of the step's input graph
 	mffc   []int32

@@ -61,7 +61,7 @@ func (m *mover) refactor(g *aig.AIG, minGain int) *aig.AIG {
 			r.copyNode(n, f0, f1)
 			continue
 		}
-		prog := coneProg(tt)
+		prog := m.coneProg(tt)
 		if saved-prog.cost() < minGain {
 			r.copyNode(n, f0, f1)
 			continue

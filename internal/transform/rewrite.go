@@ -38,7 +38,7 @@ func (m *mover) rewrite(g *aig.AIG, rng *rand.Rand, minGain int) *aig.AIG {
 				continue
 			}
 			saved := sav.compute(n, c.Leaves(), fo)
-			cost := synthCost(c.Table, c.Size())
+			cost := m.cutProg(c.Table, c.Size()).cost()
 			gain := saved - cost
 			if gain > bestGain {
 				bestGain = gain
@@ -55,7 +55,7 @@ func (m *mover) rewrite(g *aig.AIG, rng *rand.Rand, minGain int) *aig.AIG {
 		}
 		chosen := &best[rng.Intn(len(best))]
 		m.ins = r.mapLeaves(chosen.Leaves(), m.ins)
-		r.m[n] = cutProg(chosen.Table, chosen.Size()).replay(r.nb, m.ins)
+		r.m[n] = m.cutProg(chosen.Table, chosen.Size()).replay(r.nb, m.ins)
 	}
 	return m.finish()
 }
@@ -95,23 +95,22 @@ func (m *mover) expand(g *aig.AIG, rng *rand.Rand) *aig.AIG {
 		}
 		c := &options[rng.Intn(len(options))]
 		m.ins = r.mapLeaves(c.Leaves(), m.ins)
-		r.m[n] = flatProg(c.Table, c.Size()).replay(r.nb, m.ins)
+		r.m[n] = m.flatProg(c.Table, c.Size()).replay(r.nb, m.ins)
 	}
 	return m.finish()
 }
 
 // flatSOP emits an unfactored two-level implementation: one AND chain per
 // cube, OR-chained in order. Expand replays it through flatProg.
-func flatSOP(b *aig.Builder, inputs []aig.Lit, t truth.TT) aig.Lit {
+func flatSOP(s *truth.Synth, b *aig.Builder, inputs []aig.Lit, t truth.TT) aig.Lit {
 	if t.IsZero() {
 		return aig.ConstFalse
 	}
 	if t.IsOne() {
 		return aig.ConstTrue
 	}
-	cover := truth.ISOP(t, t)
 	out := aig.ConstFalse
-	for _, cube := range cover {
+	for _, cube := range s.ISOP(t, t) {
 		term := aig.ConstTrue
 		for v := 0; v < t.N; v++ {
 			if !cube.Has(v) {

@@ -8,17 +8,17 @@ import (
 	"aigtimer/internal/truth"
 )
 
-// Synthesis-program caching. The AND calls truth.SynthesizeTT issues
-// are a pure function of the truth table: the ISOP covers, the cost
-// comparison (measured in standalone builders), and the factoring tree
-// depend on nothing but the table. The same holds for flatSOP's
+// Synthesis-program caching. The AND calls truth.Synth.Synthesize
+// issues are a pure function of the truth table: the ISOP covers, the
+// cost comparison (measured in standalone builders), and the factoring
+// tree depend on nothing but the table. The same holds for flatSOP's
 // two-level form. Re-deriving them for every accepted node of every
-// move would repeat the ISOP cube covers, truth-table temporaries and
-// scratch cost builders each time. A synthProg captures the sequence
-// once as the dedup'd AND list of a standalone synthesis and replays it
-// through the target builder's structural hashing, which produces
-// bit-identical results: replay performs exactly the create-or-find
-// operations the direct call sequence would, in the same order.
+// move would repeat the ISOP and factoring work each time. A synthProg
+// captures the sequence once as the dedup'd AND list of a standalone
+// synthesis and replays it through the target builder's structural
+// hashing, which produces bit-identical results: replay performs
+// exactly the create-or-find operations the direct call sequence
+// would, in the same order.
 
 // synthProg is one replayable synthesis: the AND nodes a synthesis
 // function creates for the function over fresh inputs, in creation
@@ -31,21 +31,34 @@ type synthProg struct {
 	out aig.Lit
 }
 
-// synthFunc emits an implementation of t over inputs into b. Recorded
-// functions must issue the same AND calls for the same table on every
-// call, whatever the builder holds: truth.SynthesizeTT and flatSOP do.
-type synthFunc func(b *aig.Builder, inputs []aig.Lit, t truth.TT) aig.Lit
+// synthFunc emits an implementation of t over inputs into b, working in
+// s. Recorded functions must issue the same AND calls for the same
+// table on every call, whatever the builder holds: factored and
+// flatSOP do.
+type synthFunc func(s *truth.Synth, b *aig.Builder, inputs []aig.Lit, t truth.TT) aig.Lit
 
-// recordProg records synth's emission for tt by running it against a
-// standalone builder and reading back the dedup'd AND list.
-func recordProg(tt truth.TT, synth synthFunc) *synthProg {
-	sb := aig.NewBuilder(tt.N)
-	ins := make([]aig.Lit, tt.N)
-	for i := range ins {
-		ins[i] = sb.PI(i)
+// factored is the factored resynthesis rewriting and refactoring apply.
+var factored synthFunc = (*truth.Synth).Synthesize
+
+// recorder is a mover's synthesis-recording scratch: the Synth a
+// recording works in and the standalone builder it runs against.
+type recorder struct {
+	synth truth.Synth
+	b     aig.Builder
+	ins   []aig.Lit
+}
+
+// record records synth's emission for tt by running it against the
+// standalone builder and reading back the dedup'd AND list. Once r is
+// warm, the program is all it allocates.
+func (r *recorder) record(tt truth.TT, synth synthFunc) *synthProg {
+	r.b.Reset(tt.N, 0)
+	r.ins = grow(r.ins, tt.N)
+	for i := range r.ins {
+		r.ins[i] = r.b.PI(i)
 	}
-	out := synth(sb, ins, tt)
-	g := sb.Build()
+	out := synth(&r.synth, &r.b, r.ins, tt)
+	g := r.b.Graph()
 	p := &synthProg{k: tt.N, out: out}
 	if n := g.NumAnds(); n > 0 {
 		p.ops = make([][2]aig.Lit, 0, n)
@@ -85,32 +98,33 @@ func (p *synthProg) replay(b *aig.Builder, ins []aig.Lit) aig.Lit {
 // plain atomic pointer suffices.
 type progTab [5 << 16]atomic.Pointer[synthProg]
 
-// get returns the program synth records for a ≤4-leaf cut function.
-// One table must always be used with the same synth.
-func (t *progTab) get(table uint16, k int, synth synthFunc) *synthProg {
+// get returns the program synth records for a ≤4-leaf cut function,
+// recording it in rec on a miss. One table must always be used with the
+// same synth.
+func (t *progTab) get(table uint16, k int, rec *recorder, synth synthFunc) *synthProg {
 	slot := &t[k<<16|int(table)]
 	p := slot.Load()
 	if p == nil {
-		p = recordProg(truth.FromUint16K(table, k), synth)
+		p = rec.record(truth.FromUint16K(table, k), synth)
 		slot.Store(p)
 	}
 	return p
 }
 
-// synthProgTab holds truth.SynthesizeTT's programs, the factored
-// resynthesis rewriting applies; flatProgTab holds flatSOP's, the
-// two-level form expansion applies.
+// synthProgTab holds the factored programs, the resynthesis rewriting
+// applies; flatProgTab holds flatSOP's, the two-level form expansion
+// applies.
 var synthProgTab, flatProgTab progTab
 
 // cutProg returns the factored synthesis program of a ≤4-leaf cut
 // function.
-func cutProg(table uint16, k int) *synthProg {
-	return synthProgTab.get(table, k, truth.SynthesizeTT)
+func (m *mover) cutProg(table uint16, k int) *synthProg {
+	return synthProgTab.get(table, k, &m.rec, factored)
 }
 
 // flatProg returns the flat two-level program of a ≤4-leaf cut function.
-func flatProg(table uint16, k int) *synthProg {
-	return flatProgTab.get(table, k, flatSOP)
+func (m *mover) flatProg(table uint16, k int) *synthProg {
+	return flatProgTab.get(table, k, &m.rec, flatSOP)
 }
 
 // coneProgCap bounds coneProgs. The cache lives for the whole process,
@@ -127,8 +141,8 @@ var coneProgs struct {
 	m map[[5]uint64]*synthProg
 }
 
-// coneProg returns the synthesis program of a cone function.
-func coneProg(tt truth.TT) *synthProg {
+// coneProg returns the factored synthesis program of a cone function.
+func (m *mover) coneProg(tt truth.TT) *synthProg {
 	var key [5]uint64
 	copy(key[:4], tt.W)
 	key[4] = uint64(tt.N)
@@ -138,7 +152,7 @@ func coneProg(tt truth.TT) *synthProg {
 	if ok {
 		return p
 	}
-	p = recordProg(tt, truth.SynthesizeTT)
+	p = m.rec.record(tt, factored)
 	storeConeProg(key, p)
 	return p
 }

@@ -36,13 +36,45 @@ func randTable(rng *rand.Rand, n int) truth.TT {
 	return tt
 }
 
+// freshTable returns a table of n ≥ 6 variables with every word drawn
+// at random, so that it depends on all of them with near certainty.
+func freshTable(rng *rand.Rand, n int) truth.TT {
+	tt := truth.New(n)
+	for i := range tt.W {
+		tt.W[i] = rng.Uint64()
+	}
+	return tt
+}
+
+// BenchmarkSynthRecord measures the cache-miss path of synthesis: one
+// op records the factored program of a fresh random table of 6, 7 or 8
+// variables, the widths of refactor's cones, on a warm recorder. A
+// warmed BenchmarkRecipeApply never times this path, because its
+// process-wide caches already hold every program it replays.
+func BenchmarkSynthRecord(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	tables := make([]truth.TT, 256)
+	for i := range tables {
+		tables[i] = freshTable(rng, 6+i%3)
+	}
+	var r recorder
+	for _, tt := range tables {
+		r.record(tt, factored)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.record(tables[i%len(tables)], factored)
+	}
+}
+
 // recordTT records the factored program of tt, or its flat two-level
 // program when flat is set.
 func recordTT(tt truth.TT, flat bool) *synthProg {
 	if flat {
-		return recordProg(tt, flatSOP)
+		return new(recorder).record(tt, flatSOP)
 	}
-	return recordProg(tt, truth.SynthesizeTT)
+	return new(recorder).record(tt, factored)
 }
 
 // TestRefactorGateBound checks the bound refactor's gate relies on: a
@@ -60,7 +92,7 @@ func TestRefactorGateBound(t *testing.T) {
 		if s < n {
 			smaller++
 		}
-		if c := recordProg(tt, truth.SynthesizeTT).cost(); max(s-1, 0) > c {
+		if c := recordTT(tt, false).cost(); max(s-1, 0) > c {
 			t.Fatalf("%v: support %d but cost %d", tt, s, c)
 		}
 	}
@@ -74,13 +106,15 @@ func TestRefactorGateBound(t *testing.T) {
 // that already holds structure and over inputs that may coincide, be
 // complementary or be constant.
 func TestProgReplayMatchesDirect(t *testing.T) {
+	var m mover
+	var s truth.Synth
 	tabs := []struct {
 		name  string
 		synth synthFunc
 		prog  func(table uint16, k int) *synthProg
 	}{
-		{"factored", truth.SynthesizeTT, cutProg},
-		{"flat", flatSOP, flatProg},
+		{"factored", factored, m.cutProg},
+		{"flat", flatSOP, m.flatProg},
 	}
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 400; trial++ {
@@ -89,7 +123,7 @@ func TestProgReplayMatchesDirect(t *testing.T) {
 		seed := rng.Int63()
 		for _, tab := range tabs {
 			direct, dOut := prepared(seed, k, func(b *aig.Builder, ins []aig.Lit) aig.Lit {
-				return tab.synth(b, ins, truth.FromUint16K(table, k))
+				return tab.synth(&s, b, ins, truth.FromUint16K(table, k))
 			})
 			replayed, rOut := prepared(seed, k, tab.prog(table, k).replay)
 			if dOut != rOut || direct.Hash() != replayed.Hash() {

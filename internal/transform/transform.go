@@ -192,9 +192,3 @@ func sortDesc(s []int32) {
 		}
 	}
 }
-
-// synthCost returns the standalone AND-node cost of implementing a
-// k-leaf cut function, served from the synthesis-program cache.
-func synthCost(table uint16, k int) int {
-	return cutProg(table, k).cost()
-}

@@ -1,74 +1,77 @@
 package truth
 
 import (
+	"math/bits"
+
 	"aigtimer/internal/aig"
 )
 
 // Factoring turns a sum-of-products cover into a multi-level AND/OR
 // expression tree ("quick factoring"): the most frequent literal is
-// factored out recursively, i.e. cover = lit·Q + R. The tree is then
-// emitted into an AIG builder. This is the resynthesis engine behind the
+// factored out recursively, i.e. cover = lit·Q + R. The tree is emitted
+// into an AIG builder. This is the resynthesis engine behind the
 // refactor transformation and the fallback path of cut rewriting.
 
-// FactorInto synthesizes the cover over the given input literals into the
-// builder and returns the output literal. An empty cover yields constant
-// false; a cover containing the tautology cube yields constant true.
-func FactorInto(b *aig.Builder, inputs []aig.Lit, cv Cover) aig.Lit {
-	return factorRec(b, inputs, cv)
-}
-
-func factorRec(b *aig.Builder, inputs []aig.Lit, cv Cover) aig.Lit {
-	if len(cv) == 0 {
+// factor emits the factored form of the cover s.cubes[lo:hi] into b
+// over the given input literals and returns the output literal. An
+// empty cover yields constant false; a cover containing the tautology
+// cube yields constant true. Each level pushes its quotient and
+// remainder onto s.cubes above everything live and pops them before it
+// returns, so the covers below are never moved or overwritten.
+func (s *Synth) factor(b *aig.Builder, inputs []aig.Lit, lo, hi int) aig.Lit {
+	if lo == hi {
 		return aig.ConstFalse
 	}
-	for _, c := range cv {
+	for _, c := range s.cubes[lo:hi] {
 		if c.Mask == 0 {
 			return aig.ConstTrue
 		}
 	}
-	if len(cv) == 1 {
-		return cubeInto(b, inputs, cv[0])
+	if hi-lo == 1 {
+		return s.cube(b, inputs, s.cubes[lo])
 	}
-	v, pos, cnt := bestLiteral(cv)
+	v, pos, cnt := bestLiteral(s.cubes[lo:hi])
 	if cnt <= 1 {
 		// No shared literal: emit the plain OR of cubes, balanced.
-		terms := make([]aig.Lit, len(cv))
-		for i, c := range cv {
-			terms[i] = cubeInto(b, inputs, c)
+		s.terms = s.terms[:0]
+		for i := lo; i < hi; i++ {
+			s.terms = append(s.terms, s.cube(b, inputs, s.cubes[i]))
 		}
-		return orTree(b, terms)
+		return orTree(b, s.terms)
 	}
 	// Divide: cv = lit·Q + R.
-	var q, r Cover
-	for _, c := range cv {
-		if c.Has(v) && c.Positive(v) == pos {
-			q = append(q, c.WithoutLit(v))
-		} else {
-			r = append(r, c)
+	top := len(s.cubes)
+	for i := lo; i < hi; i++ {
+		if c := s.cubes[i]; c.Has(v) && c.Positive(v) == pos {
+			s.cubes = append(s.cubes, c.WithoutLit(v))
 		}
 	}
-	lit := inputs[v].NotIf(!pos)
-	qf := factorRec(b, inputs, q)
-	out := b.And(lit, qf)
-	if len(r) > 0 {
-		out = b.Or(out, factorRec(b, inputs, r))
+	q := len(s.cubes)
+	for i := lo; i < hi; i++ {
+		if c := s.cubes[i]; !(c.Has(v) && c.Positive(v) == pos) {
+			s.cubes = append(s.cubes, c)
+		}
 	}
+	r := len(s.cubes)
+	lit := inputs[v].NotIf(!pos)
+	qf := s.factor(b, inputs, top, q)
+	out := b.And(lit, qf)
+	if r > q {
+		out = b.Or(out, s.factor(b, inputs, q, r))
+	}
+	s.cubes = s.cubes[:top]
 	return out
 }
 
 // bestLiteral returns the literal (variable, polarity) occurring in the
-// most cubes, along with its count.
+// most cubes, along with its count; ties go to the lowest variable,
+// then to the negative literal.
 func bestLiteral(cv Cover) (v int, pos bool, count int) {
 	var cnt [MaxVars][2]int
 	for _, c := range cv {
-		for x := 0; x < MaxVars; x++ {
-			if c.Has(x) {
-				if c.Positive(x) {
-					cnt[x][1]++
-				} else {
-					cnt[x][0]++
-				}
-			}
+		for m := c.Mask; m != 0; m &= m - 1 {
+			x := bits.TrailingZeros32(m)
+			cnt[x][c.Pol>>x&1]++
 		}
 	}
 	count = -1
@@ -84,89 +87,54 @@ func bestLiteral(cv Cover) (v int, pos bool, count int) {
 	return v, pos, count
 }
 
-// cubeInto emits the AND of a cube's literals as a balanced tree.
-func cubeInto(b *aig.Builder, inputs []aig.Lit, c Cube) aig.Lit {
-	var lits []aig.Lit
-	for v := 0; v < MaxVars; v++ {
-		if c.Has(v) {
-			lits = append(lits, inputs[v].NotIf(!c.Positive(v)))
-		}
+// cube emits the AND of a cube's literals, in variable order, as a
+// balanced tree.
+func (s *Synth) cube(b *aig.Builder, inputs []aig.Lit, c Cube) aig.Lit {
+	lits := s.lits[:0]
+	for m := c.Mask; m != 0; m &= m - 1 {
+		v := bits.TrailingZeros32(m)
+		lits = append(lits, inputs[v].NotIf(!c.Positive(v)))
 	}
 	return andTree(b, lits)
 }
 
+// andTree reduces ls pairwise, level by level, to their AND, writing
+// each level over the one it reads.
 func andTree(b *aig.Builder, ls []aig.Lit) aig.Lit {
-	switch len(ls) {
-	case 0:
+	if len(ls) == 0 {
 		return aig.ConstTrue
-	case 1:
-		return ls[0]
 	}
 	for len(ls) > 1 {
-		var next []aig.Lit
+		n := 0
 		for i := 0; i+1 < len(ls); i += 2 {
-			next = append(next, b.And(ls[i], ls[i+1]))
+			ls[n] = b.And(ls[i], ls[i+1])
+			n++
 		}
 		if len(ls)%2 == 1 {
-			next = append(next, ls[len(ls)-1])
+			ls[n] = ls[len(ls)-1]
+			n++
 		}
-		ls = next
+		ls = ls[:n]
 	}
 	return ls[0]
 }
 
+// orTree is andTree for OR.
 func orTree(b *aig.Builder, ls []aig.Lit) aig.Lit {
-	switch len(ls) {
-	case 0:
+	if len(ls) == 0 {
 		return aig.ConstFalse
-	case 1:
-		return ls[0]
 	}
 	for len(ls) > 1 {
-		var next []aig.Lit
+		n := 0
 		for i := 0; i+1 < len(ls); i += 2 {
-			next = append(next, b.Or(ls[i], ls[i+1]))
+			ls[n] = b.Or(ls[i], ls[i+1])
+			n++
 		}
 		if len(ls)%2 == 1 {
-			next = append(next, ls[len(ls)-1])
+			ls[n] = ls[len(ls)-1]
+			n++
 		}
-		ls = next
+		ls = ls[:n]
 	}
 	return ls[0]
-}
-
-// SynthesizeTT builds an implementation of table t over the given inputs
-// into the builder, choosing the cheaper of the factored ISOP of t and of
-// its complement (measured in a scratch builder, so the choice is
-// deterministic and sharing-independent). len(inputs) must equal t.N.
-func SynthesizeTT(b *aig.Builder, inputs []aig.Lit, t TT) aig.Lit {
-	if len(inputs) != t.N {
-		panic("truth: SynthesizeTT: input count mismatch")
-	}
-	if t.IsZero() {
-		return aig.ConstFalse
-	}
-	if t.IsOne() {
-		return aig.ConstTrue
-	}
-	cvPos := ISOP(t, t)
-	cvNeg := ISOP(t.Not(), t.Not())
-	costP := standaloneCost(t.N, cvPos)
-	costN := standaloneCost(t.N, cvNeg)
-	if costN < costP {
-		return factorRec(b, inputs, cvNeg).Not()
-	}
-	return factorRec(b, inputs, cvPos)
-}
-
-// standaloneCost counts the AND nodes a cover's factored form needs in
-// isolation.
-func standaloneCost(n int, cv Cover) int {
-	sb := aig.NewBuilder(n)
-	ins := make([]aig.Lit, n)
-	for i := range ins {
-		ins[i] = sb.PI(i)
-	}
-	factorRec(sb, ins, cv)
-	return sb.NumAnds()
 }

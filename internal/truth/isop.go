@@ -40,6 +40,8 @@ func (c Cube) WithoutLit(v int) Cube {
 	return c
 }
 
+// String renders the cube as its literals, variable 0 as 'a' and a
+// negative literal with a leading '!'; the tautology is "1".
 func (c Cube) String() string {
 	if c.Mask == 0 {
 		return "1"
@@ -94,6 +96,8 @@ func (cv Cover) NumLits() int {
 	return n
 }
 
+// String renders the cover as its cubes joined by " + "; the empty
+// cover is "0".
 func (cv Cover) String() string {
 	if len(cv) == 0 {
 		return "0"
@@ -108,28 +112,55 @@ func (cv Cover) String() string {
 // ISOP computes an irredundant sum-of-products for any function f with
 // on-set containing L and contained in U (L ⊆ f ⊆ U), using the
 // Minato-Morreale procedure. For a completely specified function pass
-// L = U = f. The returned cover's function g satisfies L ⊆ g ⊆ U.
-func ISOP(L, U TT) Cover {
+// L = U = f. The returned cover's function g satisfies L ⊆ g ⊆ U. The
+// cover is s's storage, valid until s's next call.
+func (s *Synth) ISOP(L, U TT) Cover {
 	L.check(U)
-	if !L.AndNot(U).IsZero() {
+	if !covers(U.W, L.W, L.N) {
 		panic("truth: ISOP: L not contained in U")
 	}
-	cover, _ := isop(L, U, L.N-1)
-	return cover
+	s.cubes = s.cubes[:0]
+	s.cover(L.W, U.W, L.N)
+	return s.cubes
 }
 
-// isop returns (cover, function-of-cover). topVar is the highest variable
-// index that may still be in the support.
-func isop(L, U TT, topVar int) (Cover, TT) {
-	if L.IsZero() {
-		return nil, New(L.N)
+// cover appends an ISOP of [L, U] over n variables to s.cubes. Every
+// recursion level carves its tables from s.words, which is sized for
+// the deepest recursion first so that no level's tables move.
+func (s *Synth) cover(L, U []uint64, n int) {
+	w := len(L)
+	need := (isopTables*n + 1) * w
+	if cap(s.words) < need {
+		s.words = make([]uint64, need)
 	}
-	if U.IsOne() {
-		return Cover{{}}, Const(L.N, true)
+	s.words = s.words[:need]
+	s.isop(L, U, s.words[:w], n, n-1, w)
+}
+
+// isopTables is the number of w-word tables one isop level uses.
+const isopTables = 7
+
+// isop appends to s.cubes the cover of [L, U] in which topVar is the
+// highest variable that may still be in the support, and writes the
+// cover's function to fn; its own tables start at s.words[at]. The
+// cubes of the !v branch come first, then those of the v branch, then
+// those free of v, each branch's cubes extended in place once its
+// recursion returns.
+func (s *Synth) isop(L, U, fn []uint64, n, topVar, at int) {
+	if isZero(L, n) {
+		clear(fn)
+		return
+	}
+	if isOne(U, n) {
+		s.cubes = append(s.cubes, Cube{})
+		for i := range fn {
+			fn[i] = ^uint64(0)
+		}
+		return
 	}
 	// Find the top variable that L or U actually depends on.
 	v := topVar
-	for v >= 0 && !L.DependsOn(v) && !U.DependsOn(v) {
+	for v >= 0 && !dependsOn(L, n, v) && !dependsOn(U, n, v) {
 		v--
 	}
 	if v < 0 {
@@ -137,27 +168,128 @@ func isop(L, U TT, topVar int) (Cover, TT) {
 		// L ⊆ U; L must be 0 or U must be 1 for constant functions.
 		panic("truth: isop: inconsistent bounds")
 	}
-	L0, L1 := L.Cofactor(v, false), L.Cofactor(v, true)
-	U0, U1 := U.Cofactor(v, false), U.Cofactor(v, true)
+	w := len(L)
+	t := s.words[at : at+isopTables*w]
+	L0, L1, U0, U1 := t[:w], t[w:2*w], t[2*w:3*w], t[3*w:4*w]
+	x, f0, f1 := t[4*w:5*w], t[5*w:6*w], t[6*w:]
+	next := at + isopTables*w
+	cofactor(L0, L, v, false)
+	cofactor(L1, L, v, true)
+	cofactor(U0, U, v, false)
+	cofactor(U1, U, v, true)
 
 	// Cubes that must contain literal !v: cover L0 minus what U1 allows.
-	c0, f0 := isop(L0.AndNot(U1), U0, v-1)
+	start := len(s.cubes)
+	for i := range x {
+		x[i] = L0[i] &^ U1[i]
+	}
+	s.isop(x, U0, f0, n, v-1, next)
+	for i := start; i < len(s.cubes); i++ {
+		s.cubes[i] = s.cubes[i].WithLit(v, false)
+	}
 	// Cubes that must contain literal v.
-	c1, f1 := isop(L1.AndNot(U0), U1, v-1)
-	// The remainder is covered without a v literal.
-	Lr := L0.AndNot(f0).Or(L1.AndNot(f1))
-	c2, f2 := isop(Lr, U0.And(U1), v-1)
-
-	out := make(Cover, 0, len(c0)+len(c1)+len(c2))
-	for _, c := range c0 {
-		out = append(out, c.WithLit(v, false))
+	start = len(s.cubes)
+	for i := range x {
+		x[i] = L1[i] &^ U0[i]
 	}
-	for _, c := range c1 {
-		out = append(out, c.WithLit(v, true))
+	s.isop(x, U1, f1, n, v-1, next)
+	for i := start; i < len(s.cubes); i++ {
+		s.cubes[i] = s.cubes[i].WithLit(v, true)
 	}
-	out = append(out, c2...)
+	// The remainder is covered without a v literal: its lower bound
+	// goes to x, its upper bound U0·U1 to L0 and its function to L1.
+	for i := range x {
+		x[i] = L0[i]&^f0[i] | L1[i]&^f1[i]
+		L0[i] = U0[i] & U1[i]
+	}
+	s.isop(x, L0, L1, n, v-1, next)
 
-	vt := Var(L.N, v)
-	fn := vt.Not().And(f0).Or(vt.And(f1)).Or(f2)
-	return out, fn
+	for i := range fn {
+		vt := varWord(v, i)
+		fn[i] = ^vt&f0[i] | vt&f1[i] | L1[i]
+	}
+}
+
+// sigMask returns the significant bits of a word of an n-variable table.
+func sigMask(n int) uint64 {
+	if n < 6 {
+		return uint64(1)<<(1<<n) - 1
+	}
+	return ^uint64(0)
+}
+
+// isZero reports whether the n-variable table w is constant false.
+func isZero(w []uint64, n int) bool {
+	m := sigMask(n)
+	for _, x := range w {
+		if x&m != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// isOne reports whether the n-variable table w is constant true.
+func isOne(w []uint64, n int) bool {
+	m := sigMask(n)
+	for _, x := range w {
+		if x&m != m {
+			return false
+		}
+	}
+	return true
+}
+
+// covers reports whether the n-variable table u contains l.
+func covers(u, l []uint64, n int) bool {
+	m := sigMask(n)
+	for i := range l {
+		if l[i]&^u[i]&m != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// dependsOn is TT.DependsOn on the words of an n-variable table.
+func dependsOn(w []uint64, n, v int) bool {
+	return TT{N: n, W: w}.DependsOn(v)
+}
+
+// cofactor writes to o the cofactor of t with variable v fixed to val,
+// word for word what TT.Cofactor returns.
+func cofactor(o, t []uint64, v int, val bool) {
+	if v < 6 {
+		sh := uint(1) << v
+		m := varMasks[v]
+		for i, x := range t {
+			if val {
+				hi := x & m
+				o[i] = hi | hi>>sh
+			} else {
+				lo := x &^ m
+				o[i] = lo | lo<<sh
+			}
+		}
+		return
+	}
+	half := 1 << (v - 6)
+	for i := range o {
+		src := i &^ half // the word of i's minterms with v clear
+		if val {
+			src |= half
+		}
+		o[i] = t[src]
+	}
+}
+
+// varWord returns word i of the projection table of variable v.
+func varWord(v, i int) uint64 {
+	if v < 6 {
+		return varMasks[v]
+	}
+	if i>>(v-6)&1 == 1 {
+		return ^uint64(0)
+	}
+	return 0
 }

@@ -344,6 +344,8 @@ func FromUint16(f uint16) TT {
 	return t
 }
 
+// String renders the table as "tt<N>:" followed by its bits in hex: the
+// 16-bit encoding up to 4 variables, the words beyond.
 func (t TT) String() string {
 	if t.N <= 4 {
 		return fmt.Sprintf("tt%d:%04x", t.N, t.Uint16())

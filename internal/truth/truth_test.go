@@ -120,7 +120,7 @@ func TestISOPCoversFunction(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(7)
 		tt := randTT(rng, n)
-		cv := ISOP(tt, tt)
+		cv := new(Synth).ISOP(tt, tt)
 		return cv.TT(n).Equal(tt)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -136,7 +136,7 @@ func TestISOPWithDontCares(t *testing.T) {
 		dc := randTT(rng, n)
 		L := on.AndNot(dc)
 		U := on.Or(dc)
-		cv := ISOP(L, U)
+		cv := new(Synth).ISOP(L, U)
 		g := cv.TT(n)
 		// L ⊆ g ⊆ U
 		return L.AndNot(g).IsZero() && g.AndNot(U).IsZero()
@@ -147,15 +147,16 @@ func TestISOPWithDontCares(t *testing.T) {
 }
 
 func TestISOPConstants(t *testing.T) {
-	if cv := ISOP(New(4), New(4)); len(cv) != 0 {
+	var s Synth
+	if cv := s.ISOP(New(4), New(4)); len(cv) != 0 {
 		t.Errorf("ISOP(0) = %v, want empty", cv)
 	}
 	one := Const(4, true)
-	cv := ISOP(one, one)
+	cv := s.ISOP(one, one)
 	if len(cv) != 1 || cv[0].Mask != 0 {
 		t.Errorf("ISOP(1) = %v, want tautology cube", cv)
 	}
-	mustPanicT(t, func() { ISOP(one, New(4)) })
+	mustPanicT(t, func() { s.ISOP(one, New(4)) })
 }
 
 func TestCubeOps(t *testing.T) {
@@ -181,13 +182,14 @@ func TestFactorIntoMatchesCover(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(5)
 		tt := randTT(rng, n)
-		cv := ISOP(tt, tt)
+		var s Synth
+		cv := s.ISOP(tt, tt)
 		b := aig.NewBuilder(n)
 		ins := make([]aig.Lit, n)
 		for i := range ins {
 			ins[i] = b.PI(i)
 		}
-		out := FactorInto(b, ins, cv)
+		out := s.factor(b, ins, 0, len(cv))
 		b.AddPO(out)
 		g := b.Build()
 		// Compare against direct truth-table evaluation.
@@ -217,7 +219,7 @@ func TestSynthesizeTT(t *testing.T) {
 		for i := range ins {
 			ins[i] = b.PI(i)
 		}
-		out := SynthesizeTT(b, ins, tt)
+		out := new(Synth).Synthesize(b, ins, tt)
 		b.AddPO(out)
 		g := b.Build()
 		pats := aig.ExhaustivePatterns(n)
@@ -238,10 +240,11 @@ func TestSynthesizeTT(t *testing.T) {
 func TestSynthesizeTTConstants(t *testing.T) {
 	b := aig.NewBuilder(3)
 	ins := []aig.Lit{b.PI(0), b.PI(1), b.PI(2)}
-	if got := SynthesizeTT(b, ins, New(3)); got != aig.ConstFalse {
+	var s Synth
+	if got := s.Synthesize(b, ins, New(3)); got != aig.ConstFalse {
 		t.Errorf("const 0 = %v", got)
 	}
-	if got := SynthesizeTT(b, ins, Const(3, true)); got != aig.ConstTrue {
+	if got := s.Synthesize(b, ins, Const(3, true)); got != aig.ConstTrue {
 		t.Errorf("const 1 = %v", got)
 	}
 	if b.NumAnds() != 0 {
