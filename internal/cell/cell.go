@@ -12,6 +12,12 @@
 // captures exactly the miscorrelation mechanisms the paper analyzes: cell
 // merging shortens logic paths relative to AIG depth, while fanout-driven
 // load increases stage delay.
+//
+// A Library precomputes every way its cells realize a padded 4-input
+// function under pin permutation and complementation. The index is
+// dense, one entry per function, so Matches, which the mapper calls for
+// every cut and phase, is two slice indexes with no hashing; its lists
+// belong to the library and are read-only.
 package cell
 
 import (

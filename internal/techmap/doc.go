@@ -31,7 +31,12 @@
 // Mapper.Map is the one entry point. The Mapper owns the per-call
 // buffers and reuses them across calls, and the netlist is built into
 // a dead netlist's storage when the caller passes one, so a warm
-// pipeline maps without allocating. The cut budget is the caller's
+// pipeline maps without allocating. Match selection scores each
+// candidate into the running best in place, in a fixed order (per
+// phase, per cut in list order; within a cut tie cells, then wires,
+// then library matches in Matches order), so the first of equal
+// candidates always wins. A chosen gate points into the library's
+// read-only match lists instead of copying its match. The cut budget is the caller's
 // choice of enumeration: signoff maps one graph at two efforts over the
 // two lists of one cut.Enumerator.EnumerateDual pass.
 package techmap

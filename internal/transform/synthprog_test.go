@@ -64,9 +64,12 @@ func BenchmarkSynthRecord(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.record(tables[i%len(tables)], factored)
+		progSink = r.record(tables[i%len(tables)], factored)
 	}
 }
+
+// progSink keeps BenchmarkSynthRecord's programs live.
+var progSink *synthProg
 
 // recordTT records the factored program of tt, or its flat two-level
 // program when flat is set.

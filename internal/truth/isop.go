@@ -116,29 +116,31 @@ func (cv Cover) String() string {
 // cover is s's storage, valid until s's next call.
 func (s *Synth) ISOP(L, U TT) Cover {
 	L.check(U)
-	if !covers(U.W, L.W, L.N) {
-		panic("truth: ISOP: L not contained in U")
+	mask := ^uint64(0)
+	if L.N < 6 {
+		mask = uint64(1)<<(1<<L.N) - 1
+	}
+	for i := range L.W {
+		if L.W[i]&^U.W[i]&mask != 0 {
+			panic("truth: ISOP: L not contained in U")
+		}
 	}
 	s.cubes = s.cubes[:0]
-	s.cover(L.W, U.W, L.N)
+	s.cover(L, U)
 	return s.cubes
 }
 
-// cover appends an ISOP of [L, U] over n variables to s.cubes. Every
-// recursion level carves its tables from s.words, which is sized for
-// the deepest recursion first so that no level's tables move.
-func (s *Synth) cover(L, U []uint64, n int) {
-	w := len(L)
-	need := (isopTables*n + 1) * w
-	if cap(s.words) < need {
-		s.words = make([]uint64, need)
-	}
-	s.words = s.words[:need]
-	s.isop(L, U, s.words[:w], n, n-1, w)
-}
-
-// isopTables is the number of w-word tables one isop level uses.
+// isopTables is the number of tables one isop level uses.
 const isopTables = 7
+
+// cover appends an ISOP of [L, U] to s.cubes. Every recursion level
+// carves its tables from s.words, which is sized for the deepest
+// recursion first so that no level's tables move.
+func (s *Synth) cover(L, U TT) {
+	w := len(L.W)
+	s.words = grow(s.words, (isopTables*L.N+1)*w)
+	s.isop(L, U, TT{N: L.N, W: s.words[:w]}, L.N-1, w)
+}
 
 // isop appends to s.cubes the cover of [L, U] in which topVar is the
 // highest variable that may still be in the support, and writes the
@@ -146,21 +148,21 @@ const isopTables = 7
 // cubes of the !v branch come first, then those of the v branch, then
 // those free of v, each branch's cubes extended in place once its
 // recursion returns.
-func (s *Synth) isop(L, U, fn []uint64, n, topVar, at int) {
-	if isZero(L, n) {
-		clear(fn)
+func (s *Synth) isop(L, U, fn TT, topVar, at int) {
+	if L.IsZero() {
+		clear(fn.W)
 		return
 	}
-	if isOne(U, n) {
+	if U.IsOne() {
 		s.cubes = append(s.cubes, Cube{})
-		for i := range fn {
-			fn[i] = ^uint64(0)
+		for i := range fn.W {
+			fn.W[i] = ^uint64(0)
 		}
 		return
 	}
 	// Find the top variable that L or U actually depends on.
 	v := topVar
-	for v >= 0 && !dependsOn(L, n, v) && !dependsOn(U, n, v) {
+	for v >= 0 && !L.DependsOn(v) && !U.DependsOn(v) {
 		v--
 	}
 	if v < 0 {
@@ -168,128 +170,47 @@ func (s *Synth) isop(L, U, fn []uint64, n, topVar, at int) {
 		// L ⊆ U; L must be 0 or U must be 1 for constant functions.
 		panic("truth: isop: inconsistent bounds")
 	}
-	w := len(L)
-	t := s.words[at : at+isopTables*w]
-	L0, L1, U0, U1 := t[:w], t[w:2*w], t[2*w:3*w], t[3*w:4*w]
-	x, f0, f1 := t[4*w:5*w], t[5*w:6*w], t[6*w:]
+	w := len(L.W)
+	var t [isopTables]TT
+	for i := range t {
+		t[i] = TT{N: L.N, W: s.words[at+i*w : at+(i+1)*w]}
+	}
+	L0, L1, U0, U1, x, f0, f1 := t[0], t[1], t[2], t[3], t[4], t[5], t[6]
 	next := at + isopTables*w
-	cofactor(L0, L, v, false)
-	cofactor(L1, L, v, true)
-	cofactor(U0, U, v, false)
-	cofactor(U1, U, v, true)
+	cofactorInto(L0.W, L.W, v, false)
+	cofactorInto(L1.W, L.W, v, true)
+	cofactorInto(U0.W, U.W, v, false)
+	cofactorInto(U1.W, U.W, v, true)
 
 	// Cubes that must contain literal !v: cover L0 minus what U1 allows.
 	start := len(s.cubes)
-	for i := range x {
-		x[i] = L0[i] &^ U1[i]
+	for i := range x.W {
+		x.W[i] = L0.W[i] &^ U1.W[i]
 	}
-	s.isop(x, U0, f0, n, v-1, next)
+	s.isop(x, U0, f0, v-1, next)
 	for i := start; i < len(s.cubes); i++ {
 		s.cubes[i] = s.cubes[i].WithLit(v, false)
 	}
 	// Cubes that must contain literal v.
 	start = len(s.cubes)
-	for i := range x {
-		x[i] = L1[i] &^ U0[i]
+	for i := range x.W {
+		x.W[i] = L1.W[i] &^ U0.W[i]
 	}
-	s.isop(x, U1, f1, n, v-1, next)
+	s.isop(x, U1, f1, v-1, next)
 	for i := start; i < len(s.cubes); i++ {
 		s.cubes[i] = s.cubes[i].WithLit(v, true)
 	}
 	// The remainder is covered without a v literal: its lower bound
 	// goes to x, its upper bound U0·U1 to L0 and its function to L1.
-	for i := range x {
-		x[i] = L0[i]&^f0[i] | L1[i]&^f1[i]
-		L0[i] = U0[i] & U1[i]
+	for i := range x.W {
+		x.W[i] = L0.W[i]&^f0.W[i] | L1.W[i]&^f1.W[i]
+		L0.W[i] = U0.W[i] & U1.W[i]
 	}
-	s.isop(x, L0, L1, n, v-1, next)
+	s.isop(x, L0, L1, v-1, next)
 
-	for i := range fn {
-		vt := varWord(v, i)
-		fn[i] = ^vt&f0[i] | vt&f1[i] | L1[i]
+	// fn = !v·f0 + v·f1 + f2, with v's projection in x.
+	VarInto(x.W, L.N, v)
+	for i := range fn.W {
+		fn.W[i] = ^x.W[i]&f0.W[i] | x.W[i]&f1.W[i] | L1.W[i]
 	}
-}
-
-// sigMask returns the significant bits of a word of an n-variable table.
-func sigMask(n int) uint64 {
-	if n < 6 {
-		return uint64(1)<<(1<<n) - 1
-	}
-	return ^uint64(0)
-}
-
-// isZero reports whether the n-variable table w is constant false.
-func isZero(w []uint64, n int) bool {
-	m := sigMask(n)
-	for _, x := range w {
-		if x&m != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// isOne reports whether the n-variable table w is constant true.
-func isOne(w []uint64, n int) bool {
-	m := sigMask(n)
-	for _, x := range w {
-		if x&m != m {
-			return false
-		}
-	}
-	return true
-}
-
-// covers reports whether the n-variable table u contains l.
-func covers(u, l []uint64, n int) bool {
-	m := sigMask(n)
-	for i := range l {
-		if l[i]&^u[i]&m != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// dependsOn is TT.DependsOn on the words of an n-variable table.
-func dependsOn(w []uint64, n, v int) bool {
-	return TT{N: n, W: w}.DependsOn(v)
-}
-
-// cofactor writes to o the cofactor of t with variable v fixed to val,
-// word for word what TT.Cofactor returns.
-func cofactor(o, t []uint64, v int, val bool) {
-	if v < 6 {
-		sh := uint(1) << v
-		m := varMasks[v]
-		for i, x := range t {
-			if val {
-				hi := x & m
-				o[i] = hi | hi>>sh
-			} else {
-				lo := x &^ m
-				o[i] = lo | lo<<sh
-			}
-		}
-		return
-	}
-	half := 1 << (v - 6)
-	for i := range o {
-		src := i &^ half // the word of i's minterms with v clear
-		if val {
-			src |= half
-		}
-		o[i] = t[src]
-	}
-}
-
-// varWord returns word i of the projection table of variable v.
-func varWord(v, i int) uint64 {
-	if v < 6 {
-		return varMasks[v]
-	}
-	if i>>(v-6)&1 == 1 {
-		return ^uint64(0)
-	}
-	return 0
 }

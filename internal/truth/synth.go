@@ -38,10 +38,11 @@ func (s *Synth) Synthesize(b *aig.Builder, inputs []aig.Lit, t TT) aig.Lit {
 	for i, w := range t.W {
 		s.neg[i] = ^w
 	}
+	neg := TT{N: t.N, W: s.neg}
 	s.cubes = s.cubes[:0]
-	s.cover(t.W, t.W, t.N)
+	s.cover(t, t)
 	np := len(s.cubes)
-	s.cover(s.neg, s.neg, t.N)
+	s.cover(neg, neg)
 	nn := len(s.cubes)
 	if s.standalone(t.N, np, nn) < s.standalone(t.N, 0, np) {
 		return s.factor(b, inputs, np, nn).Not()

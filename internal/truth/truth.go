@@ -6,6 +6,12 @@
 // Cut-based rewriting, refactoring and technology mapping all reduce to
 // "here is the local function of a cut; produce or match an implementation",
 // and this package is that common substrate.
+//
+// ISOP extraction and synthesis run on a Synth, which retains the
+// recursion's tables, the covers, factoring's cube stack and literal
+// buffers, and the builder that measures each polarity's cost. The
+// transform layer's movers each own one, so recording a synthesis
+// program for a new function allocates only the program.
 package truth
 
 import (
@@ -244,32 +250,38 @@ func (t *TT) SetBit(m int) {
 // remains a table over N variables (the cofactor is independent of v).
 func (t TT) Cofactor(v int, val bool) TT {
 	o := New(t.N)
+	cofactorInto(o.W, t.W, v, val)
+	o.maskTop()
+	return o
+}
+
+// cofactorInto writes to o the words of the cofactor of the table t with
+// variable v fixed to val.
+func cofactorInto(o, t []uint64, v int, val bool) {
 	if v < 6 {
 		sh := uint(1) << v
 		m := varMasks[v]
-		for i, w := range t.W {
+		for i, w := range t {
 			if val {
 				hi := w & m
-				o.W[i] = hi | hi>>sh
+				o[i] = hi | hi>>sh
 			} else {
 				lo := w &^ m
-				o.W[i] = lo | lo<<sh
+				o[i] = lo | lo<<sh
 			}
 		}
-	} else {
-		period := 1 << (v - 6 + 1)
-		half := 1 << (v - 6)
-		for i := range t.W {
-			base := i - i%period
-			if val {
-				o.W[i] = t.W[base+i%half+half]
-			} else {
-				o.W[i] = t.W[base+i%half]
-			}
+		return
+	}
+	period := 1 << (v - 6 + 1)
+	half := 1 << (v - 6)
+	for i := range t {
+		base := i - i%period
+		if val {
+			o[i] = t[base+i%half+half]
+		} else {
+			o[i] = t[base+i%half]
 		}
 	}
-	o.maskTop()
-	return o
 }
 
 // DependsOn reports whether the function depends on variable v, that is,
