@@ -152,6 +152,10 @@ func TestParseErrors(t *testing.T) {
 		"library x\ncell A inputs=1 func=0x1 bad=1 area=1",  // unknown attr
 		"library x\ncell A",                                 // missing attrs
 	}
+	// NaN and the infinities, in every numeric field of a valid library.
+	for _, line := range nonFiniteLines {
+		cases = append(cases, builtinText+line+"\n")
+	}
 	for _, c := range cases {
 		if _, err := ParseLibrary(strings.NewReader(c)); err == nil {
 			t.Errorf("ParseLibrary(%q) succeeded", c)

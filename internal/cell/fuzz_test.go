@@ -6,7 +6,7 @@ import (
 )
 
 // nonFiniteLines are library lines whose numbers parse as floats but
-// are not finite.
+// are not finite; TestParseErrors appends each to a valid library.
 var nonFiniteLines = []string{
 	"cell X inputs=2 func=0x7 area=NaN cap=1 intrinsic=1 drive=1",
 	"cell X inputs=2 func=0x7 area=+Inf cap=1 intrinsic=1 drive=1",
@@ -17,17 +17,6 @@ var nonFiniteLines = []string{
 	"wire_cap NaN",
 	"wire_cap inf",
 	"output_load +Inf",
-}
-
-// TestParseRejectsNonFinite checks that NaN and the infinities are
-// refused in every numeric field of an otherwise valid library.
-func TestParseRejectsNonFinite(t *testing.T) {
-	for _, line := range nonFiniteLines {
-		src := builtinText + line + "\n"
-		if _, err := ParseLibrary(strings.NewReader(src)); err == nil {
-			t.Errorf("library with %q accepted", line)
-		}
-	}
 }
 
 // FuzzParseLibrary feeds arbitrary text to ParseLibrary. It must never

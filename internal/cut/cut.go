@@ -20,7 +20,7 @@
 // buffers of one node's merge. The lists a call returns are valid until
 // the Enumerator's next call, and a warm Enumerator enumerates without
 // heap allocations. A node's candidate pool is a few dozen cuts at most,
-// so it is sorted by insertion with the comparison inlined.
+// so it is sorted by insertion, with the comparison inlined.
 package cut
 
 import (
@@ -443,9 +443,10 @@ func swapAdjacent(t uint16, q int) uint16 {
 
 // sortCuts sorts cs by leaf count, then lexicographically by leaves: a
 // total order on distinct leaf sets. A node's candidate pool is small
-// (about a dozen cuts on the suite designs, rarely more than 40), so an
-// insertion sort with the comparison inlined beats a general sort that
-// calls a comparator per step.
+// (11 cuts on average and 37 at most in dual enumerations of the suite
+// designs and bench.Multiplier(16) at 8 and 24 cuts), so an insertion
+// sort with the comparison inlined beats a general sort that calls a
+// comparator per step.
 func sortCuts(cs []Cut) {
 	for i := 1; i < len(cs); i++ {
 		c := cs[i]

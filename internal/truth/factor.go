@@ -8,8 +8,8 @@ import (
 
 // Factoring turns a sum-of-products cover into a multi-level AND/OR
 // expression tree ("quick factoring"): the most frequent literal is
-// factored out recursively, i.e. cover = lit·Q + R. The tree is emitted
-// into an AIG builder. This is the resynthesis engine behind the
+// factored out recursively, i.e. cover = lit·Q + R. The tree is then
+// emitted into an AIG builder. This is the resynthesis engine behind the
 // refactor transformation and the fallback path of cut rewriting.
 
 // factor emits the factored form of the cover s.cubes[lo:hi] into b
