@@ -36,7 +36,7 @@
 // phase, per cut in list order; within a cut tie cells, then wires,
 // then library matches in Matches order), so the first of equal
 // candidates always wins. A chosen gate points into the library's
-// read-only match lists instead of copying its match. The cut budget is the caller's
-// choice of enumeration: signoff maps one graph at two efforts over the
-// two lists of one cut.Enumerator.EnumerateDual pass.
+// read-only match lists. The cut budget is the caller's choice of
+// enumeration: signoff maps one graph at two efforts over the two lists
+// of one cut.Enumerator.EnumerateDual pass.
 package techmap
