@@ -173,7 +173,8 @@ type shardRunner struct {
 	cacheSeq []int // per-entry ExportSince high-water marks
 
 	// Cross-session retention (nil pool = none): specHashes carries each
-	// entry's evaluator-spec hash from Configure, keys the per-entry
+	// entry's store hash (its evaluator spec over the session's library)
+	// from Configure, keys the per-entry
 	// eval.StoreKey once the entry's base graph is known (its first job),
 	// imported marks entries whose cache has been preseeded from the
 	// pool.
@@ -225,7 +226,7 @@ func (r *shardRunner) Configure(cfg shard.RunConfig) error {
 			return err
 		}
 		r.stacks[i] = NewSweepStack(ev, cfg.Base)
-		r.specHashes[i] = e.Eval.Hash()
+		r.specHashes[i] = e.Eval.StoreHash(cfg.Library)
 	}
 	r.gt = NewGroundTruth(lib)
 	return nil

@@ -125,10 +125,11 @@ func SweepSuite(entries []SuiteEntry, lib *cell.Library, cfg SweepConfig) ([]Sui
 
 // suiteStoreKeys computes each entry's persistent-store key — the
 // (base-graph hash, evaluator-spec hash) pair that scopes stored
-// records to one design swept under one reconstructible evaluator — or
-// nil for entries whose evaluator has no wire spec (no stable
-// cross-process identity to key records by) and when no store is
-// configured.
+// records to one design swept under one reconstructible evaluator, over
+// the library a ground-truth entry scores with — or nil for entries
+// whose evaluator has no wire spec (no stable cross-process identity to
+// key records by) and when no store is configured. A sharded session
+// derives the same keys from its wire config.
 func suiteStoreKeys(entries []SuiteEntry, store *eval.Store) []*eval.StoreKey {
 	keys := make([]*eval.StoreKey, len(entries))
 	if store == nil {
@@ -139,7 +140,13 @@ func suiteStoreKeys(entries []SuiteEntry, store *eval.Store) []*eval.StoreKey {
 		if err != nil {
 			continue
 		}
-		keys[e] = &eval.StoreKey{Design: ent.G.Hash(), Spec: spec.Hash()}
+		var lib []byte
+		if gt, ok := ent.Eval.(*GroundTruth); ok {
+			if lib, err = libraryBytes(gt.Lib); err != nil {
+				continue
+			}
+		}
+		keys[e] = &eval.StoreKey{Design: ent.G.Hash(), Spec: spec.StoreHash(lib)}
 	}
 	return keys
 }

@@ -86,14 +86,17 @@ type EvalSpec struct {
 	AreaPerNode bool   // ml area-model convention
 }
 
-// Hash returns a stable 64-bit identity of the spec — FNV-1a over its
-// kind, model blobs, and area convention, with length framing so
-// distinct field splits cannot collide. Paired with a base graph's
-// aig.Hash it forms eval.StoreKey, the persistent store's notion of
-// "same sweep": two sessions share stored records exactly when they
-// sweep the same structure under an evaluator that would reconstruct
-// identically.
-func (s EvalSpec) Hash() uint64 {
+// StoreHash returns a stable 64-bit identity of the spec as evaluated in
+// a session over library (cell.WriteLibrary bytes, nil for the builtin):
+// FNV-1a over its kind, model blobs, and area convention, with length
+// framing so distinct field splits cannot collide, and, for a
+// ground-truth spec, the library bytes framed the same way. Only ground
+// truth scores with the library, and the builtin adds nothing, so its
+// keys are the library-free ones. Paired with a base graph's aig.Hash it
+// forms eval.StoreKey, the persistent store's notion of "same sweep":
+// two sessions share stored records exactly when they sweep the same
+// structure under an evaluator that would reconstruct identically.
+func (s EvalSpec) StoreHash(library []byte) uint64 {
 	h := fnv.New64a()
 	var lenBuf [binary.MaxVarintLen64]byte
 	field := func(b []byte) {
@@ -108,6 +111,9 @@ func (s EvalSpec) Hash() uint64 {
 		h.Write([]byte{1})
 	} else {
 		h.Write([]byte{0})
+	}
+	if s.Kind == "ground-truth" && len(library) > 0 {
+		field(library)
 	}
 	return h.Sum64()
 }

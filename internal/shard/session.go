@@ -453,7 +453,7 @@ func newSession(bases []*aig.AIG, cfg RunConfig, jobs []JobSpec, o sessionOption
 	if s.store != nil {
 		s.storeKeys = make([]eval.StoreKey, len(cfg.Entries))
 		for e, ent := range cfg.Entries {
-			s.storeKeys[e] = eval.StoreKey{Design: bases[ent.Base].Hash(), Spec: ent.Eval.Hash()}
+			s.storeKeys[e] = eval.StoreKey{Design: bases[ent.Base].Hash(), Spec: ent.Eval.StoreHash(cfg.Library)}
 			for _, rec := range s.store.Records(s.storeKeys[e]) {
 				if _, dup := s.st.MergedCaches[e][rec.Key()]; dup {
 					continue
