@@ -141,9 +141,15 @@ func (l *Library) finalize() error {
 	if l.tie0 == nil || l.tie1 == nil {
 		return fmt.Errorf("cell: library %s is missing tie cells", l.Name)
 	}
-	l.buildMatches()
-	return nil
+	return l.buildMatches()
 }
+
+// maxMatches bounds the realizations one library may hold, summed over
+// its cells: 44 times the builtin library's 744, room for 85 cells with
+// all 384 realizations a 4-input cell can have. Realizations outgrow a
+// library's text about a thousandfold, and libraries arrive from other
+// processes, so without a bound a few MB of text would cost gigabytes.
+const maxMatches = 1 << 15
 
 // buildMatches precomputes, for every cell, every function reachable by
 // permuting its pins across up to four cut-leaf positions and optionally
@@ -153,10 +159,12 @@ func (l *Library) finalize() error {
 // (or reuses the complement-phase signal) for every set PinInv bit.
 //
 // The result is a dense index over all 65,536 padded functions, so
-// Matches is two slice indexes on the mapper's hot path.
-func (l *Library) buildMatches() {
+// Matches is two slice indexes on the mapper's hot path. A library with
+// more than maxMatches realizations is refused as they are counted.
+func (l *Library) buildMatches() error {
 	l.matchIdx = make([]int32, 1<<16)
 	var found [][]Match // found[i-1]: the realizations of index entry i
+	total := 0
 	for _, c := range l.Cells {
 		k := c.NumInputs
 		if k == 0 || c.IsBuffer() || c.IsInverter() {
@@ -174,6 +182,9 @@ func (l *Library) buildMatches() {
 		}
 		for _, inv := range invOrder {
 			forEachInjective(k, func(assign []int) {
+				if total > maxMatches {
+					return // refused once this cell is done
+				}
 				var pinVar [4]int
 				copy(pinVar[:], assign)
 				g := truth.TransformPins(c.Function, 4, pad4(assign), inv)
@@ -181,6 +192,9 @@ func (l *Library) buildMatches() {
 					return // same function via a different wiring; keep first
 				}
 				seen[g] = true
+				if total++; total > maxMatches {
+					return
+				}
 				i := l.matchIdx[g]
 				if i == 0 {
 					found = append(found, nil)
@@ -189,6 +203,9 @@ func (l *Library) buildMatches() {
 				}
 				found[i-1] = append(found[i-1], Match{Cell: c, PinVar: pinVar, PinInv: inv})
 			})
+		}
+		if total > maxMatches {
+			return fmt.Errorf("cell: library %s realizes more than %d cell matches", l.Name, maxMatches)
 		}
 	}
 	l.matchSets = make([][5][]Match, len(found)+1)
@@ -215,6 +232,7 @@ func (l *Library) buildMatches() {
 			}
 		}
 	}
+	return nil
 }
 
 // pad4 extends a pin assignment to 4 entries; unused pins of a padded

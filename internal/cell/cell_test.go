@@ -1,6 +1,9 @@
 package cell
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -160,6 +163,46 @@ func TestParseErrors(t *testing.T) {
 		if _, err := ParseLibrary(strings.NewReader(c)); err == nil {
 			t.Errorf("ParseLibrary(%q) succeeded", c)
 		}
+	}
+}
+
+// randomCellsLibrary returns the builtin library with n cells of
+// random 4-input functions appended. Almost every such function has
+// all 384 pin realizations, so n above 85 passes maxMatches.
+func randomCellsLibrary(n int, seed int64) string {
+	rng := rand.New(rand.NewSource(seed))
+	var sb strings.Builder
+	sb.WriteString(builtinText)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "cell R%d inputs=4 func=0x%04x area=%.1f cap=1.5 intrinsic=40 drive=20\n",
+			i, rng.Intn(1<<16), 8+rng.Float64()*8)
+	}
+	return sb.String()
+}
+
+// TestParseRefusesOversizedLibrary: 143 KB of text holding 2,000 random
+// 4-input cells would realize about 480,000 matches (about 40 MB
+// retained); ParseLibrary refuses it once the count passes maxMatches,
+// having allocated about 9 MiB (the parsed cells, their timing tables
+// and the matches below the cap), while a library under the cap parses.
+func TestParseRefusesOversizedLibrary(t *testing.T) {
+	src := randomCellsLibrary(2000, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ParseLibrary(strings.NewReader(src))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "matches") {
+		t.Fatalf("ParseLibrary of %d bytes and 2,000 random cells: err = %v, want a match-count refusal", len(src), err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+		t.Fatalf("refusing the library allocated %d bytes, want at most 16 MiB", alloc)
+	}
+	lib, err := ParseLibrary(strings.NewReader(randomCellsLibrary(80, 1)))
+	if err != nil {
+		t.Fatalf("a library of 80 random cells is refused: %v", err)
+	}
+	if lib.NumMatchableFunctions() <= Builtin().NumMatchableFunctions() {
+		t.Fatal("random cells add no matchable functions")
 	}
 }
 
