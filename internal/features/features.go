@@ -77,9 +77,13 @@ func Extract(g *aig.AIG) Vector {
 	}
 	fillTopN(v[2:5], depths)
 
-	// Fanout-weighted and binary-weighted depths via DP over the DAG.
-	wd := make([]float64, g.NumNodes())  // fanout-weighted
-	bwd := make([]float64, g.NumNodes()) // binary-weighted
+	// One DP pass over the DAG in index order: fanout-weighted and
+	// binary-weighted depths, and PI-to-node path counts (1 at the PIs,
+	// the sum of the fanins' counts at an AND; float64 tolerates the
+	// exponential growth of multiplier-like cones).
+	wd := make([]float64, g.NumNodes())    // fanout-weighted
+	bwd := make([]float64, g.NumNodes())   // binary-weighted
+	paths := make([]float64, g.NumNodes()) // PI-to-node paths
 	weight := func(n int32) (float64, float64) {
 		w := float64(fo[n])
 		b := 0.0
@@ -90,23 +94,27 @@ func Extract(g *aig.AIG) Vector {
 	}
 	for i := int32(1); i <= int32(g.NumPIs()); i++ {
 		wd[i], bwd[i] = weight(i)
+		paths[i] = 1
 	}
 	g.TopoForEachAnd(func(n int32, f0, f1 aig.Lit) {
 		w, b := weight(n)
 		wd[n] = w + math.Max(wd[f0.Node()], wd[f1.Node()])
 		bwd[n] = b + math.Max(bwd[f0.Node()], bwd[f1.Node()])
+		paths[n] = paths[f0.Node()] + paths[f1.Node()]
 	})
 	wdepths := make([]float64, 0, g.NumPOs())
 	bdepths := make([]float64, 0, g.NumPOs())
+	npaths := make([]float64, 0, g.NumPOs())
 	for _, po := range g.POs() {
 		wdepths = append(wdepths, wd[po.Node()])
 		bdepths = append(bdepths, bwd[po.Node()])
+		npaths = append(npaths, math.Log1p(paths[po.Node()]))
 	}
 	fillTopN(v[5:8], wdepths)
 	fillTopN(v[8:11], bdepths)
 
 	// Global fanout distribution over AND nodes and PIs.
-	var fos []float64
+	fos := make([]float64, 0, g.NumNodes()-1)
 	for i := 1; i < g.NumNodes(); i++ {
 		fos = append(fos, float64(fo[i]))
 	}
@@ -127,12 +135,7 @@ func Extract(g *aig.AIG) Vector {
 	v[15], v[16], v[17], v[18] = mean, max, std, sum
 
 	// Per-PO path counts, top-n, log-compressed.
-	cones := g.POCones()
-	paths := make([]float64, 0, len(cones))
-	for _, c := range cones {
-		paths = append(paths, math.Log1p(c.PathCount))
-	}
-	fillTopN(v[19:22], paths)
+	fillTopN(v[19:22], npaths)
 
 	return v
 }

@@ -321,11 +321,16 @@ func NewSweepStack(ev anneal.Evaluator, base anneal.Params) anneal.Evaluator {
 
 // RunPoint executes one grid point: an annealing run at the point's
 // hyperparameters over the shared evaluation stack, plus the
-// ground-truth re-evaluation of the winner. It is the unit of work both
-// the local worker pool and the sharded worker daemon execute; for a
-// fixed SweepConfig the result is bit-identical wherever it runs,
-// because the trajectory depends only on (g0, params, seed) and every
-// evaluation layer is value-transparent.
+// ground-truth metrics of the winner. A run guided by gt's own signoff
+// (runEv is a *GroundTruth over gt's library, directly or under an
+// eval.Cached) already holds them in its BestMetrics: signoff is
+// deterministic on the exact structure, and the memo cache answers only
+// for structurally equal graphs, so they are taken from the run. Every
+// other run's winner is signed off with gt. RunPoint is the unit of
+// work both the local worker pool and the sharded worker daemon
+// execute; for a fixed SweepConfig the result is bit-identical wherever
+// it runs, because the trajectory depends only on (g0, params, seed)
+// and every evaluation layer is value-transparent.
 func RunPoint(g0 *aig.AIG, runEv anneal.Evaluator, gt *GroundTruth, base anneal.Params, pt GridPoint) (SweepPoint, error) {
 	p := base
 	p.DelayWeight, p.AreaWeight, p.DecayRate = pt.DelayWeight, pt.AreaWeight, pt.Decay
@@ -334,11 +339,25 @@ func RunPoint(g0 *aig.AIG, runEv anneal.Evaluator, gt *GroundTruth, base anneal.
 	if err != nil {
 		return SweepPoint{}, err
 	}
-	m := gt.Evaluate(r.Best)
+	m := r.BestMetrics
+	if !signsOffAs(runEv, gt) {
+		m = gt.Evaluate(r.Best)
+	}
 	return SweepPoint{
 		DelayWeight: pt.DelayWeight, AreaWeight: pt.AreaWeight, Decay: pt.Decay,
 		Result: r, TrueDelayPS: m.DelayPS, TrueAreaUM2: m.AreaUM2,
 	}, nil
+}
+
+// signsOffAs reports whether ev scores every graph exactly as gt does:
+// it is a *GroundTruth over gt's library, directly or under an
+// eval.Cached.
+func signsOffAs(ev anneal.Evaluator, gt *GroundTruth) bool {
+	if c, ok := ev.(*eval.Cached); ok {
+		ev = c.Underlying()
+	}
+	e, ok := ev.(*GroundTruth)
+	return ok && e.Lib == gt.Lib
 }
 
 // WarmRoot precomputes g0's lazily built caches (levels, fanout counts,

@@ -98,17 +98,16 @@ func (r *rebuilder) mapLeaves(leaves []int32, buf []aig.Lit) []aig.Lit {
 // disappear if a node's function is reimplemented over a cut: the maximum
 // fanout-free cone of the node restricted to the cut (the node itself plus
 // every cone node all of whose fanout references come from saved nodes).
-// State is reused across calls via epoch tagging because rewriting queries
-// it for every cut of every node.
+// It counts by dereference: each fanin of a saved node that is an AND and
+// not a leaf gains a use, and is saved in turn once its uses reach its
+// fanout count. State is reused across calls via epoch tagging because
+// rewriting queries it for every cut of every node.
 type savings struct {
 	g      *aig.AIG
 	epoch  int32
 	leafEp []int32 // node marked as cut leaf this epoch
-	coneEp []int32 // node collected into the cone this epoch
 	uses   []int32 // fanin references from saved nodes (valid if usesEp)
 	usesEp []int32
-	stack  []int32
-	cone   []int32
 }
 
 // bind points s at g, restarting the epochs over its nodes.
@@ -117,78 +116,41 @@ func (s *savings) bind(g *aig.AIG) *savings {
 	s.g = g
 	s.epoch = 0
 	s.leafEp = grow(s.leafEp, n)
-	s.coneEp = grow(s.coneEp, n)
 	s.uses = grow(s.uses, n)
 	s.usesEp = grow(s.usesEp, n)
 	clear(s.leafEp)
-	clear(s.coneEp)
 	clear(s.usesEp)
 	return s
 }
 
-func (s *savings) addUse(x int32, e int32) {
-	if s.usesEp[x] != e {
-		s.usesEp[x] = e
-		s.uses[x] = 0
-	}
-	s.uses[x]++
-}
-
 // compute returns the saved-node count for reimplementing n over leaves.
 func (s *savings) compute(n int32, leaves []int32, fanouts []int32) int {
-	g := s.g
 	s.epoch++
-	e := s.epoch
 	for _, l := range leaves {
-		s.leafEp[l] = e
+		s.leafEp[l] = s.epoch
 	}
-	// Collect the cone (ANDs strictly between leaves and n, plus n).
-	s.cone = s.cone[:0]
-	s.stack = append(s.stack[:0], n)
-	s.coneEp[n] = e
-	for len(s.stack) > 0 {
-		c := s.stack[len(s.stack)-1]
-		s.stack = s.stack[:len(s.stack)-1]
-		s.cone = append(s.cone, c)
-		cf0, cf1 := g.Fanins(c)
-		for _, f := range [2]aig.Lit{cf0, cf1} {
-			fn := f.Node()
-			if s.leafEp[fn] == e || !g.IsAnd(fn) || s.coneEp[fn] == e {
-				continue
-			}
-			s.coneEp[fn] = e
-			s.stack = append(s.stack, fn)
-		}
-	}
-	// Reverse-topological MFFC within the cone: nodes are saved when all
-	// fanout references come from already-saved nodes.
-	sortDesc(s.cone)
-	f0, f1 := g.Fanins(n)
-	s.addUse(f0.Node(), e)
-	s.addUse(f1.Node(), e)
+	return s.deref(n, fanouts)
+}
+
+// deref saves n: it counts n plus whatever dereferencing n's fanins
+// saves in turn.
+func (s *savings) deref(n int32, fanouts []int32) int {
+	e := s.epoch
 	count := 1
-	for _, c := range s.cone {
-		if c == n {
+	f0, f1 := s.g.Fanins(n)
+	for _, f := range [2]aig.Lit{f0, f1} {
+		fn := f.Node()
+		if s.leafEp[fn] == e || !s.g.IsAnd(fn) {
 			continue
 		}
-		refs := int32(0)
-		if s.usesEp[c] == e {
-			refs = s.uses[c]
+		if s.usesEp[fn] != e {
+			s.usesEp[fn] = e
+			s.uses[fn] = 0
 		}
-		if refs == fanouts[c] {
-			cf0, cf1 := g.Fanins(c)
-			s.addUse(cf0.Node(), e)
-			s.addUse(cf1.Node(), e)
-			count++
+		s.uses[fn]++
+		if s.uses[fn] == fanouts[fn] {
+			count += s.deref(fn, fanouts)
 		}
 	}
 	return count
-}
-
-func sortDesc(s []int32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] > s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
