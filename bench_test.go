@@ -20,6 +20,10 @@
 //	BenchmarkSignoffEval/*           one pooled signoff evaluation of
 //	                                 EX54, EX02, EX08 and a 16-bit
 //	                                 multiplier
+//	BenchmarkFeatureExtract/*        one Table II feature extraction
+//	                                 (the ML flow's per-candidate cost
+//	                                 before inference) over the same
+//	                                 ladder
 //	BenchmarkAblation/*              design-choice ablations from DESIGN.md
 package aigtimer_test
 
@@ -390,6 +394,35 @@ func BenchmarkSignoffEval(b *testing.B) {
 					b.Fatal(err)
 				}
 				st.Release()
+			}
+		})
+	}
+}
+
+// BenchmarkFeatureExtract measures one features.Extract, the Table II
+// feature vector the ML flow computes for every candidate, over the
+// signoff ladder: EX54 (211 ANDs), EX02 (599), EX08 (507) and
+// bench.Multiplier(16) (2,784). Each graph's level and fanout caches
+// are filled first, as they are for a candidate the annealer has
+// already inspected.
+func BenchmarkFeatureExtract(b *testing.B) {
+	rungs := []struct {
+		name string
+		g    func() *aig.AIG
+	}{
+		{"EX54", func() *aig.AIG { return mustDesign(b, "EX54") }},
+		{"EX02", func() *aig.AIG { return mustDesign(b, "EX02") }},
+		{"EX08", func() *aig.AIG { return mustDesign(b, "EX08") }},
+		{"mult16", func() *aig.AIG { return bench.Multiplier(16) }},
+	}
+	for _, rung := range rungs {
+		b.Run(rung.name, func(b *testing.B) {
+			g := rung.g()
+			features.Extract(g)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				features.Extract(g)
 			}
 		})
 	}

@@ -14,11 +14,12 @@ import (
 // StoreKey identifies one record stream of a Store: the exact structural
 // hash of the design being swept (aig.Hash of the base graph) paired
 // with a hash of the evaluator specification that scored it
-// (shard.EvalSpec.Hash for shippable evaluators). Metrics from different
-// evaluators are never interchangeable, and neither are metrics of
-// different designs, so records are only ever loaded back under the
-// exact key that wrote them — the on-disk extension of the per-entry
-// cache scoping the session protocol already enforces.
+// (shard.EvalSpec.StoreHash for shippable evaluators, which covers the
+// cell library a ground-truth evaluator signs off with). Metrics from
+// different evaluators are never interchangeable, and neither are
+// metrics of different designs, so records are only ever loaded back
+// under the exact key that wrote them — the on-disk extension of the
+// per-entry cache scoping the session protocol already enforces.
 type StoreKey struct {
 	Design uint64
 	Spec   uint64

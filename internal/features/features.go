@@ -6,6 +6,11 @@
 // merge-probability weighted), fanout distribution features (global and
 // restricted to the longest paths), and per-output structural complexity
 // (path counts).
+//
+// Extract is the ML flow's per-candidate cost ahead of inference, so it
+// computes only what the vector holds: one pass over the nodes in index
+// order carries the weighted depths and the PI-to-node path counts
+// together, and no per-output cone is built.
 package features
 
 import (

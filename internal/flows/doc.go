@@ -21,9 +21,11 @@
 // The package also provides the hyperparameter sweep / Pareto machinery
 // used for §II-B and Fig. 5: each flow is swept over cost weights and
 // annealing decay rates (SweepConfig.Grid defines the canonical
-// enumeration), every run's best AIG is re-evaluated with the
-// ground-truth oracle (mapping+STA), and the Pareto front of
-// (area, delay) is reported. Sweep executes the grid on a local worker
+// enumeration), every run's best AIG gets its ground-truth metrics
+// (mapping+STA), and the Pareto front of (area, delay) is reported. A
+// run guided by ground truth over the sweep's library already scored
+// its winner exactly, so RunPoint takes those metrics from the run;
+// every other winner is signed off once more. Sweep executes the grid on a local worker
 // pool over one shared evaluation stack (NewSweepStack); SweepSharded
 // executes the identical grid across sweepd worker processes through
 // internal/shard, byte-identical to Sweep on every deterministic field —

@@ -369,16 +369,17 @@ func WarmRoot(g0 *aig.AIG) {
 	g0.PairIndex()
 }
 
-// Sweep runs the flow once per grid point and re-evaluates every winner
-// with the ground-truth oracle for fair cross-flow comparison. Grid
-// points execute on a bounded worker pool (GOMAXPROCS workers, started
-// before any work is queued rather than one goroutine per point), and all
-// runs share one memo cache through the evaluation layer (NewSweepStack),
-// so structures revisited across grid points — starting with g0 itself,
-// which every run evaluates first — are scored once. On failure the
-// first error (by grid order) is returned as a *SweepError carrying the
-// failing point's grid coordinates. Sweep is the single-entry case of
-// SweepSuite.
+// Sweep runs the flow once per grid point and reports every winner's
+// ground-truth metrics for fair cross-flow comparison: taken from the
+// run when ground truth over lib guided it, from a signoff of the
+// winner otherwise (see RunPoint). Grid points execute on a bounded
+// worker pool (GOMAXPROCS workers, started before any work is queued
+// rather than one goroutine per point), and all runs share one memo
+// cache through the evaluation layer (NewSweepStack), so structures
+// revisited across grid points — starting with g0 itself, which every
+// run evaluates first — are scored once. On failure the first error (by
+// grid order) is returned as a *SweepError carrying the failing point's
+// grid coordinates. Sweep is the single-entry case of SweepSuite.
 func Sweep(g0 *aig.AIG, ev anneal.Evaluator, lib *cell.Library, cfg SweepConfig) ([]SweepPoint, error) {
 	rs, err := SweepSuite([]SuiteEntry{{G: g0, Eval: ev}}, lib, cfg)
 	if err != nil {

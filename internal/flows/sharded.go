@@ -53,7 +53,7 @@ type ShardOptions struct {
 }
 
 // SweepSharded is Sweep scaled out across worker processes: the same
-// grid, the same per-point annealing and ground-truth re-evaluation,
+// grid, the same per-point annealing and ground-truth metrics,
 // executed by sweepd workers instead of local goroutines. For a fixed
 // SweepConfig the returned points are bit-identical to Sweep's on every
 // deterministic field (see AppendCanonical) — grid points are seeded by

@@ -62,9 +62,11 @@ func suiteJobList(numEntries int, grid []GridPoint) []suiteJob {
 // Sweep(entry.G, entry.Eval, lib, cfg): every entry gets its own
 // evaluation stack (memo caches never mix metrics from different
 // evaluators) and every grid point derives its seed from grid position,
-// so sharing the pool changes scheduling, never values. On failure the
-// first error in suite job order is returned as a *SweepError carrying
-// the entry name and grid coordinates.
+// so sharing the pool changes scheduling, never values. Each point's
+// ground-truth metrics come from RunPoint: from the run for entries
+// guided by ground truth over lib, from a signoff of the winner for the
+// rest. On failure the first error in suite job order is returned as a
+// *SweepError carrying the entry name and grid coordinates.
 func SweepSuite(entries []SuiteEntry, lib *cell.Library, cfg SweepConfig) ([]SuiteResult, error) {
 	grid := cfg.Grid()
 	if len(grid) == 0 {

@@ -129,7 +129,7 @@ type JobSpec struct {
 }
 
 // WorkResult is what a Runner produces for one job: the annealing
-// result plus the ground-truth re-evaluation of its winner.
+// result plus the ground-truth metrics of its winner.
 type WorkResult struct {
 	Result                   *anneal.Result
 	TrueDelayPS, TrueAreaUM2 float64

@@ -15,7 +15,7 @@ import (
 // handles transport, base-graph plumbing, and retry; the Runner owns
 // everything domain-specific — constructing the per-entry evaluators
 // named by the config, building the evaluation stacks, running the
-// anneal, and the ground-truth re-evaluation (flows.NewShardRunner is
+// anneal, and the winner's ground-truth metrics (flows.NewShardRunner is
 // the production implementation). A Runner serves one session at a
 // time; Serve calls it sequentially.
 type Runner interface {
