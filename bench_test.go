@@ -322,10 +322,7 @@ var recipeSink *aig.AIG
 // pass fills the process-wide synthesis-program caches and warms the
 // pooled movers before timing, as a long annealing run has.
 func BenchmarkRecipeApply(b *testing.B) {
-	rungs := []struct {
-		name string
-		g    func() *aig.AIG
-	}{
+	rungs := []benchGraph{
 		{"EX54", func() *aig.AIG { return mustDesign(b, "EX54") }},
 		{"EX08", func() *aig.AIG { return mustDesign(b, "EX08") }},
 		{"mult16", func() *aig.AIG { return bench.Multiplier(16) }},
@@ -358,24 +355,31 @@ func mustDesign(b *testing.B, name string) *aig.AIG {
 	return d.Build()
 }
 
-// BenchmarkSignoffEval measures one pooled full signoff evaluation
-// (shared dual-effort cut enumeration, two mappings, multi-corner STA)
-// over a size ladder: EX54 (211 ANDs), EX02 (599), EX08 (507) and
-// bench.Multiplier(16) (2,784). Each rung is warmed to the pool's
-// allocation-free steady state first, so it tracks both latency and
-// that the steady state stays at 0 allocs/op.
-func BenchmarkSignoffEval(b *testing.B) {
-	rungs := []struct {
-		name string
-		g    func() *aig.AIG
-	}{
+// benchGraph is one rung of a size ladder, its graph built on demand.
+type benchGraph struct {
+	name string
+	g    func() *aig.AIG
+}
+
+// sizeLadder lists the rungs of the per-graph benchmarks: EX54 (211
+// ANDs), EX02 (599), EX08 (507) and bench.Multiplier(16) (2,784).
+func sizeLadder(b *testing.B) []benchGraph {
+	return []benchGraph{
 		{"EX54", func() *aig.AIG { return mustDesign(b, "EX54") }},
 		{"EX02", func() *aig.AIG { return mustDesign(b, "EX02") }},
 		{"EX08", func() *aig.AIG { return mustDesign(b, "EX08") }},
 		{"mult16", func() *aig.AIG { return bench.Multiplier(16) }},
 	}
+}
+
+// BenchmarkSignoffEval measures one pooled full signoff evaluation
+// (shared dual-effort cut enumeration, two mappings, multi-corner STA)
+// over the size ladder. Each rung is warmed to the pool's
+// allocation-free steady state first, so it tracks both latency and
+// that the steady state stays at 0 allocs/op.
+func BenchmarkSignoffEval(b *testing.B) {
 	lib := cell.Builtin()
-	for _, rung := range rungs {
+	for _, rung := range sizeLadder(b) {
 		b.Run(rung.name, func(b *testing.B) {
 			g := rung.g()
 			var pool signoff.Pool
@@ -401,21 +405,10 @@ func BenchmarkSignoffEval(b *testing.B) {
 
 // BenchmarkFeatureExtract measures one features.Extract, the Table II
 // feature vector the ML flow computes for every candidate, over the
-// signoff ladder: EX54 (211 ANDs), EX02 (599), EX08 (507) and
-// bench.Multiplier(16) (2,784). Each graph's level and fanout caches
-// are filled first, as they are for a candidate the annealer has
-// already inspected.
+// size ladder. Each graph's level and fanout caches are filled first,
+// as they are for a candidate the annealer has already inspected.
 func BenchmarkFeatureExtract(b *testing.B) {
-	rungs := []struct {
-		name string
-		g    func() *aig.AIG
-	}{
-		{"EX54", func() *aig.AIG { return mustDesign(b, "EX54") }},
-		{"EX02", func() *aig.AIG { return mustDesign(b, "EX02") }},
-		{"EX08", func() *aig.AIG { return mustDesign(b, "EX08") }},
-		{"mult16", func() *aig.AIG { return bench.Multiplier(16) }},
-	}
-	for _, rung := range rungs {
+	for _, rung := range sizeLadder(b) {
 		b.Run(rung.name, func(b *testing.B) {
 			g := rung.g()
 			features.Extract(g)

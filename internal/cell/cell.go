@@ -160,7 +160,8 @@ const maxMatches = 1 << 15
 //
 // The result is a dense index over all 65,536 padded functions, so
 // Matches is two slice indexes on the mapper's hot path. A library with
-// more than maxMatches realizations is refused as they are counted.
+// more than maxMatches realizations is refused at the first cell that
+// passes the cap.
 func (l *Library) buildMatches() error {
 	l.matchIdx = make([]int32, 1<<16)
 	var found [][]Match // found[i-1]: the realizations of index entry i
@@ -182,9 +183,6 @@ func (l *Library) buildMatches() error {
 		}
 		for _, inv := range invOrder {
 			forEachInjective(k, func(assign []int) {
-				if total > maxMatches {
-					return // refused once this cell is done
-				}
 				var pinVar [4]int
 				copy(pinVar[:], assign)
 				g := truth.TransformPins(c.Function, 4, pad4(assign), inv)
@@ -192,9 +190,7 @@ func (l *Library) buildMatches() error {
 					return // same function via a different wiring; keep first
 				}
 				seen[g] = true
-				if total++; total > maxMatches {
-					return
-				}
+				total++
 				i := l.matchIdx[g]
 				if i == 0 {
 					found = append(found, nil)
