@@ -180,6 +180,50 @@ func randomCellsLibrary(n int, seed int64) string {
 	return sb.String()
 }
 
+// inverterLibrary returns the builtin library with n inverters
+// appended. Inverters never enter the match index, so maxMatches does
+// not bound them.
+func inverterLibrary(n int) string {
+	var sb strings.Builder
+	sb.WriteString(builtinText)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "cell N%d inputs=1 func=0x1 area=1.5 cap=1.2 intrinsic=10 drive=15\n", i)
+	}
+	return sb.String()
+}
+
+// TestParseRefusesTooManyCells: 100,000 random 4-input cells (7.0 MB of
+// text) and 100,000 inverters (6.7 MB) are both refused at maxCells,
+// with at most 16 MiB allocated, while a library of exactly maxCells
+// cells parses. Without the cap the random cells allocated 155 MiB
+// before their refusal and the inverters were accepted at 150 MiB.
+func TestParseRefusesTooManyCells(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+	}{
+		{"random 4-input cells", randomCellsLibrary(100000, 3)},
+		{"inverters", inverterLibrary(100000)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ParseLibrary(strings.NewReader(tc.src))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "more than 4096 cells") {
+			t.Errorf("%s (%d bytes): err = %v, want a cell-count refusal", tc.name, len(tc.src), err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+			t.Errorf("%s: refusing the library allocated %d bytes, want at most 16 MiB", tc.name, alloc)
+		}
+	}
+	lib, err := ParseLibrary(strings.NewReader(inverterLibrary(maxCells - len(Builtin().Cells))))
+	if err != nil {
+		t.Fatalf("a library of exactly %d cells is refused: %v", maxCells, err)
+	}
+	if len(lib.Cells) != maxCells {
+		t.Fatalf("parsed %d cells, want %d", len(lib.Cells), maxCells)
+	}
+}
+
 // TestParseRefusesOversizedLibrary: 143 KB of text holding 2,000 random
 // 4-input cells would realize about 480,000 matches (about 40 MB
 // retained); ParseLibrary refuses it once the count passes maxMatches,

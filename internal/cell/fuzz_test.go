@@ -28,6 +28,9 @@ func FuzzParseLibrary(f *testing.F) {
 		f.Add(builtinText + line + "\n")
 	}
 	f.Add(randomCellsLibrary(100, 2)) // past maxMatches: refused
+	at := maxCells - len(Builtin().Cells)
+	f.Add(inverterLibrary(at))     // exactly maxCells: accepted
+	f.Add(inverterLibrary(at + 1)) // past maxCells: refused
 	f.Add("library t\ncell T0 inputs=0 func=0x0 area=1\ncell T1 inputs=0 func=0x1 area=1\ncell I inputs=1 func=0x1 area=1\ncell M inputs=4 func=0x6996 area=2 cap=1e-3 intrinsic=0 drive=1e300\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		lib, err := ParseLibrary(strings.NewReader(src))

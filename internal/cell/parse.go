@@ -18,7 +18,8 @@ import (
 //
 // Lines beginning with '#' and blank lines are ignored. The function field
 // is the truth table over the cell's pins (pin 0 is the least significant
-// input), expressed in the low 2^k bits.
+// input), expressed in the low 2^k bits. A library may declare at most
+// maxCells cells.
 func ParseLibrary(r io.Reader) (*Library, error) {
 	lib := &Library{WireCapFF: 1.0, OutputLoadFF: 4.0}
 	sc := bufio.NewScanner(r)
@@ -49,6 +50,9 @@ func ParseLibrary(r io.Reader) (*Library, error) {
 			}
 			lib.OutputLoadFF = v
 		case "cell":
+			if len(lib.Cells) == maxCells {
+				return nil, fmt.Errorf("cell: line %d: library declares more than %d cells", lineNo, maxCells)
+			}
 			c, err := parseCell(fields, lineNo)
 			if err != nil {
 				return nil, err
@@ -69,6 +73,14 @@ func ParseLibrary(r io.Reader) (*Library, error) {
 	}
 	return lib, nil
 }
+
+// maxCells bounds the cells one library may declare: 146 times the
+// builtin library's 28. The parse loop refuses the first cell past it,
+// before any cell is characterized, so a refused library costs memory
+// bounded by the cap rather than by its text. maxMatches bounds only
+// the cells that enter the match index; inverters, buffers and tie
+// cells never do, so without this cap a library of them had no bound.
+const maxCells = 1 << 12
 
 func parseFloat(fields []string, lineNo int) (float64, error) {
 	if len(fields) != 2 {

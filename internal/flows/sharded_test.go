@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -187,6 +188,48 @@ func TestSweepShardedRejectsUnshippableEvaluator(t *testing.T) {
 	_, _, err := SweepSharded(g, brokenEval{}, cell.Builtin(), shardTestSweepConfig(1), ShardOptions{Conns: conns})
 	if err == nil {
 		t.Fatal("unshippable evaluator accepted")
+	}
+}
+
+// TestSweepSuiteShardedRefusesForeignLibraryEntry: workers rebuild a
+// ground-truth entry over the session's library, so an entry guided by
+// ground truth over another library would silently be scored under the
+// sweep's (best area 88.2 sharded against 262.6 locally, for a
+// tripled-area entry library). SweepSuiteSharded must refuse it by
+// name, over conns and through a hub, while the local SweepSuite still
+// sweeps it under its own library.
+func TestSweepSuiteShardedRefusesForeignLibraryEntry(t *testing.T) {
+	g := testAIG(65)
+	cfg := shardTestSweepConfig(13)
+	entries := []SuiteEntry{
+		{Name: "proxy", G: g, Eval: Proxy{}},
+		{Name: "tripled-gt", G: g, Eval: NewGroundTruth(scaledLibrary(t, 3))},
+	}
+	refused := func(how string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), `"tripled-gt"`) {
+			t.Errorf("%s: err = %v, want a refusal naming the entry", how, err)
+		}
+	}
+
+	conns, wait := loopbackWorkers(1)
+	_, _, err := SweepSuiteSharded(entries, cell.Builtin(), cfg, ShardOptions{Conns: conns})
+	for _, c := range conns {
+		c.Close()
+	}
+	wait()
+	refused("over conns", err)
+
+	h := shard.NewHub(shard.HubOptions{Logf: t.Logf})
+	defer h.Close()
+	startHubWorker(h, "w0")
+	client := hubClientConn(h)
+	defer client.Close()
+	_, _, err = SweepSuiteSharded(entries, cell.Builtin(), cfg, ShardOptions{HubConn: client})
+	refused("through a hub", err)
+
+	if _, err := SweepSuite(entries, cell.Builtin(), cfg); err != nil {
+		t.Fatalf("local SweepSuite refused the suite: %v", err)
 	}
 }
 

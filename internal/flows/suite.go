@@ -187,6 +187,10 @@ func flushSuiteStore(store *eval.Store, keys []*eval.StoreKey, stacks []anneal.E
 // SweepSuite tunes each entry, so a later entry may run with other
 // batch bounds and report other Evals and SpeculativeEvals counts.
 //
+// Workers rebuild ground truth over the session's one library, so an
+// entry guided by ground truth over another library than lib is refused
+// by name rather than silently scored under lib.
+//
 // With opts.Preseed the coordinator pushes each entry's merged cache
 // records back out to workers mid-sweep, so structures one worker
 // already scored are not re-evaluated by its peers; preseeding is
@@ -216,6 +220,9 @@ func SweepSuiteSharded(entries []SuiteEntry, lib *cell.Library, cfg SweepConfig,
 		spec, err := evalSpecFor(ent.Eval)
 		if err != nil {
 			return nil, nil, fmt.Errorf("flows: suite entry %q: %w", ent.Name, err)
+		}
+		if gt, ok := ent.Eval.(*GroundTruth); ok && gt.Lib != lib {
+			return nil, nil, fmt.Errorf("flows: suite entry %q: ground truth over another library than the sweep's cannot be sharded", ent.Name)
 		}
 		bi, ok := baseOf[ent.G]
 		if !ok {

@@ -102,8 +102,13 @@ type Stats struct {
 	Handoffs   int
 	QueueDepth int
 
-	BytesSent     int64 // total transport bytes, coordinator -> workers
-	BytesReceived int64 // total transport bytes, workers -> coordinator
+	// The session's frame bytes, each frame counted as writeMsg writes
+	// it (type byte, uvarint length, payload): every frame the session
+	// queued for its workers, end-of-session markers included, and every
+	// frame it received from them. The byes a closing hub sends belong
+	// to no session and are not counted.
+	BytesSent     int64 // frames queued, coordinator -> workers
+	BytesReceived int64 // frames received, workers -> coordinator
 
 	// MergedCaches is the cluster-wide memo view, one map (structure
 	// identity, eval.CacheKey -> metrics) per session entry — metrics
@@ -325,21 +330,25 @@ func (s *sched) requeue(t *task, excludeWorker int) {
 	s.cond.Broadcast()
 }
 
-// workerDead removes a worker from the live set, prunes its exclusion
-// entries from every queued task (a dead worker can never be retried
-// on, and a recycled id must not inherit its predecessor's
-// exclusions), and reports what remains: live workers and unresolved
-// jobs.
-func (s *sched) workerDead(id int) (remainingWorkers, remainingJobs int) {
+// workerDead removes a worker from the live set and prunes its
+// exclusion entries from every queued task: a dead worker can never be
+// retried on, and a recycled id must not inherit its predecessor's
+// exclusions.
+func (s *sched) workerDead(id int) {
 	s.mu.Lock()
 	delete(s.alive, id)
 	for _, t := range s.queue {
 		delete(t.exclude, id)
 	}
-	rw, rj := len(s.alive), s.remaining
 	s.mu.Unlock()
 	s.cond.Broadcast()
-	return rw, rj
+}
+
+// pending reports how many jobs are not yet completed or abandoned.
+func (s *sched) pending() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.remaining
 }
 
 // abort wakes every waiter with no work; next returns !ok from here on.
@@ -358,32 +367,39 @@ func (s *sched) abort() {
 // execution of the same jobs bit for bit (preseeding included: a pushed
 // record only ever skips an oracle call whose result it already is).
 //
-// Every base graph is shipped once per worker session, immediately
-// after the config; every graph coming back travels as an
-// aig.EncodeDelta record against its job's base (warm handoff). Each
-// connection runs an independent reader and writer goroutine, so seed
-// pushes and result uploads overlap job execution. Workers pull jobs
-// one at a time, so load balance emerges from speed (work stealing); a
-// lost worker's in-flight job is requeued elsewhere, and a job a worker
-// reports failed is retried on other workers up to MaxAttempts before
-// the run reports a JobFailedError. Like the local sweep, Run finishes
-// every finishable job before returning the first failure in job order.
+// Run is a Hub over a fixed fleet with one submission: the conns join
+// first, in order, then each dialed endpoint, and the run ends when the
+// submission does or when the last worker is lost. Every base graph is
+// shipped once per worker session, immediately after the config; every
+// graph coming back travels as an aig.EncodeDelta record against its
+// job's base (warm handoff). Each connection runs an independent reader
+// and writer goroutine, so seed pushes and result uploads overlap job
+// execution. Workers pull jobs one at a time, so load balance emerges
+// from speed (work stealing); a lost worker's in-flight job is requeued
+// elsewhere, and a job a worker reports failed is retried on other
+// workers up to MaxAttempts before the run reports a JobFailedError.
+// Like the local sweep, Run finishes every finishable job before
+// returning the first failure in job order.
 func Run(bases []*aig.AIG, cfg RunConfig, jobs []JobSpec, opts Options) ([]JobResult, *Stats, error) {
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	if _, err := validateRun(bases, cfg, jobs); err != nil {
 		return nil, nil, err
 	}
-
-	type workerConn struct {
-		name string
-		rwc  io.ReadWriteCloser
+	fleet := len(opts.Conns) + len(opts.Endpoints)
+	if fleet == 0 {
+		return nil, nil, fmt.Errorf("shard: no workers (need Conns or Endpoints)")
 	}
-	var conns []workerConn
+	h := NewHub(HubOptions{
+		MaxAttempts: opts.MaxAttempts, JobTimeout: opts.JobTimeout,
+		Preseed: opts.Preseed, Store: opts.Store, StoreFlushEvery: opts.StoreFlushEvery,
+		OnJobDone: opts.OnJobDone, Logf: opts.Logf,
+	})
+	h.fixed = fleet
+	// Close says bye to the workers the session released, and waits out
+	// every goroutine the hub started. Until then AddWorker, which fails
+	// only on a closed hub, cannot fail.
+	defer h.Close()
 	for i, c := range opts.Conns {
-		conns = append(conns, workerConn{name: fmt.Sprintf("conn#%d", i), rwc: c})
+		h.AddWorker(fmt.Sprintf("conn#%d", i), c)
 	}
 	dialTimeout := opts.DialTimeout
 	if dialTimeout == 0 {
@@ -397,41 +413,13 @@ func Run(bases []*aig.AIG, cfg RunConfig, jobs []JobSpec, opts Options) ([]JobRe
 	for _, ep := range opts.Endpoints {
 		c, err := dialer.Dial("tcp", ep)
 		if err != nil {
-			for _, wc := range conns {
-				wc.rwc.Close()
-			}
 			return nil, nil, fmt.Errorf("shard: dialing worker %s: %w", ep, err)
 		}
-		conns = append(conns, workerConn{name: ep, rwc: c})
+		h.AddWorker(ep, c)
 	}
-	if len(conns) == 0 {
-		return nil, nil, fmt.Errorf("shard: no workers (need Conns or Endpoints)")
-	}
-
-	s, err := newSession(bases, cfg, jobs, sessionOptions{
-		maxAttempts: opts.MaxAttempts,
-		preseed:     opts.Preseed,
-		store:       opts.Store, storeFlushEvery: opts.StoreFlushEvery,
-		onJobDone: opts.OnJobDone, logf: logf,
-	})
+	sub, err := h.Submit(bases, cfg, jobs)
 	if err != nil {
-		for _, wc := range conns {
-			wc.rwc.Close()
-		}
 		return nil, nil, err
 	}
-	workers := make([]*wireWorker, len(conns))
-	for i, wc := range conns {
-		workers[i] = newWireWorker(wc.name, wc.rwc, opts.JobTimeout)
-	}
-	s.attach(workers...)
-	results, st, err := s.wait()
-	// Wind the connections down (the polite byes release sent, drained,
-	// and flushed) and settle the whole-connection byte totals.
-	for _, w := range workers {
-		w.shutdown()
-		st.BytesSent += w.bytesOut.Load()
-		st.BytesReceived += w.bytesIn.Load()
-	}
-	return results, st, err
+	return sub.Wait()
 }

@@ -55,16 +55,19 @@
 //
 // # Topology
 //
-// The coordinator drives each worker over one connection (TCP to a
-// cmd/sweepd daemon, or any io.ReadWriteCloser — tests use in-process
-// pipes), split into independent reader and writer goroutines: config
-// and bases lead, then job dispatches and cache-seed pushes queue on
-// the writer while results stream back through the reader — uploads
-// and pushes overlap job execution on both ends. Idle workers pull the
-// next eligible job, so load balance across heterogeneous workers is
-// work stealing by construction. Domain logic lives behind the Runner
-// interface (flows.NewShardRunner), keeping this package a pure
-// transport/scheduling layer.
+// There is one coordinator, the Hub; Run is a Hub over a fixed fleet
+// with a single submission. The coordinator drives each worker over one
+// connection (TCP to a cmd/sweepd daemon, or any io.ReadWriteCloser —
+// tests use in-process pipes), split into independent reader and writer
+// goroutines: config and bases lead, then job dispatches and cache-seed
+// pushes queue on the writer while results stream back through the
+// reader — uploads and pushes overlap job execution on both ends. Idle
+// workers pull the next eligible job, so load balance across
+// heterogeneous workers is work stealing by construction. Domain logic
+// lives behind the Runner interface (flows.NewShardRunner), keeping this
+// package a pure transport/scheduling layer. A session counts its
+// traffic in frames (Stats.BytesSent, Stats.BytesReceived): every frame
+// it queues or receives, at the size it has on the wire.
 //
 // The worker side (Serve) mirrors the split — its reader applies
 // preseeds mid-job, an executor goroutine runs jobs, a writer streams
@@ -83,20 +86,26 @@
 //
 // # Hub
 //
-// Run is session-scoped: the caller owns the fleet for one session.
-// Hub (cmd/sweephub) is the resident form — a daemon owning an elastic
-// fleet of registered workers (RegisterWorker, sweepd -hub) that
-// executes queued submissions from many clients (HubClient, msgSubmit),
-// up to HubOptions.MaxSessions of them concurrently, each over a
-// disjoint partition of the fleet. Workers may register at any moment:
-// one admitted mid-sweep receives the running session's config, bases,
-// and accumulated merged cache records before its first job — exactly
-// as warm as a worker present from the start. Hub sessions are elastic:
-// losing every worker makes the session wait for the next registration
-// instead of failing. The hub forwards workers' result payloads to the
-// submitting client verbatim (never re-encoded), so the byte-identity
-// contract holds across the extra hop; with HubOptions.Store the hub
-// owns the persistent warm-start store for all submissions.
+// Run is session-scoped: the caller owns the fleet for one session. It
+// builds a Hub, registers the caller's conns and then its dialed
+// endpoints, submits the one session, and closes the hub when it
+// resolves; the session ends each worker with msgEndSession and the
+// closing hub says msgBye. Its fleet is fixed: when the last worker is
+// lost with jobs unfinished, the run fails. Hub (cmd/sweephub) is the
+// resident form — a daemon owning an elastic fleet of registered
+// workers (RegisterWorker, sweepd -hub) that executes queued
+// submissions from many clients (HubClient, msgSubmit), up to
+// HubOptions.MaxSessions of them concurrently, each over a disjoint
+// partition of the fleet. Workers may register at any moment: one
+// admitted mid-sweep receives the running session's config, bases, and
+// accumulated merged cache records before its first job — exactly as
+// warm as a worker present from the start. Only a resident hub waits
+// elastically: losing every worker makes its sessions wait for the next
+// registration instead of failing. The hub forwards workers' result
+// payloads to the submitting client verbatim (never re-encoded), so the
+// byte-identity contract holds across the extra hop; with
+// HubOptions.Store the hub owns the persistent warm-start store for all
+// submissions.
 //
 // Partitions are planned by a pure policy (planPartitions) and applied
 // after every scheduling event — submission arrival or completion,

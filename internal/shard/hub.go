@@ -105,9 +105,10 @@ type activeSession struct {
 // dropped (msgEndSession), so a fleet serves any number of submissions
 // without accumulating memory.
 //
-// Sessions are byte-transparent exactly like Run: for a fixed
-// submission the results are bit-identical to a local sweep, whatever
-// the fleet or the partition plan does.
+// Sessions are byte-transparent: for a fixed submission the results
+// are bit-identical to a local sweep, whatever the fleet or the
+// partition plan does. Run is a Hub too, over a fixed fleet with one
+// submission.
 type Hub struct {
 	opts        HubOptions
 	logf        func(format string, args ...any)
@@ -120,8 +121,15 @@ type Hub struct {
 	active []*activeSession // admission order: oldest first
 	seq    int
 	closed bool
+	// fixed is the size of a fleet that never grows (Run's), or 0 for a
+	// resident hub: a fixed fleet that loses its last worker ends every
+	// session with jobs left, where a resident hub waits for the next
+	// registration.
+	fixed int
 
-	closeWG sync.WaitGroup // one per-session waiter goroutine each
+	// closeWG counts the per-session waiters and the shutdowns of
+	// workers that died idle.
+	closeWG sync.WaitGroup
 }
 
 // NewHub starts a hub with no workers and an empty queue.
@@ -212,7 +220,11 @@ func (h *Hub) scheduleLocked() {
 			// loss for a connection that was already gone. Shutdown of a
 			// failed worker only reaps its loops — do it off the lock.
 			h.logf("hub: worker %s dropped (died while idle)", w.name)
-			go w.shutdown()
+			h.closeWG.Add(1)
+			go func() {
+				defer h.closeWG.Done()
+				w.shutdown()
+			}()
 			continue
 		}
 		live = append(live, w)
@@ -223,6 +235,13 @@ func (h *Hub) scheduleLocked() {
 		sub := h.queue[0]
 		h.queue = h.queue[1:]
 		h.startLocked(sub)
+	}
+	if h.fixed > 0 && h.fleetLocked() == 0 {
+		for _, as := range h.active {
+			if n := as.s.sched.pending(); n > 0 {
+				as.s.finish(fmt.Errorf("shard: all %d workers lost with %d jobs unfinished", h.fixed, n))
+			}
+		}
 	}
 
 	targets := planPartitions(h.fleetLocked(), len(h.active), h.minPer)
@@ -251,18 +270,8 @@ func (h *Hub) scheduleLocked() {
 func (h *Hub) startLocked(sub *Submission) {
 	as := &activeSession{sub: sub, seq: h.seq, assigned: make(map[*wireWorker]bool)}
 	h.seq++
-	s, err := newSession(sub.bases, sub.cfg, sub.jobs, sessionOptions{
-		maxAttempts:     h.opts.MaxAttempts,
-		preseed:         h.opts.Preseed,
-		store:           h.opts.Store,
-		storeFlushEvery: h.opts.StoreFlushEvery,
-		elastic:         true,
-		keepRaw:         sub.keepRaw,
-		bytesOnDetach:   true,
-		onJobDone:       h.opts.OnJobDone,
-		onRelease:       func(w *wireWorker, healthy bool) { h.releaseFrom(as, w, healthy) },
-		logf:            h.logf,
-	})
+	s, err := newSession(sub.bases, sub.cfg, sub.jobs, h.opts, sub.keepRaw,
+		func(w *wireWorker, healthy bool) { h.releaseFrom(as, w, healthy) })
 	if err != nil {
 		// Already validated at Submit, so only payload encoding can
 		// fail here.
@@ -369,7 +378,7 @@ func (h *Hub) Close() error {
 		close(sub.done)
 	}
 	for _, as := range active {
-		as.s.abort(err)
+		as.s.finish(err)
 		as.s.failAttached(err)
 	}
 	for _, w := range idle {

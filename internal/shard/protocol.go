@@ -159,6 +159,16 @@ func writeMsg(w *bufio.Writer, typ byte, payload []byte) error {
 	return err
 }
 
+// frameLen is the size of the frame writeMsg writes for an n-byte
+// payload: the type byte, the uvarint length and the payload.
+func frameLen(n int) int64 {
+	size := int64(2 + n)
+	for v := uint64(n); v >= 0x80; v >>= 7 {
+		size++
+	}
+	return size
+}
+
 // readChunk is the most readMsg allocates ahead of the bytes that fill
 // it.
 const readChunk = 64 << 10
@@ -478,6 +488,15 @@ func encodeBase(id uint32, g *aig.AIG) ([]byte, error) {
 	return b, nil
 }
 
+// maxPIsPerBaseByte bounds a base's PI count by the size of its
+// payload. PIs are implicit in a base record, yet each costs about 24
+// bytes to decode (the empty encoding base and the decoded graph), so
+// without a bound 11 bytes claiming 2^20 PIs cost 25 MB. Every PI a
+// graph reads costs its record at least one byte, as a fanin of an
+// explicit AND or as a PO, so only a graph whose inputs are mostly
+// unused passes one PI per byte; the suite designs stay under 0.1.
+const maxPIsPerBaseByte = 4
+
 func decodeBase(payload []byte) (uint32, *aig.AIG, error) {
 	d := &dec{data: payload}
 	id := d.uvarint("base id")
@@ -486,8 +505,8 @@ func decodeBase(payload []byte) (uint32, *aig.AIG, error) {
 	if d.err != nil {
 		return 0, nil, d.err
 	}
-	if numPIs > 1<<20 {
-		return 0, nil, fmt.Errorf("shard: implausible base PI count %d", numPIs)
+	if numPIs > 1<<20 || numPIs > maxPIsPerBaseByte*uint64(len(payload)) {
+		return 0, nil, fmt.Errorf("shard: implausible base PI count %d for a %d-byte base", numPIs, len(payload))
 	}
 	g, err := aig.DecodeDelta(emptyLike(int(numPIs)), rec)
 	if err != nil {

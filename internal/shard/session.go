@@ -5,20 +5,22 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"aigtimer/internal/aig"
 	"aigtimer/internal/eval"
 )
 
-// This file is the session engine shared by the one-shot coordinator
-// (Run) and the resident hub (Hub): full-duplex wire workers — one
-// reader and one writer goroutine per connection, so cache-seed pushes
-// and result uploads overlap job execution — driven by a session that
-// admits workers at any time, pushes merged cache records the moment
-// they merge, and survives worker churn through the sched
-// requeue/exclusion machinery.
+// This file is the session engine of the hub, and so of Run, which is a
+// hub over a fixed fleet: full-duplex wire workers — one reader and one
+// writer goroutine per connection, so cache-seed pushes and result
+// uploads overlap job execution — driven by a session that admits
+// workers at any time, pushes merged cache records the moment they
+// merge, counts the frames it sends and receives, and survives worker
+// churn through the sched requeue/exclusion machinery. A session hands
+// every worker it is done with back to the hub, which decides what an
+// empty fleet means: a resident hub waits for the next registration,
+// Run's fixed fleet ends the session.
 
 // inFrame is one message received from a worker.
 type inFrame struct {
@@ -53,25 +55,6 @@ func (g outGroup) jobOnly() bool {
 	return len(g.frames) > 0
 }
 
-// byteMeter counts raw transport bytes in both directions into the
-// owning wireWorker's atomic counters.
-type byteMeter struct {
-	rwc     io.ReadWriteCloser
-	in, out *atomic.Int64
-}
-
-func (m byteMeter) Read(p []byte) (int, error) {
-	n, err := m.rwc.Read(p)
-	m.in.Add(int64(n))
-	return n, err
-}
-
-func (m byteMeter) Write(p []byte) (int, error) {
-	n, err := m.rwc.Write(p)
-	m.out.Add(int64(n))
-	return n, err
-}
-
 // wireWorker owns one worker connection for its whole lifetime —
 // across many sessions, on a hub — with an independent reader and
 // writer goroutine. The reader delivers every incoming frame on in;
@@ -95,8 +78,6 @@ type wireWorker struct {
 	errMu sync.Mutex
 	err   error // first transport error
 
-	bytesIn, bytesOut atomic.Int64
-
 	readerDone chan struct{}
 	writerDone chan struct{}
 }
@@ -112,9 +93,8 @@ func newWireWorker(name string, rwc io.ReadWriteCloser, jobTimeout time.Duration
 		writerDone: make(chan struct{}),
 	}
 	w.cond = sync.NewCond(&w.mu)
-	m := byteMeter{rwc: rwc, in: &w.bytesIn, out: &w.bytesOut}
-	go w.readLoop(m)
-	go w.writeLoop(m)
+	go w.readLoop()
+	go w.writeLoop()
 	return w
 }
 
@@ -140,10 +120,10 @@ func (w *wireWorker) failed() bool {
 	return w.err != nil
 }
 
-func (w *wireWorker) readLoop(m byteMeter) {
+func (w *wireWorker) readLoop() {
 	defer close(w.readerDone)
 	defer close(w.in)
-	br := bufio.NewReader(m)
+	br := bufio.NewReader(w.rwc)
 	for {
 		typ, payload, err := readMsg(br)
 		if err != nil {
@@ -158,9 +138,9 @@ func (w *wireWorker) readLoop(m byteMeter) {
 	}
 }
 
-func (w *wireWorker) writeLoop(m byteMeter) {
+func (w *wireWorker) writeLoop() {
 	defer close(w.writerDone)
-	bw := bufio.NewWriter(m)
+	bw := bufio.NewWriter(w.rwc)
 	for {
 		w.mu.Lock()
 		for len(w.queue) == 0 && !w.closed {
@@ -283,9 +263,6 @@ type sessionWorker struct {
 	// entry e (contributed or pushed); the merge-time seed fan-out
 	// filters on it.
 	seen []map[eval.CacheKey]bool
-	// byte-counter baselines at attach time, for per-session accounting
-	// on connections that outlive the session.
-	inBase, outBase int64
 }
 
 // session executes one submission's jobs over whatever workers are
@@ -304,22 +281,15 @@ type session struct {
 	sched        *sched
 	maxAttempts  int
 	preseed      bool
-	// elastic sessions (hub) survive losing every worker — the jobs wait
-	// for the next admission; non-elastic sessions (Run) abort.
-	elastic bool
 	// keepRaw retains each result's wire payload for verbatim forwarding
 	// to a hub client (whose decode against its own structurally
 	// identical base reproduces the coordinator's bytes exactly).
 	keepRaw bool
-	// countBytesOnDetach attributes transport bytes per session on
-	// long-lived connections (hub); Run sums whole-connection totals
-	// itself.
-	countBytesOnDetach bool
 
 	onJobDone func(jobIndex int, worker string)
-	// onRelease, when set (hub), receives each worker when the session
-	// is done with it — healthy workers return to the idle pool, lost
-	// ones are dropped. When nil (Run), released workers get a bye.
+	// onRelease receives each worker when the session is done with it:
+	// healthy workers, their end-of-session marker queued, return to the
+	// hub's idle pool; lost ones are dropped.
 	onRelease func(w *wireWorker, healthy bool)
 	logf      func(format string, args ...any)
 
@@ -343,21 +313,6 @@ type session struct {
 	flushMu   sync.Mutex
 	stopFlush chan struct{}
 	flushWG   sync.WaitGroup
-}
-
-// sessionOptions carries the knobs newSession shares between Run and
-// the hub.
-type sessionOptions struct {
-	maxAttempts     int
-	preseed         bool
-	store           *eval.Store
-	storeFlushEvery time.Duration
-	elastic         bool
-	keepRaw         bool
-	bytesOnDetach   bool
-	onJobDone       func(jobIndex int, worker string)
-	onRelease       func(w *wireWorker, healthy bool)
-	logf            func(format string, args ...any)
 }
 
 // validateRun checks a submission's internal references — shared by
@@ -401,8 +356,9 @@ func validateRun(bases []*aig.AIG, cfg RunConfig, jobs []JobSpec) (map[int]int, 
 
 // newSession validates the submission, encodes the shippable payloads,
 // warm-loads the store, and starts the flush ticker. No workers are
-// attached yet.
-func newSession(bases []*aig.AIG, cfg RunConfig, jobs []JobSpec, o sessionOptions) (*session, error) {
+// attached yet. Of o it reads the attempt bound, the preseed and store
+// settings, OnJobDone and Logf.
+func newSession(bases []*aig.AIG, cfg RunConfig, jobs []JobSpec, o HubOptions, keepRaw bool, onRelease func(w *wireWorker, healthy bool)) (*session, error) {
 	slotOf, err := validateRun(bases, cfg, jobs)
 	if err != nil {
 		return nil, err
@@ -415,20 +371,20 @@ func newSession(bases []*aig.AIG, cfg RunConfig, jobs []JobSpec, o sessionOption
 		}
 		basePayloads[i] = p
 	}
-	if o.maxAttempts <= 0 {
-		o.maxAttempts = 3
+	if o.MaxAttempts <= 0 {
+		o.MaxAttempts = 3
 	}
-	if o.logf == nil {
-		o.logf = func(string, ...any) {}
+	if o.Logf == nil {
+		o.Logf = func(string, ...any) {}
 	}
 	s := &session{
 		cfg: cfg, cfgPayload: encodeConfig(cfg), basePayloads: basePayloads,
 		bases: bases, jobs: jobs, slotOf: slotOf,
 		sched:       newSched(jobs),
-		maxAttempts: o.maxAttempts,
-		preseed:     o.preseed || o.store != nil,
-		elastic:     o.elastic, keepRaw: o.keepRaw, countBytesOnDetach: o.bytesOnDetach,
-		onJobDone: o.onJobDone, onRelease: o.onRelease, logf: o.logf,
+		maxAttempts: o.MaxAttempts,
+		preseed:     o.Preseed || o.Store != nil,
+		keepRaw:     keepRaw,
+		onJobDone:   o.OnJobDone, onRelease: onRelease, logf: o.Logf,
 		st:        &Stats{},
 		mergedLog: make([][]eval.CacheRecord, len(cfg.Entries)),
 		results:   make([]JobResult, len(jobs)),
@@ -436,7 +392,7 @@ func newSession(bases []*aig.AIG, cfg RunConfig, jobs []JobSpec, o sessionOption
 		jobErrs:   make([]error, len(jobs)),
 		attached:  make(map[int]*sessionWorker),
 		done:      make(chan struct{}),
-		store:     o.store,
+		store:     o.Store,
 		stopFlush: make(chan struct{}),
 	}
 	if s.keepRaw {
@@ -463,7 +419,7 @@ func newSession(bases []*aig.AIG, cfg RunConfig, jobs []JobSpec, o sessionOption
 				s.st.StoreLoaded++
 			}
 		}
-		period := o.storeFlushEvery
+		period := o.StoreFlushEvery
 		if period <= 0 {
 			period = 30 * time.Second
 		}
@@ -510,44 +466,22 @@ func (s *session) flushStore() {
 	}
 }
 
-// attach admits workers: each is sent the session preamble (config +
-// every base, one flush) followed by the accumulated merged seeds per
-// entry — the full warm start a late joiner needs — and a drive
-// goroutine starts pulling jobs for it. Every worker joins the schedule
-// before any of their drive goroutines starts, so a worker lost on its
-// first job is never mistaken for the last one alive while the others
-// are still being attached. Returns false when the session already
-// finished or has no job left to resolve (the hub then returns the
-// worker to its idle pool untouched). The second case covers the moment
-// between the last job's completion and the session's finish: admitting
-// a worker then would only send it the preamble and release it again,
-// and the hub would re-admit it until the finish lands.
-func (s *session) attach(ws ...*wireWorker) bool {
+// attach admits w: it is sent the session preamble (config + every
+// base, one flush) followed by the accumulated merged seeds per entry —
+// the full warm start a late joiner needs — and a drive goroutine starts
+// pulling jobs for it. Returns false when the session already finished
+// or has no job left to resolve (the hub then returns the worker to its
+// idle pool untouched). The second case covers the moment between the
+// last job's completion and the session's finish: admitting a worker
+// then would only send it the preamble and release it again, and the
+// hub would re-admit it until the finish lands.
+func (s *session) attach(w *wireWorker) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.finished || s.sched.drained() {
 		return false
 	}
-	sws := make([]*sessionWorker, len(ws))
-	for i, w := range ws {
-		sws[i] = s.admit(w)
-	}
-	for _, sw := range sws {
-		s.driveWG.Add(1)
-		go s.drive(sw)
-	}
-	return true
-}
-
-// admit registers w with the session and the schedule and queues its
-// warm start. The caller holds s.mu.
-func (s *session) admit(w *wireWorker) *sessionWorker {
-	sw := &sessionWorker{
-		id: s.nextID, w: w,
-		seen:    make([]map[eval.CacheKey]bool, len(s.cfg.Entries)),
-		inBase:  w.bytesIn.Load(),
-		outBase: w.bytesOut.Load(),
-	}
+	sw := &sessionWorker{id: s.nextID, w: w, seen: make([]map[eval.CacheKey]bool, len(s.cfg.Entries))}
 	s.nextID++
 	for e := range sw.seen {
 		sw.seen[e] = make(map[eval.CacheKey]bool)
@@ -564,7 +498,7 @@ func (s *session) admit(w *wireWorker) *sessionWorker {
 		s.st.BaseBytes += int64(len(bp))
 	}
 	s.st.BaseSends += len(s.basePayloads)
-	w.enqueue(frames...)
+	s.sendLocked(w, frames...)
 	// Warm start: everything merged so far (store records and other
 	// workers' contributions alike), one push per non-empty entry.
 	if s.preseed {
@@ -575,26 +509,32 @@ func (s *session) admit(w *wireWorker) *sessionWorker {
 			for _, rec := range s.mergedLog[e] {
 				sw.seen[e][rec.Key()] = true
 			}
-			payload := encodeSeed(e, s.mergedLog[e])
-			s.st.SeedPushes++
-			s.st.SeedRecords += len(s.mergedLog[e])
-			s.st.SeedBytes += int64(len(payload))
-			w.enqueueSeed(payload)
+			s.seedLocked(w, e, s.mergedLog[e])
 		}
 	}
-	return sw
+	s.driveWG.Add(1)
+	go s.drive(sw)
+	return true
 }
 
-// detach removes a worker from the session's push set and settles its
-// per-session byte accounting.
-func (s *session) detach(sw *sessionWorker) {
-	s.mu.Lock()
-	delete(s.attached, sw.id)
-	if s.countBytesOnDetach {
-		s.st.BytesSent += sw.w.bytesOut.Load() - sw.outBase
-		s.st.BytesReceived += sw.w.bytesIn.Load() - sw.inBase
+// sendLocked queues frames for w as one group (one flush) and counts
+// their bytes. The caller holds s.mu.
+func (s *session) sendLocked(w *wireWorker, frames ...outFrame) {
+	for _, f := range frames {
+		s.st.BytesSent += frameLen(len(f.payload))
 	}
-	s.mu.Unlock()
+	w.enqueue(frames...)
+}
+
+// seedLocked pushes recs of entry e to w ahead of its queued job
+// dispatches and counts the push. The caller holds s.mu.
+func (s *session) seedLocked(w *wireWorker, e int, recs []eval.CacheRecord) {
+	payload := encodeSeed(e, recs)
+	s.st.SeedPushes++
+	s.st.SeedRecords += len(recs)
+	s.st.SeedBytes += int64(len(payload))
+	s.st.BytesSent += frameLen(len(payload))
+	w.enqueueSeed(payload)
 }
 
 // drive is a worker's dispatch loop: one job in flight at a time —
@@ -622,17 +562,20 @@ func (s *session) drive(sw *sessionWorker) {
 			s.release(sw)
 			return
 		}
+		w.armRead(true)
 		s.mu.Lock()
 		s.st.JobSends++
+		s.sendLocked(w, outFrame{msgJob, encodeJob(t.job)})
 		s.mu.Unlock()
-		w.armRead(true)
-		w.enqueue(outFrame{msgJob, encodeJob(t.job)})
 		f, alive := <-w.in
 		w.armRead(false)
 		if !alive {
 			s.workerLost(sw, t, w.err)
 			return
 		}
+		s.mu.Lock()
+		s.st.BytesReceived += frameLen(len(f.payload))
+		s.mu.Unlock()
 		switch f.typ {
 		case msgResult:
 			e := t.job.Entry
@@ -723,14 +666,9 @@ func (s *session) merge(sw *sessionWorker, t *task, jr JobResult, recs []eval.Ca
 					pending = append(pending, rec)
 				}
 			}
-			if len(pending) == 0 {
-				continue
+			if len(pending) > 0 {
+				s.seedLocked(other.w, e, pending)
 			}
-			payload := encodeSeed(e, pending)
-			s.st.SeedPushes++
-			s.st.SeedRecords += len(pending)
-			s.st.SeedBytes += int64(len(payload))
-			other.w.enqueueSeed(payload)
 		}
 	}
 	s.mu.Unlock()
@@ -748,44 +686,32 @@ func (s *session) complete() {
 	}
 }
 
-// workerLost handles a transport failure: the in-flight job (if any)
-// is requeued for the survivors, the worker leaves the schedule, and —
-// for non-elastic sessions — losing the whole fleet aborts the run.
+// workerLost handles a transport failure: the in-flight job is
+// requeued for the survivors, the worker leaves the schedule, and the
+// hub drops it (and, on a fixed fleet, ends the session when no worker
+// is left).
 func (s *session) workerLost(sw *sessionWorker, t *task, why error) {
 	s.logf("shard: worker %s lost: %v", sw.w.name, why)
 	s.mu.Lock()
+	delete(s.attached, sw.id)
 	s.st.WorkerLosses++
 	s.st.Workers[sw.id].Lost = true
-	if t != nil {
-		s.st.Requeues++
-	}
-	total := len(s.st.Workers)
+	s.st.Requeues++
 	s.mu.Unlock()
-	if t != nil {
-		s.sched.requeue(t, -1) // dead workers need no exclusion entry
-	}
-	remaining, missing := s.sched.workerDead(sw.id)
-	s.detach(sw)
-	if !s.elastic && remaining == 0 && missing > 0 {
-		s.finish(fmt.Errorf("shard: all %d workers lost with %d jobs unfinished", total, missing))
-	}
-	if s.onRelease != nil {
-		s.onRelease(sw.w, false)
-	}
+	s.sched.requeue(t, -1) // dead workers need no exclusion entry
+	s.sched.workerDead(sw.id)
+	s.onRelease(sw.w, false)
 }
 
-// release hands a worker back once the session has no more work for
-// it: to the hub's idle pool (after an end-of-session marker clears
-// the worker's per-session state), or — for one-shot runs — a polite
-// bye.
+// release hands a worker back to the hub once the session has no more
+// work for it, behind an end-of-session marker that clears the worker's
+// per-session state.
 func (s *session) release(sw *sessionWorker) {
-	s.detach(sw)
-	if s.onRelease != nil {
-		sw.w.enqueue(outFrame{msgEndSession, nil})
-		s.onRelease(sw.w, true)
-		return
-	}
-	sw.w.enqueue(outFrame{msgBye, nil})
+	s.mu.Lock()
+	delete(s.attached, sw.id)
+	s.sendLocked(sw.w, outFrame{msgEndSession, nil})
+	s.mu.Unlock()
+	s.onRelease(sw.w, true)
 }
 
 // finish resolves the session exactly once.
@@ -801,9 +727,6 @@ func (s *session) finish(err error) {
 	s.sched.abort()
 	close(s.done)
 }
-
-// abort fails the session from outside (hub shutdown).
-func (s *session) abort(err error) { s.finish(err) }
 
 // wait blocks until the session resolves and every drive goroutine
 // exits, settles the store, and returns results in job order — or the

@@ -258,7 +258,7 @@ func TestSchedWithdrawalPrunesExclusions(t *testing.T) {
 // must be refused, or the hub re-admits it (resending every base) until
 // the finish lands.
 func TestSessionRefusesAttachOnceDrained(t *testing.T) {
-	s, err := newSession([]*aig.AIG{testAIG(46)}, testConfig(), testJobs(1), sessionOptions{elastic: true, logf: t.Logf})
+	s, err := newSession([]*aig.AIG{testAIG(46)}, testConfig(), testJobs(1), HubOptions{Logf: t.Logf}, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,15 +289,12 @@ func TestSessionEmptyPartitionWaits(t *testing.T) {
 	want := reference(t, base, cfg, jobs)
 
 	released := make(chan *wireWorker, 2)
-	s, err := newSession([]*aig.AIG{base}, cfg, jobs, sessionOptions{
-		elastic: true,
-		onRelease: func(w *wireWorker, healthy bool) {
+	s, err := newSession([]*aig.AIG{base}, cfg, jobs, HubOptions{Logf: t.Logf}, false,
+		func(w *wireWorker, healthy bool) {
 			if healthy {
 				released <- w
 			}
-		},
-		logf: t.Logf,
-	})
+		})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -622,6 +622,44 @@ func TestJobAndBaseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeBaseBoundsPICount: PIs are implicit in a base record, so
+// a base of a few bytes could claim up to 2^20 PIs, and decoding it
+// used to build graphs of that size (25 MB from 11 bytes; FuzzDecodeSubmit
+// found a 128-byte submission allocating 97 KiB). decodeBase refuses
+// more than maxPIsPerBaseByte PIs per payload byte before building
+// anything, while a wide graph that reads every PI still decodes.
+func TestDecodeBaseBoundsPICount(t *testing.T) {
+	for _, n := range []int{1 << 10, 1 << 16} {
+		payload, err := encodeBase(0, emptyLike(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err = decodeBase(payload)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("a %d-byte base of %d unused PIs decoded", len(payload), n)
+		}
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 4<<10 {
+			t.Errorf("refusing a %d-byte base of %d PIs allocated %d bytes", len(payload), n, grown)
+		}
+	}
+	const wide = 1 << 12
+	b := aig.NewBuilder(wide)
+	for i := 0; i < wide; i++ {
+		b.AddPO(b.PI(i))
+	}
+	g := b.Build()
+	payload, err := encodeBase(0, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got, err := decodeBase(payload); err != nil || !got.StructuralEqual(g) {
+		t.Fatalf("a %d-byte base reading all %d PIs did not round-trip: %v", len(payload), wide, err)
+	}
+}
+
 func TestSeedRoundTrip(t *testing.T) {
 	in := []eval.CacheRecord{
 		{FP: 0xdeadbeef, M: eval.Metrics{DelayPS: 12.5, AreaUM2: 3.25}},
