@@ -192,11 +192,11 @@ func inverterLibrary(n int) string {
 	return sb.String()
 }
 
-// TestParseRefusesTooManyCells: 100,000 random 4-input cells (7.0 MB of
-// text) and 100,000 inverters (6.7 MB) are both refused at maxCells,
+// TestParseRefusesTooManyCells: 100,000 random 4-input cells (7.3 MB of
+// text) and 100,000 inverters (6.9 MB) are both refused at maxCells,
 // with at most 16 MiB allocated, while a library of exactly maxCells
-// cells parses. Without the cap the random cells allocated 155 MiB
-// before their refusal and the inverters were accepted at 150 MiB.
+// cells parses. Parsed in full, the random cells cost 155 MiB before
+// maxMatches refuses them, and the inverters 150 MiB with no refusal.
 func TestParseRefusesTooManyCells(t *testing.T) {
 	for _, tc := range []struct {
 		name, src string

@@ -79,7 +79,7 @@ func ParseLibrary(r io.Reader) (*Library, error) {
 // before any cell is characterized, so a refused library costs memory
 // bounded by the cap rather than by its text. maxMatches bounds only
 // the cells that enter the match index; inverters, buffers and tie
-// cells never do, so without this cap a library of them had no bound.
+// cells never do, so only this cap bounds a library of them.
 const maxCells = 1 << 12
 
 func parseFloat(fields []string, lineNo int) (float64, error) {

@@ -622,12 +622,11 @@ func TestJobAndBaseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeBaseBoundsPICount: PIs are implicit in a base record, so
-// a base of a few bytes could claim up to 2^20 PIs, and decoding it
-// used to build graphs of that size (25 MB from 11 bytes; FuzzDecodeSubmit
-// found a 128-byte submission allocating 97 KiB). decodeBase refuses
-// more than maxPIsPerBaseByte PIs per payload byte before building
-// anything, while a wide graph that reads every PI still decodes.
+// TestDecodeBaseBoundsPICount: PIs are implicit in a base record, so a
+// base of a few bytes can claim up to 2^20 PIs, and building graphs of
+// that size costs 25 MB for 11 bytes. decodeBase refuses more than
+// maxPIsPerBaseByte PIs per payload byte before building anything,
+// while a wide graph that reads every PI still decodes.
 func TestDecodeBaseBoundsPICount(t *testing.T) {
 	for _, n := range []int{1 << 10, 1 << 16} {
 		payload, err := encodeBase(0, emptyLike(n))
