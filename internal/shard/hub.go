@@ -250,15 +250,22 @@ func (h *Hub) scheduleLocked() {
 		as.s.sched.setTarget(targets[i])
 	}
 	for i, as := range h.active {
-		for len(as.assigned) < targets[i] && len(h.idle) > 0 {
-			w := h.idle[0]
-			h.idle = h.idle[1:]
-			if !as.s.attach(w) {
-				// The session finished between planning and attach; the
-				// worker stays idle and the completion path reschedules.
-				h.idle = append(h.idle, w)
-				break
-			}
+		n := min(targets[i]-len(as.assigned), len(h.idle))
+		if n <= 0 {
+			continue
+		}
+		// One attach per session, so every worker it gains here is
+		// admitted before any of them drives: attached one at a time, the
+		// first could resolve every job before the next joined, and a
+		// fixed fleet would not be admitted whole.
+		ws := append([]*wireWorker(nil), h.idle[:n]...)
+		if !as.s.attach(ws...) {
+			// The session finished between planning and attach; the
+			// workers stay idle and the completion path reschedules.
+			continue
+		}
+		h.idle = h.idle[n:]
+		for _, w := range ws {
 			as.assigned[w] = true
 			h.logf("hub: worker %s -> session #%d (%d/%d)", w.name, as.seq, len(as.assigned), targets[i])
 		}

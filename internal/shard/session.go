@@ -466,54 +466,63 @@ func (s *session) flushStore() {
 	}
 }
 
-// attach admits w: it is sent the session preamble (config + every
+// attach admits ws: each is sent the session preamble (config + every
 // base, one flush) followed by the accumulated merged seeds per entry —
 // the full warm start a late joiner needs — and a drive goroutine starts
-// pulling jobs for it. Returns false when the session already finished
-// or has no job left to resolve (the hub then returns the worker to its
-// idle pool untouched). The second case covers the moment between the
-// last job's completion and the session's finish: admitting a worker
-// then would only send it the preamble and release it again, and the
-// hub would re-admit it until the finish lands.
-func (s *session) attach(w *wireWorker) bool {
+// pulling jobs for each. Every worker joins the schedule before any of
+// their drive goroutines starts, so the first cannot resolve every job
+// while the others are still being admitted. Returns false when the
+// session already finished or has no job left to resolve (the hub then
+// keeps the workers in its idle pool untouched). The second case covers
+// the moment between the last job's completion and the session's
+// finish: admitting a worker then would only send it the preamble and
+// release it again, and the hub would re-admit it until the finish
+// lands.
+func (s *session) attach(ws ...*wireWorker) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.finished || s.sched.drained() {
 		return false
 	}
-	sw := &sessionWorker{id: s.nextID, w: w, seen: make([]map[eval.CacheKey]bool, len(s.cfg.Entries))}
-	s.nextID++
-	for e := range sw.seen {
-		sw.seen[e] = make(map[eval.CacheKey]bool)
-	}
-	s.attached[sw.id] = sw
-	s.st.Workers = append(s.st.Workers, WorkerStats{Name: w.name})
-	s.sched.addWorker(sw.id)
-
-	// Preamble: config and every base in one flush.
-	frames := make([]outFrame, 0, 1+len(s.basePayloads))
-	frames = append(frames, outFrame{msgConfig, s.cfgPayload})
-	for _, bp := range s.basePayloads {
-		frames = append(frames, outFrame{msgBase, bp})
-		s.st.BaseBytes += int64(len(bp))
-	}
-	s.st.BaseSends += len(s.basePayloads)
-	s.sendLocked(w, frames...)
-	// Warm start: everything merged so far (store records and other
-	// workers' contributions alike), one push per non-empty entry.
-	if s.preseed {
-		for e := range s.mergedLog {
-			if len(s.mergedLog[e]) == 0 {
-				continue
-			}
-			for _, rec := range s.mergedLog[e] {
-				sw.seen[e][rec.Key()] = true
-			}
-			s.seedLocked(w, e, s.mergedLog[e])
+	sws := make([]*sessionWorker, len(ws))
+	for i, w := range ws {
+		sw := &sessionWorker{id: s.nextID, w: w, seen: make([]map[eval.CacheKey]bool, len(s.cfg.Entries))}
+		s.nextID++
+		for e := range sw.seen {
+			sw.seen[e] = make(map[eval.CacheKey]bool)
 		}
+		s.attached[sw.id] = sw
+		s.st.Workers = append(s.st.Workers, WorkerStats{Name: w.name})
+		s.sched.addWorker(sw.id)
+
+		// Preamble: config and every base in one flush.
+		frames := make([]outFrame, 0, 1+len(s.basePayloads))
+		frames = append(frames, outFrame{msgConfig, s.cfgPayload})
+		for _, bp := range s.basePayloads {
+			frames = append(frames, outFrame{msgBase, bp})
+			s.st.BaseBytes += int64(len(bp))
+		}
+		s.st.BaseSends += len(s.basePayloads)
+		s.sendLocked(w, frames...)
+		// Warm start: everything merged so far (store records and other
+		// workers' contributions alike), one push per non-empty entry.
+		if s.preseed {
+			for e := range s.mergedLog {
+				if len(s.mergedLog[e]) == 0 {
+					continue
+				}
+				for _, rec := range s.mergedLog[e] {
+					sw.seen[e][rec.Key()] = true
+				}
+				s.seedLocked(w, e, s.mergedLog[e])
+			}
+		}
+		sws[i] = sw
 	}
-	s.driveWG.Add(1)
-	go s.drive(sw)
+	for _, sw := range sws {
+		s.driveWG.Add(1)
+		go s.drive(sw)
+	}
 	return true
 }
 
