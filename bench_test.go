@@ -333,7 +333,7 @@ func BenchmarkRecipeApply(b *testing.B) {
 			g := rung.g()
 			pass := func() {
 				for _, r := range recipes {
-					recipeSink, _ = r.ApplyTracked(g, rand.New(rand.NewSource(1)))
+					recipeSink = r.ApplyTracked(g, rand.New(rand.NewSource(1)))
 				}
 			}
 			pass()

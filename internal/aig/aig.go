@@ -1,9 +1,6 @@
 package aig
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Lit is an AIG literal: node index << 1 | complement bit.
 type Lit uint32
@@ -561,13 +558,4 @@ func (g *AIG) TopoForEachAnd(f func(n int32, f0, f1 Lit)) {
 		nd := g.nodes[i]
 		f(int32(i), nd.fanin0, nd.fanin1)
 	}
-}
-
-// popcount64s counts set bits over a word slice.
-func popcount64s(ws []uint64) int {
-	n := 0
-	for _, w := range ws {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }

@@ -275,49 +275,6 @@ func TestPOCones(t *testing.T) {
 	}
 }
 
-func TestCriticalPIToPOPath(t *testing.T) {
-	b := NewBuilder(3)
-	n1 := b.And(b.PI(0), b.PI(1))
-	n2 := b.And(n1, b.PI(2))
-	n3 := b.And(n2, b.PI(0))
-	b.AddPO(n3)
-	g := b.Build()
-	path := g.CriticalPIToPOPath()
-	if len(path) != 4 {
-		t.Fatalf("path len = %d, want 4 (PI + 3 ands): %v", len(path), path)
-	}
-	if !g.IsPI(path[0]) {
-		t.Errorf("path should start at a PI, got node %d", path[0])
-	}
-	if path[len(path)-1] != n3.Node() {
-		t.Errorf("path should end at PO driver")
-	}
-	lv := g.Levels()
-	for i := 1; i < len(path); i++ {
-		if lv[path[i]] != lv[path[i-1]]+1 {
-			t.Errorf("path levels not increasing by 1: %v", path)
-		}
-	}
-}
-
-func TestMFFCSize(t *testing.T) {
-	// n3's MFFC: n3 and n2 (n1 is shared with PO1).
-	b := NewBuilder(3)
-	n1 := b.And(b.PI(0), b.PI(1))
-	n2 := b.And(n1, b.PI(2))
-	n3 := b.And(n2, b.PI(0))
-	b.AddPO(n3)
-	b.AddPO(n1)
-	g := b.Build()
-	fo := g.FanoutCounts()
-	if got := g.MFFCSize(n3.Node(), fo); got != 2 {
-		t.Errorf("MFFC(n3) = %d, want 2", got)
-	}
-	if got := g.MFFCSize(n1.Node(), fo); got != 1 {
-		t.Errorf("MFFC(n1) = %d, want 1", got)
-	}
-}
-
 func TestHashDiscriminatesAndIsStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g1 := randomAIG(rng, 5, 40, 3)

@@ -73,83 +73,3 @@ func (g *AIG) POCones() []POCone {
 	}
 	return out
 }
-
-// MFFCSize returns the size of the maximum fanout-free cone of node n:
-// the number of AND nodes (including n) that would become dangling if n
-// were removed. fanouts must come from FanoutCounts of the same AIG.
-func (g *AIG) MFFCSize(n int32, fanouts []int32) int {
-	if !g.IsAnd(n) {
-		return 0
-	}
-	// Simulate reference-count dereferencing without mutating shared state.
-	deref := make(map[int32]int32)
-	var count func(m int32) int
-	count = func(m int32) int {
-		if !g.IsAnd(m) {
-			return 0
-		}
-		total := 1
-		nd := g.nodes[m]
-		for _, f := range [2]Lit{nd.fanin0, nd.fanin1} {
-			fn := f.Node()
-			deref[fn]++
-			if g.IsAnd(fn) && deref[fn] == fanouts[fn] {
-				total += count(fn)
-			}
-		}
-		return total
-	}
-	return count(n)
-}
-
-// CriticalPIToPOPath returns one maximum-level path from a PI to the
-// latest-arriving PO as a sequence of node indices (PI first). It is the
-// AIG-level analogue of the critical path and feeds the paper's
-// long-path-fanout features.
-func (g *AIG) CriticalPIToPOPath() []int32 {
-	lv := g.Levels()
-	// Find the latest PO driver.
-	var root int32 = -1
-	var best int32 = -1
-	for _, po := range g.pos {
-		if l := lv[po.Node()]; l > best {
-			best = l
-			root = po.Node()
-		}
-	}
-	if root < 0 || !g.IsAnd(root) {
-		if root >= 0 {
-			return []int32{root}
-		}
-		return nil
-	}
-	// Walk back through max-level fanins.
-	var rev []int32
-	n := root
-	for g.IsAnd(n) {
-		rev = append(rev, n)
-		nd := g.nodes[n]
-		n0, n1 := nd.fanin0.Node(), nd.fanin1.Node()
-		if lv[n0] >= lv[n1] {
-			n = n0
-		} else {
-			n = n1
-		}
-	}
-	rev = append(rev, n) // the PI (or constant)
-	// Reverse to PI-first order.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-// NodesAtLevel buckets AND node indices by level.
-func (g *AIG) NodesAtLevel() map[int32][]int32 {
-	lv := g.Levels()
-	out := make(map[int32][]int32)
-	for i := g.numPIs + 1; i < len(g.nodes); i++ {
-		out[lv[i]] = append(out[lv[i]], int32(i))
-	}
-	return out
-}

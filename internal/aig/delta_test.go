@@ -38,21 +38,74 @@ func equivalentGraphs(t *testing.T, a, b *AIG) {
 	}
 }
 
+// matchedPrefix is the test-side reference for Rebase's ordering
+// contract, which every ground-truth trajectory depends on. It counts
+// the AND nodes of next that match prev structurally (fanins translated
+// through earlier matches, the pair looked up in prev.PairIndex(), each
+// prev node claimed once), then checks that r, next rebased against
+// prev, starts with exactly that many nodes, each reproducing a fanin
+// pair of prev through the nodes before it, onto strictly ascending prev
+// nodes. It returns the prefix length; the rest of r is the dirty
+// suffix.
+func matchedPrefix(t *testing.T, prev, next, r *AIG) int {
+	t.Helper()
+	if prev.NumPIs() != next.NumPIs() || r.NumAnds() != next.NumAnds() {
+		t.Fatalf("rebase changed the interface: %v vs %v", r.Stats(), next.Stats())
+	}
+	pairs := prev.PairIndex()
+	first := next.FirstAnd()
+	translate := func(match []int32, l Lit) (Lit, bool) {
+		n := l.Node()
+		if n < first {
+			return l, true // constant and PIs map to themselves
+		}
+		if i := int(n - first); i < len(match) && match[i] >= 0 {
+			return MakeLit(match[i], l.IsCompl()), true
+		}
+		return 0, false
+	}
+	lookup := func(match []int32, n int32, g *AIG) int32 {
+		f0, f1 := g.Fanins(n)
+		t0, ok0 := translate(match, f0)
+		t1, ok1 := translate(match, f1)
+		if p, ok := pairs[pairKeyNorm(t0, t1)]; ok0 && ok1 && ok {
+			return p
+		}
+		return -1
+	}
+	claimed := make(map[int32]bool)
+	match := make([]int32, 0, next.NumAnds())
+	matched := 0
+	for n := first; n < int32(next.NumNodes()); n++ {
+		p := lookup(match, n, next)
+		if p >= 0 && !claimed[p] {
+			claimed[p] = true
+			matched++
+		} else {
+			p = -1
+		}
+		match = append(match, p)
+	}
+	prefix := make([]int32, 0, matched)
+	for i := 0; i < matched; i++ {
+		p := lookup(prefix, first+int32(i), r)
+		if p < 0 || (i > 0 && p <= prefix[i-1]) {
+			t.Fatalf("rebased node %d is not the next matched node in ascending prev order", first+int32(i))
+		}
+		prefix = append(prefix, p)
+	}
+	return matched
+}
+
 func TestRebaseIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := deltaRandomAIG(rng, 6, 80, 4)
-	r, d := new(Builder).Rebase(g, g)
-	if d.NumDirty() != 0 {
-		t.Fatalf("self-rebase has %d dirty nodes", d.NumDirty())
-	}
-	if d.DirtyFraction() != 0 {
-		t.Fatalf("self-rebase dirty fraction %v", d.DirtyFraction())
+	r := new(Builder).Rebase(g, g)
+	if m := matchedPrefix(t, g, g, r); m != g.NumAnds() {
+		t.Fatalf("self-rebase has %d dirty nodes", g.NumAnds()-m)
 	}
 	if !r.StructuralEqual(g) {
 		t.Fatal("self-rebase changed the graph")
-	}
-	if err := d.Validate(g, r); err != nil {
-		t.Fatalf("Validate: %v", err)
 	}
 }
 
@@ -78,17 +131,15 @@ func TestRebaseDisjointCones(t *testing.T) {
 	}
 	prev := build(false)
 	next := build(true)
-	r, d := new(Builder).Rebase(prev, next)
-	if err := d.Validate(prev, r); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
+	r := new(Builder).Rebase(prev, next)
+	matched := matchedPrefix(t, prev, next, r)
 	equivalentGraphs(t, next, r)
-	if d.NumDirty() == 0 || d.NumDirty() >= r.NumAnds() {
-		t.Fatalf("expected a partial dirty cone, got %v", d)
+	if dirty := r.NumAnds() - matched; dirty == 0 || dirty >= r.NumAnds() {
+		t.Fatalf("expected a partial dirty cone, got %d of %d dirty", dirty, r.NumAnds())
 	}
 	// Cone A (3 ANDs) must be fully matched.
-	if d.NumMatched() < 3 {
-		t.Fatalf("untouched cone not matched: %v", d)
+	if matched < 3 {
+		t.Fatalf("untouched cone not matched: %d matched", matched)
 	}
 }
 
@@ -123,10 +174,8 @@ func TestRebaseRandomized(t *testing.T) {
 		}
 		next := nb.Build().Compact()
 
-		r, d := new(Builder).Rebase(prev, next)
-		if err := d.Validate(prev, r); err != nil {
-			t.Fatalf("trial %d: Validate: %v", trial, err)
-		}
+		r := new(Builder).Rebase(prev, next)
+		matched := matchedPrefix(t, prev, next, r)
 		equivalentGraphs(t, next, r)
 		if r.NumAnds() != next.NumAnds() || r.MaxLevel() != next.MaxLevel() {
 			t.Fatalf("trial %d: rebase changed structure: %v vs %v", trial, r.Stats(), next.Stats())
@@ -134,32 +183,10 @@ func TestRebaseRandomized(t *testing.T) {
 		// The pure re-strash portion must be matched: dirty nodes can only
 		// come from the injected cones (each injection adds at most 3
 		// nodes, all above a PO).
-		if d.NumDirty() > 3*prev.NumPOs() {
-			t.Fatalf("trial %d: too many dirty nodes: %v", trial, d)
+		if dirty := r.NumAnds() - matched; dirty > 3*prev.NumPOs() {
+			t.Fatalf("trial %d: too many dirty nodes: %d", trial, dirty)
 		}
 	}
-}
-
-func TestTFOClosure(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	g := deltaRandomAIG(rng, 5, 60, 3)
-	seed := []int32{g.FirstAnd() + 2}
-	tfo := g.TFO(seed)
-	inTFO := make(map[int32]bool)
-	for _, n := range tfo {
-		inTFO[n] = true
-	}
-	if !inTFO[seed[0]] {
-		t.Fatal("TFO missing its seed")
-	}
-	// Closure: every AND with a fanin in the TFO is in the TFO.
-	g.TopoForEachAnd(func(n int32, f0, f1 Lit) {
-		if inTFO[f0.Node()] || inTFO[f1.Node()] {
-			if !inTFO[n] {
-				t.Fatalf("TFO not closed at node %d", n)
-			}
-		}
-	})
 }
 
 func TestRebaseDirtySuffixIsTFOClosed(t *testing.T) {
@@ -167,14 +194,11 @@ func TestRebaseDirtySuffixIsTFOClosed(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		prev := deltaRandomAIG(rng, 5, 40+rng.Intn(40), 2)
 		next := deltaRandomAIG(rng, 5, 40+rng.Intn(40), 2)
-		r, d := new(Builder).Rebase(prev, next)
-		if err := d.Validate(prev, r); err != nil {
-			t.Fatalf("trial %d: Validate: %v", trial, err)
-		}
+		r := new(Builder).Rebase(prev, next)
 		// Every fanin of a matched node must be matched (i.e., the dirty
 		// suffix has no fanout into the prefix), which is exactly the
 		// TFO-closure property.
-		limit := r.FirstAnd() + int32(d.NumMatched())
+		limit := r.FirstAnd() + int32(matchedPrefix(t, prev, next, r))
 		for n := r.FirstAnd(); n < limit; n++ {
 			f0, f1 := r.Fanins(n)
 			if f0.Node() >= limit || f1.Node() >= limit {

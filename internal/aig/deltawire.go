@@ -17,11 +17,12 @@ import (
 // translated through the references emitted so far, is a strashed pair
 // of the base) or the explicit fanin literals. Matching is the same
 // greedy strash-lookup Rebase performs — for a graph produced by
-// b.Rebase(base, g) the back-referenced set is exactly the Delta's matched
-// prefix — but unlike Rebase the encoder never reorders: DecodeDelta
-// reconstructs the node array bit-for-bit (same node order, same fanin
-// literal order, same PO list), which is what lets the shard layer prove
-// its results byte-identical to local evaluation.
+// b.Rebase(base, g) the back-referenced set is exactly the rebased
+// graph's matched prefix — but unlike Rebase the encoder never
+// reorders: DecodeDelta reconstructs the node array bit-for-bit (same
+// node order, same fanin literal order, same PO list), which is what
+// lets the shard layer prove its results byte-identical to local
+// evaluation.
 
 // deltaWireVersion guards the self-describing header of EncodeDelta so
 // a protocol mismatch fails loudly instead of mis-decoding.

@@ -91,7 +91,7 @@ func TestDeltaWireRoundTripExact(t *testing.T) {
 func TestDeltaWirePreservesOrder(t *testing.T) {
 	base := randomDAG(2, 6, 80, 3)
 	g := mutate(base, 7, 8)
-	rb, d := new(Builder).Rebase(base, g)
+	rb := new(Builder).Rebase(base, g)
 	for _, c := range []*AIG{g, rb} {
 		data, err := EncodeDelta(base, c)
 		if err != nil {
@@ -106,7 +106,7 @@ func TestDeltaWirePreservesOrder(t *testing.T) {
 		}
 	}
 	// For the rebased form the back-referenced set is exactly the
-	// Delta's matched prefix.
+	// matched prefix.
 	data, err := EncodeDelta(base, rb)
 	if err != nil {
 		t.Fatal(err)
@@ -115,9 +115,9 @@ func TestDeltaWirePreservesOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if matched != d.NumMatched() || explicit != d.NumDirty() {
-		t.Fatalf("wire split %d/%d, delta says %d/%d",
-			matched, explicit, d.NumMatched(), d.NumDirty())
+	if want := matchedPrefix(t, base, g, rb); matched != want || explicit != rb.NumAnds()-want {
+		t.Fatalf("wire split %d/%d, rebase matched %d of %d",
+			matched, explicit, want, rb.NumAnds())
 	}
 }
 

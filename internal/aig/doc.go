@@ -52,14 +52,12 @@
 // # Deltas
 //
 // Builder.Rebase renumbers a derived graph into the canonical
-// delta-friendly form relative to a base — a matched prefix (shared
+// delta-friendly form relative to a base: a matched prefix (shared
 // structure, sorted by base index, so the translation is monotone)
-// followed by a TFO-closed dirty suffix — and returns the Delta between
-// the two;
-// Delta.Validate checks such a record against a pair of graphs. The
-// annealer rebases every ground-truth move against its parent
-// (transform.Recipe.ApplyTracked), so the rebased node order is part of
-// those trajectories.
+// followed by the dirty suffix, the new structure and its transitive
+// fanout. The annealer rebases every ground-truth move against its
+// parent (transform.Recipe.ApplyTracked), so the rebased node order is
+// part of those trajectories.
 //
 // EncodeDelta/DecodeDelta serialize a graph against a base graph both
 // sides hold, back-referencing shared structure through the same strash

@@ -1,7 +1,5 @@
 package aig
 
-import "fmt"
-
 // Simulator is a reusable bit-parallel simulation engine for one AIG.
 //
 // Compared to the one-shot SimulateSequential reference path it:
@@ -10,9 +8,7 @@ import "fmt"
 //     simulation (fraiging, resubstitution, annealed recipe search,
 //     signatures) does not churn the allocator;
 //   - dispatches every AND node through one of four specialized word-loop
-//     kernels, hoisting the fanin-complement branches out of the inner loop;
-//   - supports incremental re-simulation of only the cone affected by a
-//     changed primary input (SetPI followed by Resimulate).
+//     kernels, hoisting the fanin-complement branches out of the inner loop.
 //
 // One call is one sequential pass in topological order on the calling
 // goroutine: callers that simulate many graphs (annealer moves, sweep
@@ -29,12 +25,11 @@ type Simulator struct {
 	words int
 	buf   []uint64   // backing storage for all node value rows
 	vals  [][]uint64 // per-node views into buf
-	dirty []bool     // per-node change marks for incremental re-simulation
 
-	// res is the result shell Simulate and Resimulate return a pointer
-	// to; retained so the steady-state loops allocate nothing. Results
-	// already alias the simulator's buffers and are only valid until the
-	// next call, so sharing the shell adds no new aliasing.
+	// res is the result shell Simulate returns a pointer to; retained
+	// so the steady-state loop allocates nothing. Results already alias
+	// the simulator's buffers and are only valid until the next call, so
+	// sharing the shell adds no new aliasing.
 	res SimResult
 }
 
@@ -60,11 +55,6 @@ func (s *Simulator) Rebind(g *AIG) *Simulator {
 	} else {
 		s.vals = nil
 	}
-	if cap(s.dirty) >= n {
-		s.dirty = s.dirty[:n]
-	} else {
-		s.dirty = nil
-	}
 	s.words = -1 // force the next ensure to re-slice the rows
 	return s
 }
@@ -87,16 +77,13 @@ func (s *Simulator) ensure(words int) {
 		s.vals[i] = buf[:words:words]
 		buf = buf[words:]
 	}
-	if s.dirty == nil {
-		s.dirty = make([]bool, n)
-	}
 	s.words = words
 }
 
 // Simulate evaluates the AIG under the given PI patterns; piValues must
 // have NumPIs rows of equal word width. The returned result aliases the
-// simulator's internal buffers and stays valid until the next Simulate,
-// SetPI, or Resimulate call on this simulator.
+// simulator's internal buffers and stays valid until the next Simulate
+// call on this simulator.
 func (s *Simulator) Simulate(piValues [][]uint64) *SimResult {
 	if len(piValues) != s.g.numPIs {
 		panic("aig: Simulate: wrong number of PI patterns")
@@ -124,7 +111,6 @@ func (s *Simulator) SimulateWords(piValues [][]uint64, words int) *SimResult {
 		}
 		copy(s.vals[i+1], row)
 	}
-	clear(s.dirty)
 	for n := s.g.numPIs + 1; n < len(s.g.nodes); n++ {
 		nd := &s.g.nodes[n]
 		simKernel(nd.fanin0.IsCompl(), nd.fanin1.IsCompl(),
@@ -179,66 +165,4 @@ func norKernel(out, a, b []uint64) {
 	for i := range out {
 		out[i] = ^(a[i] | b[i])
 	}
-}
-
-// SetPI replaces the pattern row of primary input i (0-based) ahead of an
-// incremental Resimulate. The row width must match the preceding Simulate
-// call; the input is marked dirty only when the new row actually differs.
-func (s *Simulator) SetPI(i int, row []uint64) {
-	if s.vals == nil {
-		panic("aig: SetPI: no prior Simulate call")
-	}
-	if i < 0 || i >= s.g.numPIs {
-		panic(fmt.Sprintf("aig: SetPI: input %d out of range [0,%d)", i, s.g.numPIs))
-	}
-	if len(row) != s.words {
-		panic("aig: SetPI: wrong row width")
-	}
-	dst := s.vals[i+1]
-	for w := range dst {
-		if dst[w] != row[w] {
-			dst[w] = row[w]
-			s.dirty[i+1] = true
-		}
-	}
-}
-
-// Resimulate incrementally refreshes the simulation after SetPI calls.
-// Word-level recomputation is limited to nodes with a dirty fanin, and a
-// node whose recomputed value is unchanged stops propagation, so the
-// expensive kernel work is proportional to the affected cone; the pass
-// still performs one O(NumAnds) sweep of per-node flag checks. The
-// returned result aliases the simulator's buffers like Simulate's.
-func (s *Simulator) Resimulate() *SimResult {
-	if s.vals == nil {
-		panic("aig: Resimulate: no prior Simulate call")
-	}
-	// The topological node order guarantees fanins are refreshed before
-	// their fanouts.
-	g := s.g
-	for n := g.numPIs + 1; n < len(g.nodes); n++ {
-		nd := &g.nodes[n]
-		if !s.dirty[nd.fanin0.Node()] && !s.dirty[nd.fanin1.Node()] {
-			continue
-		}
-		var m0, m1 uint64
-		if nd.fanin0.IsCompl() {
-			m0 = ^uint64(0)
-		}
-		if nd.fanin1.IsCompl() {
-			m1 = ^uint64(0)
-		}
-		a := s.vals[nd.fanin0.Node()]
-		b := s.vals[nd.fanin1.Node()]
-		out := s.vals[n]
-		for w := range out {
-			if nv := (a[w] ^ m0) & (b[w] ^ m1); nv != out[w] {
-				out[w] = nv
-				s.dirty[n] = true
-			}
-		}
-	}
-	clear(s.dirty)
-	s.res = SimResult{Words: s.words, Values: s.vals}
-	return &s.res
 }

@@ -108,37 +108,6 @@ func TestSimulatorConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestSimulatorIncremental drives SetPI/Resimulate through several rounds
-// of input mutation and checks each against a full reference pass.
-func TestSimulatorIncremental(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 6; trial++ {
-		g := randomAIG(rng, 6+rng.Intn(6), 100+rng.Intn(300), 4)
-		words := 1 + rng.Intn(8)
-		pats := RandomPatterns(g.NumPIs(), words, rng)
-		sim := NewSimulator(g)
-		sim.Simulate(pats)
-		for round := 0; round < 8; round++ {
-			// Mutate a random subset of inputs (sometimes to identical rows,
-			// which must be a no-op).
-			for i := 0; i < g.NumPIs(); i++ {
-				switch rng.Intn(3) {
-				case 0:
-					row := make([]uint64, words)
-					for w := range row {
-						row[w] = rng.Uint64()
-					}
-					pats[i] = row
-					sim.SetPI(i, row)
-				case 1:
-					sim.SetPI(i, pats[i]) // unchanged row
-				}
-			}
-			sameResult(t, sim.Resimulate(), g.SimulateSequential(pats), "incremental")
-		}
-	}
-}
-
 // TestSimulatorNoPIs covers graphs whose pattern width cannot be inferred
 // from the inputs; EquivalentExhaustive previously crashed on these.
 func TestSimulatorNoPIs(t *testing.T) {
@@ -182,8 +151,4 @@ func TestSimulateWrapperCompat(t *testing.T) {
 		f()
 	}
 	mustPanicMsg(func() { sim.Simulate(pats[:2]) })
-	mustPanicMsg(func() { sim.SetPI(0, []uint64{1, 2, 3}) })
-	mustPanicMsg(func() { sim.SetPI(-1, pats[0]) })
-	mustPanicMsg(func() { NewSimulator(g).SetPI(0, pats[0]) })
-	mustPanicMsg(func() { NewSimulator(g).Resimulate() })
 }

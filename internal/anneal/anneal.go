@@ -448,8 +448,7 @@ func runChain(g0 *aig.AIG, oracle eval.Oracle, p Params, recipes []transform.Rec
 	// proposal, pure waste for proxy-style evaluators.
 	apply := func(r transform.Recipe, base *aig.AIG, rng *rand.Rand) *aig.AIG {
 		if tracked {
-			g, _ := r.ApplyTracked(base, rng)
-			return g
+			return r.ApplyTracked(base, rng)
 		}
 		return r.Apply(base, rng)
 	}

@@ -4,12 +4,19 @@ import (
 	"testing"
 )
 
+// The paper notes (§IV) that the learned cost oracle can drive other
+// searches besides SA; Params expresses the two standard ones. Hill
+// climbing is zero-temperature annealing (StartTemp 0, DecayRate 1), and
+// multi-start is Chains independent chains merged best-of.
+
 func TestHillClimbNeverAcceptsUphill(t *testing.T) {
 	g := testAIG(21)
 	p := DefaultParams
 	p.Iterations = 50
 	p.Seed = 2
-	res, err := RunHillClimb(g, proxyEval{}, p)
+	p.StartTemp = 0
+	p.DecayRate = 1
+	res, err := Run(g, proxyEval{}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +40,8 @@ func TestMultiStartAtLeastAsGoodAsSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := RunMultiStart(g, proxyEval{}, p, 4)
+	p.Chains = 4
+	multi, err := Run(g, proxyEval{}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +58,9 @@ func TestMultiStartAtLeastAsGoodAsSingle(t *testing.T) {
 
 func TestMultiStartValidation(t *testing.T) {
 	g := testAIG(23)
-	if _, err := RunMultiStart(g, proxyEval{}, DefaultParams, 0); err == nil {
-		t.Fatal("restarts=0 accepted")
+	p := DefaultParams
+	p.Chains = -1
+	if _, err := Run(g, proxyEval{}, p); err == nil {
+		t.Fatal("Chains=-1 accepted")
 	}
 }

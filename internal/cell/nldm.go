@@ -1,7 +1,5 @@
 package cell
 
-import "fmt"
-
 // NLDM-style timing tables. Real liberty files characterize each cell with
 // two-dimensional lookup tables indexed by input slew and output load;
 // signoff STA bilinearly interpolates them and propagates slew. This file
@@ -110,11 +108,4 @@ var SignoffCorners = []Corner{
 	{Name: "FF", Scale: 0.85},
 	{Name: "TT", Scale: 1.00},
 	{Name: "SS", Scale: 1.18},
-}
-
-func (c *Cell) checkTables() error {
-	if c.NLDM == nil {
-		return fmt.Errorf("cell: %s not characterized", c.Name)
-	}
-	return nil
 }

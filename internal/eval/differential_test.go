@@ -76,11 +76,11 @@ func differentialWalk(t *testing.T, g0 *aig.AIG, stack, ref eval.Evaluator, step
 	cur := g0
 	for s := 0; s < steps; s++ {
 		r := recipes[rng.Intn(len(recipes))]
-		next, d := r.ApplyTracked(cur, rng)
+		next := r.ApplyTracked(cur, rng)
 		mStack := stack.Evaluate(next)
 		mRef := ref.Evaluate(next)
 		if mStack != mRef {
-			t.Fatalf("step %d (%s, %v): stack %+v != reference %+v", s, r.Name, d, mStack, mRef)
+			t.Fatalf("step %d (%s): stack %+v != reference %+v", s, r.Name, mStack, mRef)
 		}
 		if rng.Intn(2) == 0 { // wander: accept about half the moves
 			cur = next

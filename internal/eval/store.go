@@ -384,9 +384,6 @@ func (s *Store) RecoveredBytes() int64 {
 	return s.recovered
 }
 
-// Path returns the file the store persists to.
-func (s *Store) Path() string { return s.path }
-
 // Close flushes nothing (every Append is already durable) and releases
 // the file handle. The store must not be used after Close.
 func (s *Store) Close() error {

@@ -20,9 +20,6 @@ import (
 	"aigtimer/internal/aig"
 )
 
-// TopN is the paper's n for the top-n depth and path-count features.
-const TopN = 3
-
 // Names lists the features in vector order. The layout follows Table II.
 var Names = []string{
 	"number_of_node",

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"time"
 
 	"aigtimer/internal/aig"
 	"aigtimer/internal/anneal"
@@ -32,18 +31,11 @@ type ShardOptions struct {
 	// hubs): the submission travels over this connection. Takes
 	// precedence over Hub.
 	HubConn io.ReadWriteCloser
-	// MaxAttempts bounds per-job retries after worker-side errors
-	// (0 = the shard layer's default of 3).
-	MaxAttempts int
 	// Preseed pushes merged cache records back out to workers mid-sweep
 	// so structures one worker scored are not re-evaluated by its peers;
 	// value-transparent (results are byte-identical either way), see
 	// shard.Options.Preseed.
 	Preseed bool
-	// StoreFlushEvery is the coordinator's mid-run flush cadence when
-	// SweepConfig.Store is set (0 = the shard layer's default of 30s);
-	// see shard.Options.StoreFlushEvery.
-	StoreFlushEvery time.Duration
 	// OnJobDone, when set, is invoked as each grid point's result is
 	// merged (session job index, worker name) — a progress hook; see
 	// shard.Options.OnJobDone.

@@ -274,8 +274,7 @@ func SweepSuiteSharded(entries []SuiteEntry, lib *cell.Library, cfg SweepConfig,
 	} else {
 		results, st, err = shard.Run(bases, rc, jobs, shard.Options{
 			Conns: opts.Conns, Endpoints: opts.Endpoints,
-			MaxAttempts: opts.MaxAttempts, Preseed: opts.Preseed,
-			Store: cfg.Store, StoreFlushEvery: opts.StoreFlushEvery,
+			Preseed: opts.Preseed, Store: cfg.Store,
 			OnJobDone: opts.OnJobDone, Logf: opts.Logf,
 		})
 	}

@@ -1,7 +1,6 @@
 package netlist
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -17,91 +16,6 @@ func wideNetlist(n int) *Netlist {
 		b.AddPO(b.AddGate(lib.Inverter(), src))
 	}
 	return b.Build()
-}
-
-func TestInsertBuffersBoundsFanout(t *testing.T) {
-	nl := wideNetlist(20)
-	if nl.MaxFanout() != 20 {
-		t.Fatalf("setup: max fanout %d", nl.MaxFanout())
-	}
-	for _, mf := range []int{2, 4, 8} {
-		buffered, err := nl.InsertBuffers(mf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := buffered.MaxFanout(); got > mf {
-			t.Errorf("maxFanout=%d: got fanout %d", mf, got)
-		}
-		// Function preserved on both PI values.
-		for _, v := range []bool{false, true} {
-			want := nl.Eval([]bool{v})
-			got := buffered.Eval([]bool{v})
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("maxFanout=%d: PO %d differs", mf, i)
-				}
-			}
-		}
-	}
-}
-
-func TestInsertBuffersNoopOnLowFanout(t *testing.T) {
-	lib := cell.Builtin()
-	b := MakeBuilder(lib, 2, nil)
-	n := b.AddGate(lib.CellByName("NAND2_X1"), b.PINet(0), b.PINet(1))
-	b.AddPO(n)
-	nl := b.Build()
-	out, err := nl.InsertBuffers(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.NumGates() != nl.NumGates() {
-		t.Fatalf("buffering a low-fanout netlist changed it: %d -> %d gates",
-			nl.NumGates(), out.NumGates())
-	}
-}
-
-func TestInsertBuffersValidation(t *testing.T) {
-	nl := wideNetlist(4)
-	if _, err := nl.InsertBuffers(1); err == nil {
-		t.Fatal("maxFanout=1 accepted")
-	}
-}
-
-func TestInsertBuffersRandomEquivalence(t *testing.T) {
-	lib := cell.Builtin()
-	rng := rand.New(rand.NewSource(3))
-	b := MakeBuilder(lib, 4, nil)
-	nets := []NetID{b.PINet(0), b.PINet(1), b.PINet(2), b.PINet(3)}
-	for i := 0; i < 40; i++ {
-		c := lib.CellByName("NAND2_X1")
-		n := b.AddGate(c, nets[rng.Intn(len(nets))], nets[rng.Intn(len(nets))])
-		nets = append(nets, n)
-	}
-	for i := 0; i < 5; i++ {
-		b.AddPO(nets[len(nets)-1-rng.Intn(10)])
-	}
-	nl := b.Build()
-	buffered, err := nl.InsertBuffers(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if buffered.MaxFanout() > 3 {
-		t.Fatalf("fanout bound violated: %d", buffered.MaxFanout())
-	}
-	in := make([]bool, 4)
-	for m := 0; m < 16; m++ {
-		for i := range in {
-			in[i] = m>>i&1 == 1
-		}
-		want := nl.Eval(in)
-		got := buffered.Eval(in)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("minterm %d PO %d differs", m, i)
-			}
-		}
-	}
 }
 
 func TestWriteVerilog(t *testing.T) {

@@ -28,10 +28,10 @@ import (
 // job counter reaches after. Exactly one action field should be set.
 type chaosStep struct {
 	after      int64
-	join       string       // register a fresh worker under this name
-	crash      string       // close this worker's transport, as a dying process would
-	dropClient string       // close this client's connection mid-run
-	submit     *chaosSubmit // enqueue a submission
+	join       string           // register a fresh worker under this name
+	crash      string           // close this worker's transport, as a dying process would
+	dropClient string           // close this client's connection mid-run
+	submit     *chaosSubmission // enqueue a prepared submission
 }
 
 // chaosSubmit describes one scripted submission: a testAIG(seed) base
@@ -54,6 +54,7 @@ type chaosOutcome struct {
 // reference it must match, and the channel its outcome arrives on.
 type chaosSubmission struct {
 	name      string
+	via       string // the framed client it goes through, "" for direct
 	base      *aig.AIG
 	cfg       RunConfig
 	jobs      []JobSpec
@@ -199,19 +200,30 @@ func (ch *chaosHarness) dropClient(name string) {
 	conn.Close()
 }
 
-// submitNow enqueues one scripted submission and starts the goroutine
-// collecting its outcome.
-func (ch *chaosHarness) submitNow(cs *chaosSubmit) *chaosSubmission {
+// prepare builds one scripted submission's inputs and its local
+// reference without submitting it. Scenarios prepare every submission
+// before the first submit: computing a reference between two submits
+// gives the earlier one time to finish before the later one is
+// enqueued, which a scenario asserting queue depths cannot allow.
+func (ch *chaosHarness) prepare(cs *chaosSubmit) *chaosSubmission {
 	ch.t.Helper()
 	sub := &chaosSubmission{
 		name: cs.name,
+		via:  cs.via,
 		base: testAIG(cs.seed),
 		cfg:  testConfig(),
 		jobs: testJobs(cs.jobs),
 		outc: make(chan chaosOutcome, 1),
 	}
 	sub.want = reference(ch.t, sub.base, sub.cfg, sub.jobs)
-	if cs.via == "" {
+	return sub
+}
+
+// submit enqueues a prepared submission and starts the goroutine
+// collecting its outcome.
+func (ch *chaosHarness) submit(sub *chaosSubmission) {
+	ch.t.Helper()
+	if sub.via == "" {
 		hs, err := ch.h.Submit([]*aig.AIG{sub.base}, sub.cfg, sub.jobs)
 		if err != nil {
 			ch.t.Fatal(err)
@@ -221,7 +233,7 @@ func (ch *chaosHarness) submitNow(cs *chaosSubmit) *chaosSubmission {
 			sub.outc <- chaosOutcome{results, st, err}
 		}()
 	} else {
-		c := ch.client(cs.via)
+		c := ch.client(sub.via)
 		go func() {
 			results, st, err := c.Submit([]*aig.AIG{sub.base}, sub.cfg, sub.jobs)
 			sub.outc <- chaosOutcome{results, st, err}
@@ -230,7 +242,6 @@ func (ch *chaosHarness) submitNow(cs *chaosSubmit) *chaosSubmission {
 	ch.mu.Lock()
 	ch.subs = append(ch.subs, sub)
 	ch.mu.Unlock()
-	return sub
 }
 
 // waitDone blocks until the hub-wide merged-job counter reaches n.
@@ -259,7 +270,7 @@ func (ch *chaosHarness) play(steps []chaosStep) {
 		case s.dropClient != "":
 			ch.dropClient(s.dropClient)
 		case s.submit != nil:
-			ch.submitNow(s.submit)
+			ch.submit(s.submit)
 		default:
 			ch.t.Fatal("chaos step with no action")
 		}
@@ -389,8 +400,10 @@ func (ch *chaosHarness) verifySerialHub() {
 func TestChaosSerialQueueUnderChurn(t *testing.T) {
 	ch := newChaosHarness(t, HubOptions{MaxSessions: 1, Preseed: true})
 	ch.joinWorker("w1")
-	a := ch.submitNow(&chaosSubmit{name: "A", seed: 81, jobs: 6})
-	b := ch.submitNow(&chaosSubmit{name: "B", seed: 82, jobs: 4})
+	a := ch.prepare(&chaosSubmit{name: "A", seed: 81, jobs: 6})
+	b := ch.prepare(&chaosSubmit{name: "B", seed: 82, jobs: 4})
+	ch.submit(a)
+	ch.submit(b)
 	ch.play([]chaosStep{
 		{after: 1, join: "w2"},
 		{after: 3, crash: "w1"},
@@ -421,10 +434,12 @@ func TestChaosConcurrentSessionsUnderChurn(t *testing.T) {
 	// Pin both workers inside session A's first two jobs, then admit B:
 	// the plan must split the fleet [1,1], forcing A to donate a worker
 	// at its next job boundary.
+	a := ch.prepare(&chaosSubmit{name: "A", seed: 83, jobs: 8})
+	b := ch.prepare(&chaosSubmit{name: "B", seed: 84, jobs: 4})
 	ch.holdRuns()
-	a := ch.submitNow(&chaosSubmit{name: "A", seed: 83, jobs: 8})
+	ch.submit(a)
 	waitFor(t, "both workers mid-job in A", func() bool { return ch.runStarts.Load() >= 2 })
-	b := ch.submitNow(&chaosSubmit{name: "B", seed: 84, jobs: 4})
+	ch.submit(b)
 	if n := ch.activeCount(); n != 2 {
 		t.Fatalf("active sessions = %d after concurrent admission, want 2", n)
 	}
@@ -452,12 +467,14 @@ func TestChaosConcurrentSessionsUnderChurn(t *testing.T) {
 func TestChaosClientDisconnectMidRun(t *testing.T) {
 	ch := newChaosHarness(t, HubOptions{MaxSessions: 2, Preseed: true})
 	ch.joinWorker("w1")
-	ch.holdRuns()
-	a := ch.submitNow(&chaosSubmit{name: "A", seed: 85, jobs: 6, via: "c1"})
+	a := ch.prepare(&chaosSubmit{name: "A", seed: 85, jobs: 6, via: "c1"})
 	a.expectErr = true
+	b := ch.prepare(&chaosSubmit{name: "B", seed: 86, jobs: 4})
+	ch.holdRuns()
+	ch.submit(a)
 	waitFor(t, "A mid-job", func() bool { return ch.runStarts.Load() >= 1 })
 	ch.dropClient("c1")
-	b := ch.submitNow(&chaosSubmit{name: "B", seed: 86, jobs: 4})
+	ch.submit(b)
 	ch.releaseRuns()
 	// The orphaned session still merges every job: the hub owes the
 	// fleet a clean session boundary whether or not anyone is listening.

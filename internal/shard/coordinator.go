@@ -17,12 +17,6 @@ import (
 type Options struct {
 	Conns     []io.ReadWriteCloser
 	Endpoints []string
-	// MaxAttempts bounds how often one job is executed after worker-side
-	// errors before the sweep reports it failed (transport losses always
-	// requeue and do not consume attempts). 0 means 3.
-	MaxAttempts int
-	// DialTimeout bounds each endpoint dial; 0 means 10s.
-	DialTimeout time.Duration
 	// JobTimeout bounds how long the coordinator waits for one job's
 	// result on transports supporting read deadlines (net.Conn); on
 	// expiry the worker counts as lost and its job is requeued. 0 means
@@ -51,16 +45,14 @@ type Options struct {
 	// session entry — keyed by eval.StoreKey, the (base-graph hash,
 	// evaluator-spec hash) pair — into the merged caches, where the
 	// preseed path pushes them to each worker at admission (setting
-	// Store implies Preseed). Newly merged records are flushed back on a
-	// periodic ticker and once more when the run ends. Preseeded records
-	// pass through the worker caches' ImportRecords prefilter, so a warm
+	// Store implies Preseed). Newly merged records are flushed back
+	// every 30 seconds and once more when the run ends. Flushes are
+	// idempotent (the store deduplicates by record identity), so the
+	// cadence only bounds how much merged work a coordinator crash can
+	// lose, never what a restart recovers into. Preseeded records pass
+	// through the worker caches' ImportRecords prefilter, so a warm
 	// start may only skip oracle calls, never change a result.
 	Store *eval.Store
-	// StoreFlushEvery is the period of the mid-run store flush ticker;
-	// 0 means 30s. Flushes are idempotent (the store deduplicates by
-	// record identity), so the cadence only bounds how much merged work
-	// a coordinator crash can lose, never what a restart recovers into.
-	StoreFlushEvery time.Duration
 	// Logf, when set, receives progress and failure events.
 	Logf func(format string, args ...any)
 }
@@ -377,7 +369,9 @@ func (s *sched) abort() {
 // execution. Workers pull jobs one at a time, so load balance emerges
 // from speed (work stealing); a lost worker's in-flight job is requeued
 // elsewhere, and a job a worker reports failed is retried on other
-// workers up to MaxAttempts before the run reports a JobFailedError.
+// workers, up to three executions, before the run reports a
+// JobFailedError; transport losses requeue without using one up. Each
+// endpoint dial gives up after 10 seconds.
 // Like the local sweep, Run finishes every finishable job before
 // returning the first failure in job order.
 func Run(bases []*aig.AIG, cfg RunConfig, jobs []JobSpec, opts Options) ([]JobResult, *Stats, error) {
@@ -389,8 +383,7 @@ func Run(bases []*aig.AIG, cfg RunConfig, jobs []JobSpec, opts Options) ([]JobRe
 		return nil, nil, fmt.Errorf("shard: no workers (need Conns or Endpoints)")
 	}
 	h := NewHub(HubOptions{
-		MaxAttempts: opts.MaxAttempts, JobTimeout: opts.JobTimeout,
-		Preseed: opts.Preseed, Store: opts.Store, StoreFlushEvery: opts.StoreFlushEvery,
+		JobTimeout: opts.JobTimeout, Preseed: opts.Preseed, Store: opts.Store,
 		OnJobDone: opts.OnJobDone, Logf: opts.Logf,
 	})
 	h.fixed = fleet
@@ -401,15 +394,11 @@ func Run(bases []*aig.AIG, cfg RunConfig, jobs []JobSpec, opts Options) ([]JobRe
 	for i, c := range opts.Conns {
 		h.AddWorker(fmt.Sprintf("conn#%d", i), c)
 	}
-	dialTimeout := opts.DialTimeout
-	if dialTimeout == 0 {
-		dialTimeout = 10 * time.Second
-	}
 	// Keepalive probes are what turn a silently dead peer (power loss,
 	// partition — no FIN/RST) into a read error the requeue logic can
 	// act on; without them a half-open connection would hold its job
 	// forever.
-	dialer := net.Dialer{Timeout: dialTimeout, KeepAlive: 15 * time.Second}
+	dialer := net.Dialer{Timeout: 10 * time.Second, KeepAlive: 15 * time.Second}
 	for _, ep := range opts.Endpoints {
 		c, err := dialer.Dial("tcp", ep)
 		if err != nil {

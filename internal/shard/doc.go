@@ -34,9 +34,10 @@
 //     witnessed-collision-rejection rule). Records are scoped per
 //     entry — metrics from different guiding evaluators never mix.
 //   - Failure containment. Worker-side job errors are retried on other
-//     workers up to Options.MaxAttempts (the job's grid coordinates ride
-//     along, surfacing as JobFailedError when exhausted); a lost
-//     transport requeues the in-flight job and removes only that worker.
+//     workers up to HubOptions.MaxAttempts, three for Run (the job's grid
+//     coordinates ride along, surfacing as JobFailedError when
+//     exhausted); a lost transport requeues the in-flight job and removes
+//     only that worker.
 //     Options.JobTimeout arms read AND write deadlines on deadline-capable
 //     transports: a worker wedged mid-computation (read) or one that
 //     stopped draining its socket with the transport buffer full (write)

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"testing"
 
@@ -149,6 +150,116 @@ func FuzzDecodeResult(f *testing.F) {
 		}
 		if second := encodeDecoded(t, base, jr, recs, wire); !bytes.Equal(first, second) {
 			t.Fatalf("result encoding not stable:\n%x\n%x", first, second)
+		}
+	})
+}
+
+// FuzzDecodeSeed feeds arbitrary bytes to the cache-seed decoder, which
+// reads the preseed pushes a worker receives from its coordinator.
+// decodeSeed must return an error or an entry and its records and never
+// panic; what it returns must re-encode stably; and decoding may
+// allocate no more than a constant factor of the input. The seeds stay
+// a few records long: the fuzzer minimizes every input that finds new
+// coverage, at a cost that grows with the square of its length.
+func FuzzDecodeSeed(f *testing.F) {
+	f.Add(encodeSeed(0, []eval.CacheRecord{
+		{FP: 1, SH: 2, M: eval.Metrics{DelayPS: 310, AreaUM2: 40}},
+		{FP: 3, SH: 4, M: eval.Metrics{DelayPS: 290, AreaUM2: 44}},
+	}))
+	f.Add(encodeSeed(3, nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		entry, recs, err := decodeSeed(data)
+		runtime.ReadMemStats(&after)
+		decodeAllocBound(t, len(data), &before, &after)
+		if err != nil {
+			return
+		}
+		first := encodeSeed(entry, recs)
+		entry, recs, err = decodeSeed(first)
+		if err != nil {
+			t.Fatalf("re-decoding an encoded seed failed: %v", err)
+		}
+		if second := encodeSeed(entry, recs); !bytes.Equal(first, second) {
+			t.Fatalf("seed encoding not stable:\n%x\n%x", first, second)
+		}
+	})
+}
+
+// FuzzDecodeSubmitDone feeds arbitrary bytes to the submission-outcome
+// decoder, which reads the stats frame a client receives from the hub.
+// decodeSubmitDone must return an error or an outcome and never panic;
+// an outcome it returns must re-encode stably; and decoding may
+// allocate no more than a constant factor of the input.
+func FuzzDecodeSubmitDone(f *testing.F) {
+	st := &Stats{
+		BaseSends: 2, BaseBytes: 900, DeltaRecords: 6, DeltaBytes: 1200,
+		JobSends: 6, Retries: 1, Requeues: 1, WorkerLosses: 1, Handoffs: 1,
+		QueueDepth: 1, BytesSent: 3000, BytesReceived: 2500,
+		CacheRecords: 5, CacheDuplicates: 1, SeedPushes: 2, SeedRecords: 4,
+		SeedBytes: 160, PrefilterHits: 3, PrefilterRejected: 1,
+		StoreLoaded: 2, StoreFlushed: 3,
+		MergedCaches: []map[eval.CacheKey]eval.Metrics{
+			{{FP: 1, SH: 2}: {DelayPS: 310, AreaUM2: 40}, {FP: 3, SH: 4}: {DelayPS: 290, AreaUM2: 44}, {FP: 5, SH: 6}: {DelayPS: 300, AreaUM2: 41}},
+			{},
+			{{FP: 7, SH: 8}: {DelayPS: 120, AreaUM2: 9}, {FP: 7, SH: 9}: {DelayPS: 125, AreaUM2: 8}},
+		},
+		Workers: []WorkerStats{
+			{Name: "conn#0", Jobs: 4, PrefilterHits: 2},
+			{Name: "127.0.0.1:7001", Jobs: 2, Lost: true, PrefilterHits: 1, PrefilterRejected: 1},
+		},
+	}
+	failed := &JobFailedError{Job: testJobs(3)[1], Attempts: 3, Msg: "runner: doomed"}
+	for _, runErr := range []error{nil, failed, errors.New("shard: no workers")} {
+		f.Add(encodeSubmitDone(runErr, st))
+	}
+	f.Add(encodeSubmitDone(nil, &Stats{}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st, runErr, err := decodeSubmitDone(data)
+		runtime.ReadMemStats(&after)
+		decodeAllocBound(t, len(data), &before, &after)
+		if err != nil {
+			return
+		}
+		first := encodeSubmitDone(runErr, st)
+		st, runErr, err = decodeSubmitDone(first)
+		if err != nil {
+			t.Fatalf("re-decoding an encoded outcome failed: %v", err)
+		}
+		if second := encodeSubmitDone(runErr, st); !bytes.Equal(first, second) {
+			t.Fatalf("submit outcome encoding not stable:\n%x\n%x", first, second)
+		}
+	})
+}
+
+// FuzzDecodeHello feeds arbitrary bytes to the hello decoder, the
+// first thing the hub reads from every new connection. decodeHello must
+// return an error or a role and name and never panic; what it returns
+// must re-encode stably; and decoding may allocate no more than a
+// constant factor of the input.
+func FuzzDecodeHello(f *testing.F) {
+	f.Add(encodeHello(roleWorker, "127.0.0.1:7001"))
+	f.Add(encodeHello(roleClient, "flows-client"))
+	f.Add(encodeHello(roleClient, ""))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		role, name, err := decodeHello(data)
+		runtime.ReadMemStats(&after)
+		decodeAllocBound(t, len(data), &before, &after)
+		if err != nil {
+			return
+		}
+		first := encodeHello(role, name)
+		role, name, err = decodeHello(first)
+		if err != nil {
+			t.Fatalf("re-decoding an encoded hello failed: %v", err)
+		}
+		if second := encodeHello(role, name); !bytes.Equal(first, second) {
+			t.Fatalf("hello encoding not stable:\n%x\n%x", first, second)
 		}
 	})
 }

@@ -282,9 +282,11 @@ func waitSubmission(t *testing.T, sub *Submission, what string) ([]JobResult, *S
 func TestHubQueuedSubmissionStartsWithinOneTick(t *testing.T) {
 	ch := newChaosHarness(t, HubOptions{MaxSessions: 2})
 	ch.joinWorker("w1")
+	a := ch.prepare(&chaosSubmit{name: "A", seed: 91, jobs: 3})
+	b := ch.prepare(&chaosSubmit{name: "B", seed: 92, jobs: 2})
 	ch.holdRuns()
-	ch.submitNow(&chaosSubmit{name: "A", seed: 91, jobs: 3})
-	b := ch.submitNow(&chaosSubmit{name: "B", seed: 92, jobs: 2})
+	ch.submit(a)
+	ch.submit(b)
 	if n, q := ch.activeCount(), ch.queuedCount(); n != 1 || q != 1 {
 		t.Fatalf("active/queued = %d/%d with a 1-worker fleet, want 1/1", n, q)
 	}
@@ -306,8 +308,10 @@ func TestHubQueuedSubmissionStartsWithinOneTick(t *testing.T) {
 func TestHubQueuedSubmissionStartsOnSessionEnd(t *testing.T) {
 	ch := newChaosHarness(t, HubOptions{MaxSessions: 1})
 	ch.joinWorker("w1")
-	a := ch.submitNow(&chaosSubmit{name: "A", seed: 93, jobs: 3})
-	b := ch.submitNow(&chaosSubmit{name: "B", seed: 94, jobs: 2})
+	a := ch.prepare(&chaosSubmit{name: "A", seed: 93, jobs: 3})
+	b := ch.prepare(&chaosSubmit{name: "B", seed: 94, jobs: 2})
+	ch.submit(a)
+	ch.submit(b)
 	ch.waitOutcome(a)
 	if q := ch.queuedCount(); q != 0 {
 		t.Fatalf("B still queued after A resolved; admission missed the session-end tick")

@@ -3,10 +3,12 @@ package shard
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"maps"
 	"math"
 	"slices"
 	"time"
@@ -953,7 +955,8 @@ func decodeSubmitDone(payload []byte) (*Stats, error, error) {
 
 // appendStats serializes a session's full Stats — scalars, the merged
 // caches (so a hub client sees the same cluster-wide memo view a local
-// coordinator would), and the per-worker breakdown.
+// coordinator would), and the per-worker breakdown. Merged records go
+// out in key order, so equal Stats encode to equal bytes.
 func appendStats(b []byte, st *Stats) []byte {
 	b = appendVarint(b, int64(st.BaseSends))
 	b = appendVarint(b, st.BaseBytes)
@@ -979,7 +982,8 @@ func appendStats(b []byte, st *Stats) []byte {
 	b = appendUvarint(b, uint64(len(st.MergedCaches)))
 	for _, m := range st.MergedCaches {
 		b = appendUvarint(b, uint64(len(m)))
-		for k, v := range m {
+		for _, k := range slices.SortedFunc(maps.Keys(m), cmpCacheKey) {
+			v := m[k]
 			b = appendU64(b, k.FP)
 			b = appendU64(b, k.SH)
 			b = appendF64(b, v.DelayPS)
@@ -995,6 +999,10 @@ func appendStats(b []byte, st *Stats) []byte {
 		b = appendVarint(b, w.PrefilterRejected)
 	}
 	return b
+}
+
+func cmpCacheKey(a, b eval.CacheKey) int {
+	return cmp.Or(cmp.Compare(a.FP, b.FP), cmp.Compare(a.SH, b.SH))
 }
 
 func decodeStats(d *dec) (*Stats, error) {

@@ -431,8 +431,8 @@ func TestJobErrorRetriedOnOtherWorker(t *testing.T) {
 }
 
 // When a job fails everywhere, the run reports a JobFailedError with
-// the job's grid coordinates after exhausting MaxAttempts — but only
-// after finishing every other job.
+// the job's grid coordinates after exhausting its three attempts — but
+// only after finishing every other job.
 func TestJobErrorExhaustsAttempts(t *testing.T) {
 	base := testAIG(4)
 	cfg := testConfig()
@@ -442,7 +442,7 @@ func TestJobErrorExhaustsAttempts(t *testing.T) {
 	r1.failTimes[1] = 99
 	r2.failTimes[1] = 99
 	conns, wait := startWorkers([]*fakeRunner{r1, r2})
-	_, st, err := Run([]*aig.AIG{base}, cfg, jobs, Options{Conns: conns, MaxAttempts: 3})
+	_, st, err := Run([]*aig.AIG{base}, cfg, jobs, Options{Conns: conns})
 	wait()
 	if err == nil {
 		t.Fatal("doomed job reported no error")

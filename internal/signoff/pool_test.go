@@ -139,7 +139,7 @@ func FuzzPooledDelta(f *testing.F) {
 		mustEqualStates(t, "fuzz-full", wantSt, st)
 		cur := g
 		for step := 0; step < 2; step++ {
-			next, _ := new(aig.Builder).Rebase(cur, mutate(cur, rng))
+			next := new(aig.Builder).Rebase(cur, mutate(cur, rng))
 			wantR, wantSt, err1 := freshState(next, lib)
 			gotR, gotSt, err2 := pool.Evaluate(next, lib)
 			if (err1 == nil) != (err2 == nil) {

@@ -8,9 +8,8 @@
 //
 // where the load sums the input capacitance of every reader pin, a wire
 // capacitance per fanout branch, and a fixed output load per primary
-// output. Arrival times propagate in topological order; required times
-// propagate backwards from the latest PO, yielding per-net slack and the
-// critical path.
+// output. Arrival times propagate in topological order, and the critical
+// path is traced back from the latest PO.
 //
 // The signoff analyzer (Signoff) is the accurate variant the
 // ground-truth flow pays for at every iteration: NLDM table lookup with

@@ -17,16 +17,9 @@ type Result struct {
 	// ArrivalPS is the latest signal arrival time at every net, in
 	// picoseconds; primary-input nets arrive at 0.
 	ArrivalPS []float64
-	// RequiredPS is the latest allowed arrival at every net for the
-	// design to meet MaxDelayPS; nets with no path to a PO stay +Inf.
-	RequiredPS []float64
 	// GateDelay is the pin-to-output delay of every gate under the load
 	// of its output net, indexed like Netlist.Gates.
 	GateDelay []float64
-	// LoadsFF is the capacitive load (fF) of every gate-output net,
-	// indexed by net; primary-input net entries are left 0 because the
-	// delay model never reads them.
-	LoadsFF []float64
 
 	// MaxDelayPS is the maximum arrival over all POs (the design delay).
 	MaxDelayPS float64
@@ -43,18 +36,14 @@ func Analyze(nl *netlist.Netlist) *Result {
 	r := &Result{
 		Netlist:    nl,
 		ArrivalPS:  make([]float64, numNets),
-		RequiredPS: make([]float64, numNets),
 		GateDelay:  make([]float64, len(nl.Gates)),
-		LoadsFF:    make([]float64, numNets),
 		AreaUM2:    nl.AreaUM2(),
 		CriticalPO: -1,
 	}
 	// Forward pass: gates are stored in topological order.
 	for gi := range nl.Gates {
 		g := &nl.Gates[gi]
-		load := nl.LoadFF(g.Output)
-		r.LoadsFF[g.Output] = load
-		d := g.Cell.DelayPS(load)
+		d := g.Cell.DelayPS(nl.LoadFF(g.Output))
 		r.GateDelay[gi] = d
 		arr := 0.0
 		for _, in := range g.Inputs {
@@ -70,29 +59,7 @@ func Analyze(nl *netlist.Netlist) *Result {
 			r.CriticalPO = i
 		}
 	}
-	// Backward pass: required times w.r.t. the max delay.
-	for i := range r.RequiredPS {
-		r.RequiredPS[i] = math.Inf(1)
-	}
-	for _, po := range nl.POs {
-		r.RequiredPS[po] = r.MaxDelayPS
-	}
-	for gi := len(nl.Gates) - 1; gi >= 0; gi-- {
-		g := &nl.Gates[gi]
-		req := r.RequiredPS[g.Output] - r.GateDelay[gi]
-		for _, in := range g.Inputs {
-			if req < r.RequiredPS[in] {
-				r.RequiredPS[in] = req
-			}
-		}
-	}
 	return r
-}
-
-// SlackPS returns the slack of a net. Nets with no path to a PO have
-// +Inf slack.
-func (r *Result) SlackPS(n netlist.NetID) float64 {
-	return r.RequiredPS[n] - r.ArrivalPS[n]
 }
 
 // MaxDelayNS returns the maximum delay in nanoseconds (the unit the paper

@@ -49,12 +49,6 @@ func TestChainDelayAdds(t *testing.T) {
 	if len(r.CriticalPath()) != 3 {
 		t.Fatalf("critical path length = %d, want 3", len(r.CriticalPath()))
 	}
-	// All nets on the single path have zero slack.
-	for _, po := range nl.POs {
-		if s := r.SlackPS(po); math.Abs(s) > 1e-9 {
-			t.Errorf("PO slack = %v, want 0", s)
-		}
-	}
 }
 
 func TestFanoutIncreasesDelay(t *testing.T) {
@@ -75,7 +69,7 @@ func TestFanoutIncreasesDelay(t *testing.T) {
 	}
 }
 
-func TestSlackConsistency(t *testing.T) {
+func TestCriticalPathConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	lib := cell.Builtin()
 	g := randomAIG(rng, 8, 150, 5)
@@ -86,24 +80,6 @@ func TestSlackConsistency(t *testing.T) {
 	r := Analyze(nl)
 	if r.MaxDelayPS <= 0 {
 		t.Fatalf("nonpositive max delay")
-	}
-	// Slack is nonnegative... no: required is relative to max delay, so
-	// slack >= 0 for all nets on PO cones and exactly 0 somewhere.
-	sawZero := false
-	for n := 0; n < nl.NumNets(); n++ {
-		s := r.SlackPS(netlist.NetID(n))
-		if math.IsInf(s, 1) {
-			continue // not on any PO cone
-		}
-		if s < -1e-9 {
-			t.Fatalf("negative slack %v on net %d", s, n)
-		}
-		if math.Abs(s) < 1e-9 {
-			sawZero = true
-		}
-	}
-	if !sawZero {
-		t.Fatalf("no zero-slack net found")
 	}
 	// Critical path arrivals must be monotonically increasing and end at
 	// the max delay.

@@ -145,20 +145,6 @@ func FrontDelayAtArea(front []Point, xMax float64) float64 {
 	return best
 }
 
-// Median returns the median of the sample (0 for empty input).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	m := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[m]
-	}
-	return (s[m-1] + s[m]) / 2
-}
-
 // MinMax returns the extrema of the sample (zeros for empty input).
 func MinMax(xs []float64) (min, max float64) {
 	if len(xs) == 0 {

@@ -165,16 +165,7 @@ func TestFrontDelayAtArea(t *testing.T) {
 	}
 }
 
-func TestMedianAndMinMax(t *testing.T) {
-	if m := Median([]float64{3, 1, 2}); m != 2 {
-		t.Errorf("median odd = %v", m)
-	}
-	if m := Median([]float64{4, 1, 2, 3}); m != 2.5 {
-		t.Errorf("median even = %v", m)
-	}
-	if m := Median(nil); m != 0 {
-		t.Errorf("median empty = %v", m)
-	}
+func TestMinMax(t *testing.T) {
 	min, max := MinMax([]float64{5, -2, 7})
 	if min != -2 || max != 7 {
 		t.Errorf("minmax = %v %v", min, max)

@@ -10,11 +10,10 @@ import (
 
 // Objects a warm mover allocates per recipe application: Apply's result
 // is a copy of the final graph (the AIG, its node array and its output
-// list); ApplyTracked's is the rebased graph (the same three) plus its
-// Delta and the Delta's matched prefix.
+// list); ApplyTracked's is the rebased graph (the same three).
 const (
 	applyAllocs        = 3
-	applyTrackedAllocs = 5
+	applyTrackedAllocs = 3
 )
 
 // TestMoverAllocatesOnlyTheResult guards the retained move pipeline:

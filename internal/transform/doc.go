@@ -45,8 +45,8 @@
 // retained aig.Builder and compacts that into a second, where the next
 // step reads it, and every per-node table, buffer, signature map and
 // the exact verifier's memo are reused from step to step. Only the
-// final graph is allocated — a copy for Apply, the rebased graph and
-// its Delta for ApplyTracked — so a warm mover allocates nothing else
+// final graph is allocated — a copy for Apply, the rebased graph for
+// ApplyTracked — so a warm mover allocates nothing else
 // except a synthesis program the process-wide caches do not hold yet.
 // A catalog Func is a one-step application on a pooled mover.
 package transform

@@ -218,7 +218,7 @@ func TestMoveOutputsGolden(t *testing.T) {
 				if !ok {
 					t.Fatalf("recipe %q missing from the catalog", rn)
 				}
-				h, _ := r.ApplyTracked(g, rand.New(rand.NewSource(seed)))
+				h := r.ApplyTracked(g, rand.New(rand.NewSource(seed)))
 				got[fmt.Sprintf("%s/%d/%s", name, seed, rn)] = h.Hash()
 			}
 		}

@@ -18,10 +18,10 @@ import (
 // into out, so every intermediate graph of a recipe — with its level
 // and fanout caches — lives in the two builders' storage, and the next
 // step reads it there. Only the recipe's final graph is allocated: a
-// copy of out's graph for Apply, the rebased graph and its Delta for
-// ApplyTracked. A warm mover allocates nothing else, except a synthesis
-// program the process-wide caches do not hold yet, which it records in
-// its own retained scratch.
+// copy of out's graph for Apply, the rebased graph for ApplyTracked. A
+// warm mover allocates nothing else, except a synthesis program the
+// process-wide caches do not hold yet, which it records in its own
+// retained scratch.
 //
 // Every table is sized to the graph in hand when a step starts, so a
 // mover that once served a large design spends no more time on a small
@@ -81,7 +81,7 @@ func (m *mover) apply(r Recipe, g *aig.AIG, rng *rand.Rand) *aig.AIG {
 }
 
 // applyTracked is Recipe.ApplyTracked on m.
-func (m *mover) applyTracked(r Recipe, g *aig.AIG, rng *rand.Rand) (*aig.AIG, *aig.Delta) {
+func (m *mover) applyTracked(r Recipe, g *aig.AIG, rng *rand.Rand) *aig.AIG {
 	return m.raw.Rebase(g, m.run(r, g, rng))
 }
 

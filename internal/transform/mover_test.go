@@ -2,7 +2,6 @@ package transform
 
 import (
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
@@ -28,9 +27,9 @@ func TestMoverReuseMatchesFresh(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		g := designs[i%len(designs)]
 		r := recipes[(7*i)%len(recipes)]
-		got, gd := m.applyTracked(r, g, rand.New(rand.NewSource(int64(i))))
-		want, wd := new(mover).applyTracked(r, g, rand.New(rand.NewSource(int64(i))))
-		if !got.StructuralEqual(want) || !slices.Equal(gd.MatchedPrev, wd.MatchedPrev) {
+		got := m.applyTracked(r, g, rand.New(rand.NewSource(int64(i))))
+		want := new(mover).applyTracked(r, g, rand.New(rand.NewSource(int64(i))))
+		if !got.StructuralEqual(want) {
 			t.Fatalf("%s on design %d: reused mover differs from a fresh one", r.Name, i%len(designs))
 		}
 	}
@@ -53,7 +52,7 @@ func TestConcurrentApplyMatchesSequential(t *testing.T) {
 	recipes := Recipes()[:24]
 	want := make([]*aig.AIG, len(recipes))
 	for i, r := range recipes {
-		want[i], _ = r.ApplyTracked(g, rand.New(rand.NewSource(int64(i))))
+		want[i] = r.ApplyTracked(g, rand.New(rand.NewSource(int64(i))))
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -62,7 +61,7 @@ func TestConcurrentApplyMatchesSequential(t *testing.T) {
 			defer wg.Done()
 			for k := range recipes {
 				i := (k + 5*w) % len(recipes)
-				got, _ := recipes[i].ApplyTracked(g, rand.New(rand.NewSource(int64(i))))
+				got := recipes[i].ApplyTracked(g, rand.New(rand.NewSource(int64(i))))
 				if !got.StructuralEqual(want[i]) {
 					t.Errorf("worker %d: %s differs from its sequential result", w, recipes[i].Name)
 				}

@@ -28,16 +28,15 @@ func (r Recipe) Apply(g *aig.AIG, rng *rand.Rand) *aig.AIG {
 
 // ApplyTracked runs the recipe like Apply and rebases the result
 // against g (aig.Builder.Rebase): its AND nodes split into a prefix
-// shared with g, in g's order, and a dirty suffix — the cone the recipe
-// actually touched plus its transitive fanout — which the returned
-// Delta describes. The annealer applies every ground-truth move this
-// way. Rebasing stays although nothing evaluates the delta any more,
-// because the rebased node order is an input to every later move and to
-// the mapper's cut order: every recorded ground-truth trajectory, and
-// the EX08 fixed point, was produced with rebased candidates, and
-// Apply's order scores differently. The rebased graph and its Delta are
-// all it allocates.
-func (r Recipe) ApplyTracked(g *aig.AIG, rng *rand.Rand) (*aig.AIG, *aig.Delta) {
+// shared with g, in g's order, and a suffix — the cone the recipe
+// actually touched plus its transitive fanout. The annealer applies
+// every ground-truth move this way. Rebasing stays although nothing
+// evaluates a delta any more, because the rebased node order is an
+// input to every later move and to the mapper's cut order: every
+// recorded ground-truth trajectory, and the EX08 fixed point, was
+// produced with rebased candidates, and Apply's order scores
+// differently. The rebased graph is all it allocates.
+func (r Recipe) ApplyTracked(g *aig.AIG, rng *rand.Rand) *aig.AIG {
 	m := moverPool.Get().(*mover)
 	defer moverPool.Put(m)
 	return m.applyTracked(r, g, rng)

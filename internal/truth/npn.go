@@ -3,36 +3,8 @@ package truth
 // NPN manipulation of small (up to 4-variable) functions encoded as uint16
 // truth tables. Technology mapping matches cut functions against library
 // cell functions under input Negation, input Permutation, and output
-// Negation; this file provides the transforms and a canonical form.
-
-// Perms4 lists all 24 permutations of 4 elements.
-var Perms4 = [24][4]int{
-	{0, 1, 2, 3}, {0, 1, 3, 2}, {0, 2, 1, 3}, {0, 2, 3, 1}, {0, 3, 1, 2}, {0, 3, 2, 1},
-	{1, 0, 2, 3}, {1, 0, 3, 2}, {1, 2, 0, 3}, {1, 2, 3, 0}, {1, 3, 0, 2}, {1, 3, 2, 0},
-	{2, 0, 1, 3}, {2, 0, 3, 1}, {2, 1, 0, 3}, {2, 1, 3, 0}, {2, 3, 0, 1}, {2, 3, 1, 0},
-	{3, 0, 1, 2}, {3, 0, 2, 1}, {3, 1, 0, 2}, {3, 1, 2, 0}, {3, 2, 0, 1}, {3, 2, 1, 0},
-}
-
-// PermsK returns all permutations of k elements (k ≤ 4) as index slices.
-func PermsK(k int) [][]int {
-	switch k {
-	case 0:
-		return [][]int{{}}
-	case 1:
-		return [][]int{{0}}
-	case 2:
-		return [][]int{{0, 1}, {1, 0}}
-	case 3:
-		return [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
-	case 4:
-		out := make([][]int, 24)
-		for i := range Perms4 {
-			out[i] = Perms4[i][:]
-		}
-		return out
-	}
-	panic("truth: PermsK supports k <= 4")
-}
+// Negation; this file provides the pin transform and the padding both
+// sides of a match are compared in.
 
 // TransformPins rewires a k-variable function f (k ≤ 4): pin j of the
 // original function is driven by variable pinVar[j] of the result,
@@ -59,41 +31,6 @@ func TransformPins(f uint16, k int, pinVar []int, pinInv uint16) uint16 {
 		g |= g << sh
 	}
 	return g
-}
-
-// NPNConfig records how a function was transformed into its canonical
-// representative.
-type NPNConfig struct {
-	Perm   [4]int // pin j of the canonical form reads variable Perm[j]
-	InInv  uint16 // input complement bits
-	OutInv bool   // output complemented
-}
-
-// Canon4 returns the NPN-canonical representative of a 4-variable function
-// together with the transform that produces it: the minimum uint16 value
-// over all input permutations, input complementations, and output
-// complementation.
-func Canon4(f uint16) (uint16, NPNConfig) {
-	best := uint16(0xFFFF)
-	var bestCfg NPNConfig
-	first := true
-	for pi := range Perms4 {
-		for inv := uint16(0); inv < 16; inv++ {
-			g := TransformPins(f, 4, Perms4[pi][:], inv)
-			for out := 0; out < 2; out++ {
-				h := g
-				if out == 1 {
-					h = ^g
-				}
-				if first || h < best {
-					first = false
-					best = h
-					bestCfg = NPNConfig{Perm: Perms4[pi], InInv: inv, OutInv: out == 1}
-				}
-			}
-		}
-	}
-	return best, bestCfg
 }
 
 // PadTo4 extends a k-variable function (k ≤ 4) to a full 16-bit table that

@@ -1,7 +1,8 @@
 // Package truth implements truth-table manipulation for small Boolean
 // functions: cofactoring, support detection, irredundant sum-of-products
-// extraction (Minato-Morreale ISOP), algebraic factoring, NPN canonization
-// of 4-input functions, and synthesis of truth tables into AIG structure.
+// extraction (Minato-Morreale ISOP), algebraic factoring, the pin
+// transforms technology mapping matches 4-input functions under, and
+// synthesis of truth tables into AIG structure.
 //
 // Cut-based rewriting, refactoring and technology mapping all reduce to
 // "here is the local function of a cut; produce or match an implementation",

@@ -287,40 +287,6 @@ func TestTransformPinsPermutation(t *testing.T) {
 	}
 }
 
-func TestCanon4Invariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 50; i++ {
-		f := uint16(rng.Uint32())
-		cf, _ := Canon4(f)
-		// Canonical form must be invariant under any NPN transform of f.
-		pi := rng.Intn(24)
-		inv := uint16(rng.Intn(16))
-		g := TransformPins(f, 4, Perms4[pi][:], inv)
-		if rng.Intn(2) == 1 {
-			g = ^g
-		}
-		cg, _ := Canon4(g)
-		if cf != cg {
-			t.Fatalf("NPN class split: f=%04x g=%04x canon %04x vs %04x", f, g, cf, cg)
-		}
-	}
-}
-
-func TestCanon4ConfigReproduces(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 50; i++ {
-		f := uint16(rng.Uint32())
-		cf, cfg := Canon4(f)
-		g := TransformPins(f, 4, cfg.Perm[:], cfg.InInv)
-		if cfg.OutInv {
-			g = ^g
-		}
-		if g != cf {
-			t.Fatalf("config does not reproduce canon: f=%04x got %04x want %04x", f, g, cf)
-		}
-	}
-}
-
 func TestUint16RoundTrip(t *testing.T) {
 	f := func(raw uint16) bool {
 		return FromUint16(raw).Uint16() == raw
@@ -328,16 +294,6 @@ func TestUint16RoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestPermsK(t *testing.T) {
-	want := []int{1, 1, 2, 6, 24}
-	for k := 0; k <= 4; k++ {
-		if got := len(PermsK(k)); got != want[k] {
-			t.Errorf("len(PermsK(%d)) = %d want %d", k, got, want[k])
-		}
-	}
-	mustPanicT(t, func() { PermsK(5) })
 }
 
 func mustPanicT(t *testing.T, f func()) {
